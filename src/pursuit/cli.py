@@ -397,7 +397,7 @@ def _read_traces(path: str) -> list[tuple[Graph, Trace]]:
         try:
             tr = Trace.from_json(ln)
             g = from_graph6(tr.graph)
-        except (ValueError, KeyError) as e:
+        except ValueError as e:
             raise CliError(USAGE, f"{path} line {i + 1}: bad trace: {e}") from e
         out.append((g, tr))
     if not out:

@@ -26,6 +26,7 @@ suites use as exhaustive corpora.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
@@ -100,6 +101,12 @@ def random_planar_triangulation(n: int, seed: int) -> Graph:
     quadrilateral formed by two adjacent faces, skipped when the opposite
     diagonal already exists, so the graph stays simple and every face stays
     a triangle.  Output is 3-connected for n >= 4 and has m = 3n - 6.
+
+    The flips keep a sorted edge list and, for each edge, the third vertex
+    of every face on it, and update both in place, so one flip costs O(n)
+    list moves and O(log n) comparisons.  The graph for each (n, seed) is
+    fixed: the seeds name a corpus, and the pinned graph6 digests in the
+    tests must not change.
     """
     if n < 3:
         raise ValueError("triangulation needs n >= 3")
@@ -109,34 +116,38 @@ def random_planar_triangulation(n: int, seed: int) -> Graph:
         a, b, c = faces.pop(rng.randrange(len(faces)))
         faces.extend([(a, b, v), (a, c, v), (b, c, v)])
 
-    def edge_set() -> set[tuple[int, int]]:
-        es: set[tuple[int, int]] = set()
-        for a, b, c in faces:
-            es.add((min(a, b), max(a, b)))
-            es.add((min(a, c), max(a, c)))
-            es.add((min(b, c), max(b, c)))
-        return es
+    opposite: dict[tuple[int, int], list[int]] = {}
+    for a, b, c in faces:
+        for p, q, r in ((a, b, c), (a, c, b), (b, c, a)):
+            opposite.setdefault((min(p, q), max(p, q)), []).append(r)
+    edges = sorted(opposite)
 
     if n >= 4:
         for _ in range(4 * n):
-            es = sorted(edge_set())
-            u, v = es[rng.randrange(len(es))]
-            touching = [i for i, f in enumerate(faces) if u in f and v in f]
-            if len(touching) != 2:
+            k = rng.randrange(len(edges))
+            u, v = edges[k]
+            if len(opposite[u, v]) != 2:
                 continue
-            i, j = touching
-            x = next(w for w in faces[i] if w not in (u, v))
-            y = next(w for w in faces[j] if w not in (u, v))
-            if x == y or (min(x, y), max(x, y)) in edge_set():
+            x, y = opposite[u, v]
+            diagonal = (min(x, y), max(x, y))
+            if x == y or diagonal in opposite:
                 continue
-            for idx in sorted((i, j), reverse=True):
-                faces.pop(idx)
-            faces.extend([(u, x, y), (v, x, y)])
+            # Faces (u, v, x) and (u, v, y) become (u, x, y) and (v, x, y).
+            del edges[k]
+            del opposite[u, v]
+            insort(edges, diagonal)
+            opposite[diagonal] = [u, v]
+            for end, other in ((u, v), (v, u)):
+                for w, z in ((x, y), (y, x)):
+                    third = opposite[min(end, w), max(end, w)]
+                    third.remove(other)
+                    third.append(z)
 
-    edges = sorted(edge_set())
-    assert len(edges) == 3 * n - 6, "flip bookkeeping broke the face count"
+    if len(edges) != 3 * n - 6:
+        raise AssertionError("flip bookkeeping broke the face count")
     g = Graph(n, edges)
-    assert g.is_connected()
+    if not g.is_connected():
+        raise AssertionError("triangulation is disconnected")
     return g
 
 
@@ -279,10 +290,14 @@ def build_hts(t: int, s: int) -> tuple[Graph, HtsDescriptor]:
             for v in x:
                 edges.append((v, p))
     g = Graph(nxt, edges)
-    assert g.n == t + s * comb(t, m)
-    assert distance_matrix(g).diameter() == 2
-    assert _has_perfect_elimination(g), "H(t,s) must be chordal"
-    assert is_dismantlable(g), "chordal graphs dismantle"
+    if g.n != t + s * comb(t, m):
+        raise AssertionError("H(t,s) has t + s*C(t,m) vertices")
+    if distance_matrix(g).diameter() != 2:
+        raise AssertionError("H(t,s) has diameter 2")
+    if not _has_perfect_elimination(g):
+        raise AssertionError("H(t,s) must be chordal")
+    if not is_dismantlable(g):
+        raise AssertionError("chordal graphs dismantle")
     desc = HtsDescriptor(
         t=t, s=s, m=m, core=tuple(range(t)), subsets=subsets,
         privates=tuple(privates),
@@ -390,5 +405,6 @@ def build_hole_gadget(h: Graph, hole: Hole) -> Graph:
             nxt += 1
         edges.append((prev, v))
     g = Graph(nxt, edges)
-    assert is_isometric_subgraph(g, range(h.n)), "gadget broke isometry"
+    if not is_isometric_subgraph(g, range(h.n)):
+        raise AssertionError("gadget broke isometry")
     return g

@@ -296,8 +296,6 @@ class GreedyAdversary:
         worst = None
         for c in cops:
             d = self.dm.rows[c][v]
-            if d < 0:
-                continue  # unreachable cop poses no threat
             if worst is None or d < worst:
                 worst = d
         return self.graph.n * self.graph.n if worst is None else worst

@@ -83,6 +83,17 @@ class Trace:
     @classmethod
     def from_json(cls, text: str) -> "Trace":
         payload = json.loads(text)
+        if not (
+            isinstance(payload, dict)
+            and isinstance(payload.get("graph"), str)
+            and isinstance(payload.get("turns"), list)
+            and all(isinstance(rec, dict) for rec in payload["turns"])
+            and isinstance(payload.get("verdict"), dict)
+        ):
+            raise ValueError(
+                "a trace is an object with a string graph, a list of turn "
+                "objects and a verdict object"
+            )
         return cls(
             graph=payload["graph"],
             turns=tuple(payload["turns"]),

@@ -309,6 +309,24 @@ class TestSimulateValidateReplay:
         assert code == 2
         assert json.loads(err)["error"]["code"] == 2
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1]",
+            '"x"',
+            '{"graph": "A_", "turns": 5, "verdict": "captured"}',
+            '{"graph": 5, "turns": [], "verdict": {}}',
+            '{"graph": "A_", "turns": [1], "verdict": {}}',
+            '{"graph": "A_", "turns": [], "verdict": []}',
+        ],
+    )
+    def test_malformed_trace_is_usage_error(self, capsys, tmp_path, line):
+        f = tmp_path / "bad.jsonl"
+        f.write_text(line + "\n")
+        code, out, err = run(capsys, ["validate", str(f)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == 2
+
 
 class TestPlay:
     def test_human_robber_capture(self, capsys, tmp_path, monkeypatch):
