@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -155,9 +154,9 @@ def _error(cfg: RunConfig, code: int, message: str) -> int:
     return code
 
 
-def _apply_state_cap(cfg: RunConfig) -> None:
-    if cfg.state_cap is not None:
-        os.environ["PURSUIT_STATE_CAP"] = str(cfg.state_cap)
+def _state_cap(cfg: RunConfig) -> int:
+    """The solver's state budget: --state-cap, else the environment default."""
+    return state_budget() if cfg.state_cap is None else cfg.state_cap
 
 
 # -- corpus queries ---------------------------------------------------------------
@@ -187,14 +186,14 @@ def cmd_helly(cfg: RunConfig) -> int:
 
 
 def cmd_copnumber(cfg: RunConfig, max_cops: int, active: int | None = None) -> int:
-    _apply_state_cap(cfg)
+    budget = _state_cap(cfg)
     records = []
     worst = OK
     for i, g in enumerate(_read_corpus(cfg.inputs[0])):
         if active is None:
-            c = cop_number(g, max_cops)
+            c = cop_number(g, max_cops, budget=budget)
         else:
-            c = k_move_cop_number(g, active, max_cops)
+            c = k_move_cop_number(g, active, max_cops, budget=budget)
         if c is None:
             worst = NEGATIVE
         rec = {
@@ -202,7 +201,7 @@ def cmd_copnumber(cfg: RunConfig, max_cops: int, active: int | None = None) -> i
             "n": g.n,
             "cop_number": c,
             "max_cops": max_cops,
-            "state_cap": state_budget(),
+            "state_cap": budget,
         }
         if active is not None:
             rec["active"] = active
@@ -257,14 +256,14 @@ def cmd_bypaths(cfg: RunConfig, path_text: str) -> int:
 
 
 def cmd_guardable(cfg: RunConfig, subgraph: str, cops: int) -> int:
-    _apply_state_cap(cfg)
+    budget = _state_cap(cfg)
     target = _vertex_list(subgraph)
     records = []
     worst = OK
     for i, g in enumerate(_read_corpus(cfg.inputs[0])):
         _check_range(g, target, i)
         try:
-            ok = is_guardable(g, target, cops)
+            ok = is_guardable(g, target, cops, budget=budget)
         except ValueError as e:
             raise CliError(NEGATIVE, f"graph {i}: {e}") from e
         if not ok:
@@ -276,7 +275,7 @@ def cmd_guardable(cfg: RunConfig, subgraph: str, cops: int) -> int:
                 "subgraph": sorted(set(target)),
                 "cops": cops,
                 "guardable": ok,
-                "state_cap": state_budget(),
+                "state_cap": budget,
             }
         )
     _write(cfg, records, ["index", "n", "subgraph", "cops", "guardable", "state_cap"])
@@ -349,23 +348,23 @@ def cmd_construct_hole_gadget(cfg: RunConfig) -> int:
 # -- simulation, replay, validation ------------------------------------------------
 
 
-def _make_adversary(name: str, g: Graph, seed: int):
+def _make_adversary(name: str, g: Graph, seed: int, budget: int):
     if name == "random":
         return RandomAdversary(g, seed=seed)
     if name == "greedy":
         return GreedyAdversary(g, seed=seed)
-    won, table = solve(GameSpec(g, cops=3, active_cap=2))
+    won, table = solve(GameSpec(g, cops=3, active_cap=2), budget=budget)
     if not won:
         raise CliError(NEGATIVE, "exact solve found no capture for three cops")
     return OptimalAdversary(g, table)
 
 
 def cmd_simulate(cfg: RunConfig, adversary: str) -> int:
-    _apply_state_cap(cfg)
+    budget = _state_cap(cfg)
     records = []
     worst = OK
     for i, g in enumerate(_read_corpus(cfg.inputs[0])):
-        adv = _make_adversary(adversary, g, cfg.seed)
+        adv = _make_adversary(adversary, g, cfg.seed, budget)
         try:
             tr = run_two_move_strategy(g, adversary=adv, turn_cap=cfg.turn_cap)
         except ValueError as e:
@@ -425,6 +424,25 @@ def cmd_validate(cfg: RunConfig) -> int:
     return worst
 
 
+def _render_turn(rec: dict) -> str:
+    """One replay line; ValueError when a field it shows is missing or mistyped."""
+    cops, robber, note = rec.get("cops"), rec.get("robber"), rec.get("note")
+    milestone = isinstance(note, dict) and "case" in note
+    if not (
+        isinstance(rec.get("t"), int)
+        and isinstance(rec.get("mover"), str)
+        and isinstance(cops, list)
+        and (robber is None or isinstance(robber, int))
+        and (not milestone or ("territory" in note and isinstance(note.get("guards"), list)))
+    ):
+        raise ValueError("fields t, mover, cops, robber or note are missing or malformed")
+    shown = "-" if robber is None else str(robber)
+    line = f"  t{rec['t']:>4} {rec['mover']:<12} cops {','.join(map(str, cops))} robber {shown}"
+    if milestone:
+        line += f"  case={note['case']} territory={note['territory']} guards={len(note['guards'])}"
+    return line
+
+
 def cmd_replay(cfg: RunConfig) -> int:
     if cfg.fmt == "json":
         return cmd_validate(cfg)
@@ -432,17 +450,11 @@ def cmd_replay(cfg: RunConfig) -> int:
     worst = OK
     for i, (g, tr) in enumerate(_read_traces(cfg.inputs[0])):
         lines.append(f"trace {i}: n={g.n} graph {tr.graph}")
-        for rec in tr.turns:
-            cops = ",".join(str(c) for c in rec["cops"])
-            robber = "-" if rec["robber"] is None else str(rec["robber"])
-            line = f"  t{rec['t']:>4} {rec['mover']:<12} cops {cops} robber {robber}"
-            note = rec.get("note")
-            if isinstance(note, dict) and "case" in note:
-                line += (
-                    f"  case={note['case']} territory={note['territory']}"
-                    f" guards={len(note['guards'])}"
-                )
-            lines.append(line)
+        for k, rec in enumerate(tr.turns):
+            try:
+                lines.append(_render_turn(rec))
+            except ValueError as e:
+                raise CliError(USAGE, f"{cfg.inputs[0]} trace {i} turn {k}: {e}") from e
         lines.append(f"  verdict: {json.dumps(tr.verdict, sort_keys=True)}")
         viol = validate_trace(g, tr)
         if viol:

@@ -19,6 +19,7 @@ import random
 from .graphs import Graph, Path, distance_matrix, mask_of, shortest_path
 from .helly import dismantling_order, is_helly
 from .shadows import PathShadows, is_bypath_free, wide_shadow
+from .solver import COPS
 
 
 class ControllerFault(RuntimeError):
@@ -318,10 +319,9 @@ class OptimalAdversary:
         self.table = table
 
     def place(self, cops) -> int:
-        cops = tuple(sorted(cops))
         best, best_rank = 0, -1
         for r in range(self.graph.n):
-            rk = self.table.rank.get((cops, r, 0))
+            rk = self.table.state_rank(cops, r, COPS)
             if rk is None:
                 return r
             if rk > best_rank:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -102,6 +103,24 @@ class TestExactValues:
         )
         assert code == 3
         assert json.loads(err)["error"]["code"] == 3
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["copnumber", "CORPUS", "--max", "3"], 0),
+            (["kmove", "CORPUS", "--active", "1", "--max", "3"], 0),
+            (["guardable", "CORPUS", "--subgraph", "0,1", "--cops", "1"], 0),
+            (["simulate", "CORPUS", "--adversary", "optimal"], 3),
+        ],
+    )
+    def test_state_cap_leaves_environment_alone(self, capsys, corpus, monkeypatch, argv, code):
+        monkeypatch.delenv("PURSUIT_STATE_CAP", raising=False)
+        argv = [corpus if a == "CORPUS" else a for a in argv] + ["--state-cap", "1000"]
+        got, out, _ = run(capsys, argv)
+        assert got == code
+        assert "PURSUIT_STATE_CAP" not in os.environ
+        if code == 0 and argv[0] != "simulate":
+            assert all(r["state_cap"] == 1000 for r in records(out))
 
 
 class TestShadowAndBypaths:
@@ -308,6 +327,22 @@ class TestSimulateValidateReplay:
         code, _, err = run(capsys, ["validate", str(f)])
         assert code == 2
         assert json.loads(err)["error"]["code"] == 2
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"graph": "A_", "turns": [{}], "verdict": {}}',
+            '{"graph": "A_", "turns": [{"t": 0, "mover": "place-cops", "cops": 0, "robber": null}], "verdict": {}}',
+            '{"graph": "A_", "turns": [{"t": "0", "mover": "place-cops", "cops": [0], "robber": null}], "verdict": {}}',
+            '{"graph": "A_", "turns": [{"t": 2, "mover": "cops", "cops": [0], "robber": 1, "note": {"case": "a"}}], "verdict": {}}',
+        ],
+    )
+    def test_replay_malformed_turn_is_usage_error(self, capsys, tmp_path, line):
+        f = tmp_path / "bad.jsonl"
+        f.write_text(line + "\n")
+        code, out, err = run(capsys, ["replay", str(f), "--format", "tsv"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "turn 0" in err
 
     @pytest.mark.parametrize(
         "line",

@@ -1,5 +1,6 @@
 """Exact-solver tests: frozen cop numbers, replay soundness, guard mode."""
 
+import hashlib
 import random
 
 import pytest
@@ -15,8 +16,9 @@ from pursuit.constructions import (
     path,
     petersen,
     random_connected,
+    random_planar_triangulation,
 )
-from pursuit.graphs import Graph, domination_number, shortest_path
+from pursuit.graphs import Graph, domination_number, from_graph6, shortest_path
 from pursuit.helly import is_dismantlable
 from pursuit.solver import (
     COPS,
@@ -103,15 +105,6 @@ class TestSpecValidation:
             GameSpec(g, 2, active_cap=3)
         with pytest.raises(ValueError):
             GameSpec(g, 2, active_cap=0)
-        with pytest.raises(ValueError):
-            GameSpec(g, 1, mode="chase")
-        with pytest.raises(ValueError):
-            GameSpec(g, 1, mode="guard")
-
-    def test_solve_refuses_guard_mode(self):
-        spec = GameSpec(path(3), 1, mode="guard", guard_vertices=(0, 1))
-        with pytest.raises(ValueError):
-            solve(spec)
 
 
 class TestBudget:
@@ -131,6 +124,172 @@ class TestBudget:
         monkeypatch.setenv("PURSUIT_STATE_CAP", "10")
         with pytest.raises(BudgetExceeded):
             is_guardable(cycle(6), (0, 1, 2), 1)
+
+    def test_budget_argument_overrides_env(self, monkeypatch):
+        monkeypatch.setenv("PURSUIT_STATE_CAP", "10")
+        assert solve(GameSpec(path(3), 1), budget=10**6)[0]
+        assert cop_number(cycle(5), 2, budget=10**6) == 2
+        assert k_move_cop_number(cycle(4), 1, 2, budget=10**6) == 2
+        assert is_guardable(cycle(6), (0, 1, 2), 1, budget=10**6)
+        monkeypatch.delenv("PURSUIT_STATE_CAP")
+        for call, budget in (
+            (lambda: solve(GameSpec(petersen(), 3), budget=1000), 1000),
+            (lambda: cop_number(petersen(), 3, budget=1000), 1000),
+            (lambda: k_move_cop_number(petersen(), 1, 3, budget=1000), 1000),
+            (lambda: is_guardable(cycle(6), (0, 1, 2), 1, budget=10), 10),
+        ):
+            with pytest.raises(BudgetExceeded) as exc:
+                call()
+            assert exc.value.budget == budget
+
+
+def _digest(items) -> str:
+    return hashlib.sha256(repr(sorted(items)).encode()).hexdigest()
+
+
+# sha256 of repr(sorted(table.rank.items())) and of the same for table.move,
+# recorded from the dict-based solver that the flat solver replaced.
+PINNED_TABLES = {
+    "grid4x5-c3-cap2": (
+        "335c05bbe5d0cc9901afaceca19deb16925e9ccfdbbc9f6cdab2f4c636b5ba28",
+        "09a2a0988aa4d2ba324c494288e5c30e44e4195adb419613e38cb87dc60562a6",
+    ),
+    "petersen-c3": (
+        "539864b1f0e08cc06d0173f82909724135e86fb0a1e3bd2e5bec8901a8d7222d",
+        "3382564fdcfe063d9eadfd9838125b18b42a58277b14d1bb45d81e018262b77d",
+    ),
+    "cycle7-c2": (
+        "b201daa07a73fd59064526de1497e7130c0915d672454a06a20571c7a734d86e",
+        "d3e2935fb3b5f30df6d3a3879b34642c243912ad922e766b9a6f2dbd2b85e9a9",
+    ),
+    "tri24-0-c2": (
+        "dbad0c20a80a36d389c2c6d505ac699ace5583fedefd6c5c5a4b38e9d122edd8",
+        "275baa6f0f46c636f1e4162730e6983559677f9850ed73929f61cbdd2ac7801b",
+    ),
+    "tri24-0-c2-cap1": (
+        "af154259034476d640277bb05b47c2584201c81414f5d1684fb56a31f88bf17e",
+        "546bbacf6127278620f6a36814d4d2ff872500d391f96d99b036cd9da1862274",
+    ),
+    "tri24-1-c2": (
+        "20a257d477c7e4a1328821d079a13e1d38dbb7426f3abd2e2f28b8dff93091c0",
+        "6bbee05e18de6dd416a0c23b4c6d6ed473f903f724ba668b0615ed0a3ca5f5fd",
+    ),
+    "tri24-1-c2-cap1": (
+        "3ca4c54278b019a1adfd54acbffa29ce08176293bdfc6a6e12a50af8b810b7bb",
+        "52ab27fa00864fc27753b5da95894953a92742cd96970384e4e08509bdcd727c",
+    ),
+    "tri24-2-c2": (
+        "3b1cf2fbdf41c37965b847508a74463362a9fa225beff188a8f94f4c17f536a4",
+        "3bfad1e21375b9d2fb16fa8f513ef67a827737dcb8d9b477adbcdf0c3cd65c19",
+    ),
+    "tri24-2-c2-cap1": (
+        "431375354593e20a4dfaabf4ec135e9ae7025728a657d3b11d6cfddffb327f59",
+        "bb7c20a15b414b4ce25b2156db5eb06bee96ab2b0e1aa459f5c0b52d5b724202",
+    ),
+    "tri24-3-c2": (
+        "51f954e3a023b8d3783f3466dff5a18d598e3a4772c80c1a5374f53ec3e5e5ea",
+        "4d180942b0ee554c382dde9e90252c1d12e9ef71ea15a00129a79a9e529da390",
+    ),
+    "tri24-3-c2-cap1": (
+        "bb8a5c9318eabf47e8442bd02be7c3a519f95cff9c0258e85ba407343a25f265",
+        "afad4ad2935f64d79ceea895259775b3522076e79e9d30df85419639031a46c5",
+    ),
+    "tri24-4-c2": (
+        "5a146da5301871a30997df84c9d75b116baea4d84869bd6a2203121afd950027",
+        "179a3e31cb5851764fa243ad03545332170085a2ed1ba39a5387d374d69a74de",
+    ),
+    "tri24-4-c2-cap1": (
+        "5b56ee433a59e3620152ffd4b9da39eb9c95de24f9f6643981744e5e0f66347f",
+        "2dc1320da27c86ff59a80a5391b0d434a8934e70a00f5c4a263f5b0f963fcd11",
+    ),
+    "tri24-5-c2": (
+        "e7104fa06d7e51d34653e2151b722bf65461cace5c6277d3e0fe281ad8afc7d3",
+        "b17e141c1ff9ad363d8170d0e9382ff983842d7b72f566bfe83ecbd20f524bad",
+    ),
+    "tri24-5-c2-cap1": (
+        "ff790adde2824d2ae76aecad2efa258cdd83e2a717fde5713789deb5791069e6",
+        "1df3bbf0e6efe018422bc577a3663eb9987f148cab48afea40c8bf6aa614d5d7",
+    ),
+    "tri24-6-c2": (
+        "cc500f0b6462183aaa496981996b538d60ce43f0977730798e112750a0b21b9b",
+        "e86276365a89cbe32237173f127ca5ff377ff08254ab365512b4d9493ee533a6",
+    ),
+    "tri24-6-c2-cap1": (
+        "0111a7098e58cdea021d33dfb0eeeff07700789d0e45095ac1ac8acb854aa081",
+        "a1963e306f0d884f552b4a35970c34b518e8651358d48f64293d432178beed56",
+    ),
+    "tri24-7-c2": (
+        "5ba422c6f205530f9470b9cbf962fe2dd489cf5160e444c7801a79c7cfef0a20",
+        "1614af9ae01abfa34cb6bcffe831f196fbac00f8ab1ecceb0fb21852ef5a5e9d",
+    ),
+    "tri24-7-c2-cap1": (
+        "be9cc41860096e218eb45d9ffa2d493b3ffd995765b807aee8aae5d967aa5776",
+        "df7f3111e20a9efb10d9319c82d3431b19699148c246d0d05fa3ac5bde39ec46",
+    ),
+    "tri24-8-c2": (
+        "9b16515454dacb962ad522e977a41fcc8db692eafc3dfd9291f07c6318ee4178",
+        "51ea7fc289e1cefa3543e7ebee5430194b523f41f3892ef8db5f792a13878838",
+    ),
+    "tri24-8-c2-cap1": (
+        "627786fded2c80dc4c87eff3fa81e0c24ccb5e945e92e8ca4c930e3fc0d50b64",
+        "5633cf4a360d86a7b8c400a79e1c94cf37e6218e24fffc7bf81edcfcec98028d",
+    ),
+}
+
+
+def _pinned_spec(name: str) -> GameSpec:
+    if name == "grid4x5-c3-cap2":
+        return GameSpec(grid(4, 5), 3, active_cap=2)
+    if name == "petersen-c3":
+        return GameSpec(petersen(), 3)
+    if name == "cycle7-c2":
+        return GameSpec(cycle(7), 2)
+    _, seed, _, *cap = name.split("-")
+    return GameSpec(random_planar_triangulation(24, int(seed)), 2, active_cap=1 if cap else None)
+
+
+# Guard verdicts: the exact-solve benchmark's grid targets (seeds 1 and 7919),
+# whole cycles, and isometric paths of cycles, under both entry semantics.
+PINNED_GRID_GUARDS = [
+    (7, (14, 15, 16, 17, 18, 19, 21, 28, 35), 2, True),
+    (12, (91, 92, 103, 115, 127, 139), 1, True),
+    (7, (17, 18, 25), 2, True),
+    (12, (14, 15, 16, 17, 26, 38, 50, 62, 74, 86, 98, 110, 122), 1, True),
+]
+# Non-Helly cores whose hole gadget defeats one guard but not two.
+PINNED_GADGET_CORES = ["EsPw", "EsP_", "EsZo", "Eutw", "Eqoo", "Er~o", "EsOo", "Eqyw", "Eqqo", "Euhw"]
+
+
+class TestPinnedAnswers:
+    @pytest.mark.parametrize("name", sorted(PINNED_TABLES))
+    def test_tables_match_recorded_digests(self, name):
+        won, table = solve(_pinned_spec(name))
+        assert won
+        assert (_digest(table.rank.items()), _digest(table.move.items())) == PINNED_TABLES[name]
+
+    def test_grid_guard_verdicts(self):
+        for k, target, cops, expect in PINNED_GRID_GUARDS:
+            for strict in (True, False):
+                assert is_guardable(grid(k, k), target, cops, strict=strict) == expect
+
+    def test_gadget_guard_verdicts(self):
+        from pursuit.helly import find_hole
+
+        for core in PINNED_GADGET_CORES:
+            h = from_graph6(core)
+            g = build_hole_gadget(h, find_hole(h))
+            for strict in (True, False):
+                assert not is_guardable(g, tuple(range(h.n)), 1, strict=strict)
+                assert is_guardable(g, tuple(range(h.n)), 2, strict=strict)
+
+    def test_cycle_guard_verdicts(self):
+        for n in range(4, 9):
+            g = cycle(n)
+            for strict in (True, False):
+                for length in range(1, n // 2 + 2):
+                    assert is_guardable(g, tuple(range(length)), 1, strict=strict)
+                assert not is_guardable(g, tuple(range(n)), 1, strict=strict)
+                assert is_guardable(g, tuple(range(n)), 2, strict=strict)
 
 
 def _replay(g: Graph, table: StrategyTable) -> int:
