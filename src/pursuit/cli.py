@@ -640,6 +640,8 @@ def main(argv=None) -> int:
     except CliError as e:
         return _error(cfg, e.code, str(e))
     except BudgetExceeded as e:
+        # the CLI always passes a budget; name the knob that set it
+        e.source = "PURSUIT_STATE_CAP" if cfg.state_cap is None else "--state-cap"
         return _error(cfg, BUDGET, str(e))
 
 

@@ -16,26 +16,14 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Graph, Path, distance_matrix, mask_of, shortest_path
+from .graphs import Graph, Path, distance_matrix, is_isometric_subgraph, shortest_path
 from .helly import dismantling_order, is_helly
-from .shadows import PathShadows, is_bypath_free, wide_shadow
+from .shadows import PathShadows, wide_shadow
 from .solver import COPS
 
 
 class ControllerFault(RuntimeError):
     """An invariant the theory guarantees failed at run time."""
-
-
-def _isometric_within(g: Graph, hv: tuple[int, ...], within: int) -> bool:
-    hmask = mask_of(hv)
-    if within & hmask != hmask:
-        return False
-    for x in hv:
-        host = g.bfs_levels(x, within)
-        sub = g.bfs_levels(x, hmask)
-        if any(host[y] != sub[y] for y in hv):
-            return False
-    return True
 
 
 class WideShadowGuard:
@@ -56,7 +44,7 @@ class WideShadowGuard:
         self.guarded = tuple(sorted(set(guarded)))
         self.within = g.vertex_mask() if within is None else within
         if verify:
-            if not _isometric_within(g, self.guarded, self.within):
+            if not is_isometric_subgraph(g, self.guarded, self.within):
                 raise ValueError("guarded subgraph must be isometric in its host")
             sub, _ = g.induced(self.guarded)
             if not is_helly(sub):
@@ -80,10 +68,6 @@ class WideShadowGuard:
             self.cop_at = reachable[0]
         self.shadow = nxt
         return self.cop_at
-
-
-def wide_shadow_step(state: WideShadowGuard, robber: int) -> int:
-    return state.step(robber)
 
 
 def capture_shadow(
@@ -111,7 +95,7 @@ def capture_shadow(
     hv = tuple(sorted(set(h)))
     w = g.vertex_mask() if within is None else within
     if verify:
-        if not _isometric_within(g, hv, w):
+        if not is_isometric_subgraph(g, hv, w):
             raise ValueError("guarded subgraph must be isometric in its host")
         sub, keep = g.induced(hv)
         if not is_helly(sub):
@@ -203,7 +187,7 @@ class LeisurelyGuard:
         self.path = path
         self.within = g.vertex_mask() if within is None else within
         self.shadows = PathShadows(g, path, self.within)  # verifies isometry
-        if not is_bypath_free(g, path, self.within):
+        if not self.shadows.is_bypath_free():
             raise ValueError("path has a bypath; leisurely guarding unsound")
         self.at = path.index_of(cop_at)
         self.cop_at = cop_at
@@ -229,10 +213,6 @@ class LeisurelyGuard:
             if self.unrested > self.path.length:
                 raise ControllerFault("rest window exceeded without entry")
         return self.cop_at, False
-
-
-def leisurely_step(state: LeisurelyGuard, robber: int) -> tuple[int, bool]:
-    return state.step(robber)
 
 
 class ScriptedWalk:

@@ -333,14 +333,22 @@ def ball(g: Graph, center: int, radius: int) -> frozenset[int]:
     return frozenset(v for v in range(g.n) if 0 <= lev[v] <= radius)
 
 
-def is_isometric_subgraph(g: Graph, vertices: Iterable[int]) -> bool:
-    """True iff the induced subgraph preserves all host distances."""
+def is_isometric_subgraph(
+    g: Graph, vertices: Iterable[int], within: int | None = None
+) -> bool:
+    """True iff the induced subgraph preserves all host distances.
+
+    within restricts the host to a vertex mask that must contain the
+    subgraph. An empty vertex set is not an isometric subgraph.
+    """
     keep = sorted(set(vertices))
     if not keep:
         return False
     sub_mask = mask_of(keep)
+    if within is not None and within & sub_mask != sub_mask:
+        return False
     for v in keep:
-        host = g.bfs_levels(v)
+        host = g.bfs_levels(v, within)
         inner = g.bfs_levels(v, sub_mask)
         for u in keep:
             if host[u] != inner[u]:
@@ -390,21 +398,34 @@ class Path:
             g.has_edge(u, v) for u, v in zip(self.vertices, self.vertices[1:])
         )
 
+    def geodesic_rows(
+        self, g: Graph, within: int | None = None
+    ) -> list[list[int]] | None:
+        """One BFS row per path vertex if the path is isometric, else None.
+
+        Row i holds the distances from vertex i inside within; the path is
+        isometric when row i reads j - i at vertex j for every i < j. The
+        check stops at the first row that fails.
+        """
+        if not self.is_path_in(g):
+            return None
+        verts = self.vertices
+        rows = []
+        for i, v in enumerate(verts):
+            lev = g.bfs_levels(v, within)
+            for j in range(i + 1, len(verts)):
+                if lev[verts[j]] != j - i:
+                    return None
+            rows.append(lev)
+        return rows
+
     def is_isometric_in(self, g: Graph, within: int | None = None) -> bool:
         """True iff distances along the path equal distances in g.
 
         within restricts g to a vertex mask (the path must lie inside it), so
         the same check serves both whole-graph and induced-host isometry.
         """
-        if not self.is_path_in(g):
-            return False
-        verts = self.vertices
-        for i, v in enumerate(verts):
-            lev = g.bfs_levels(v, within)
-            for j in range(i + 1, len(verts)):
-                if lev[verts[j]] != j - i:
-                    return False
-        return True
+        return self.geodesic_rows(g, within) is not None
 
 
 def shortest_path(
@@ -429,7 +450,8 @@ def shortest_path(
             if back[v] == back[cur] - 1:
                 step = v
                 break
-        assert step is not None
+        if step is None:
+            raise AssertionError("no BFS successor on the way to dst")
         seq.append(step)
         cur = step
     return Path(tuple(seq))

@@ -75,7 +75,8 @@ class PlanarEmbedding:
 
     def face_of(self, u: int, v: int) -> int:
         self.faces()
-        assert self._face_of is not None
+        if self._face_of is None:
+            raise PlanarityFault("faces traced without a dart index")
         return self._face_of[(u, v)]
 
     def face_count(self) -> int:
@@ -241,7 +242,8 @@ def classify_vertex(e: PlanarEmbedding, v: int, z: int) -> Classification:
     ]
     if len(fan) == 1:
         path = Path((v, fan[0], u))
-        assert is_bypath_free(g, path, mask), "unique-neighbor path has a bypath"
+        if not is_bypath_free(g, path, mask):
+            raise PlanarityFault("unique-neighbor path has a bypath")
         return Classification("path", path=path)
 
     k = len(fan)
@@ -268,13 +270,13 @@ def classify_vertex(e: PlanarEmbedding, v: int, z: int) -> Classification:
             continue
         chosen = (x1, x2, p1, p2, interior)
         break
-    assert chosen is not None, "no fan quadrant admits z"
+    if chosen is None:
+        raise PlanarityFault("no fan quadrant admits z")
     x1, x2, p1, p2, interior = chosen
     rvs = frozenset(interior) | p1.vertex_set() | p2.vertex_set()
     for pa, xb in ((p1, x2), (p2, x1)):
-        assert is_bypath_free(
-            g, pa, mask_of(rvs - {xb})
-        ), "pole path has a bypath inside its region"
+        if not is_bypath_free(g, pa, mask_of(rvs - {xb})):
+            raise PlanarityFault("pole path has a bypath inside its region")
     return Classification(
         "poles", p1=p1, p2=p2, u=u, x1=x1, x2=x2, region_vertices=rvs
     )
@@ -370,10 +372,14 @@ def select_bypath(e: PlanarEmbedding, p: Path, q: Path) -> BypathChoice:
             continue
         side = (mask & ~mask_of(strip) & ~q.mask()) | qb.mask()
         no_p_int = side & ~mask_of(p.vertices[1:-1])
-        assert qb.is_isometric_in(g, no_p_int), "composite lost isometry"
-        assert qb.is_isometric_in(g, strip_qb), "composite not isometric in pocket"
-        assert p.is_isometric_in(g, side | p.mask()), "p lost isometry"
-        assert is_bypath_free(g, p, side | p.mask()), "p gained a bypath"
+        if not qb.is_isometric_in(g, no_p_int):
+            raise PlanarityFault("composite lost isometry")
+        if not qb.is_isometric_in(g, strip_qb):
+            raise PlanarityFault("composite not isometric in pocket")
+        if not p.is_isometric_in(g, side | p.mask()):
+            raise PlanarityFault("p lost isometry")
+        if not is_bypath_free(g, p, side | p.mask()):
+            raise PlanarityFault("p gained a bypath")
         return BypathChoice(False, b, qb, strip)
     raise PlanarityFault("bypath selection failed to reach a fixed point")
 
@@ -400,6 +406,7 @@ def _fresh_divergence(q: Path, alt: Path, stale: frozenset[int]) -> Path:
             continue
         lo = q.index_of(run.vertices[0])
         hi = q.index_of(run.vertices[-1])
-        assert hi - lo == run.length, "divergence run is not an exact detour"
+        if hi - lo != run.length:
+            raise PlanarityFault("divergence run is not an exact detour")
         return run
     raise PlanarityFault("no divergence run carries a new vertex")

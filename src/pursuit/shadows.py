@@ -7,14 +7,21 @@ is what makes shadow-tracking cop play work. Bypaths are the exact obstruction
 to slack: an off-path vertex has a one-point shadow precisely when it sits
 inside an equally long detour of the path.
 
-Two independent routes compute bypath-freeness: the shadow criterion (one BFS
-per path vertex, then interval scans) and the layered detour search straight
-from the definition. Tests hold them against each other.
+Everything about one path in one host comes from one set of rows, a BFS from
+each path vertex inside the host. `Path.geodesic_rows` computes them while it
+checks isometry and `PathShadows` keeps them: a shadow interval is a scan of
+the rows at one vertex, and the detour scanner `_detours` reads the levels of
+every equal-length detour off the rows of its two ends.
+
+Two independent routes still decide bypath-freeness from those rows: the
+shadow criterion (`PathShadows.is_bypath_free`, no off-path vertex with a
+one-point shadow) and the detour search straight from the definition
+(`is_bypath_free_by_search`). Tests hold them against each other.
 """
 
 from __future__ import annotations
 
-from pursuit.graphs import Graph, Path, bits
+from pursuit.graphs import Graph, Path, bits, mask_of
 
 __all__ = [
     "PathShadows",
@@ -59,10 +66,11 @@ def wide_shadow(
 class PathShadows:
     """Shadow queries against one isometric path in a fixed host.
 
-    Caches one BFS per path vertex at construction; each query is then a
-    single min/max scan over positions. Distances along the path equal
-    position differences by isometry, so the shadow is always the interval
-    [max_p(p - d_p), min_p(p + d_p)] clamped to the path.
+    dists[p] holds the host distances from the path's p-th vertex: the rows
+    of the isometry check, or plain BFS rows when verify is False. Each query
+    is then a single min/max scan over positions. Distances along the path
+    equal position differences by isometry, so the shadow is always the
+    interval [max_p(p - d_p), min_p(p + d_p)] clamped to the path.
     """
 
     __slots__ = ("g", "path", "within", "dists")
@@ -73,9 +81,13 @@ class PathShadows:
         self.g = g
         self.path = path
         self.within = g.vertex_mask() if within is None else within
-        if verify and not path.is_isometric_in(g, self.within):
-            raise ValueError("path is not isometric in the host")
-        self.dists = [g.bfs_levels(x, self.within) for x in path.vertices]
+        if verify:
+            dists = path.geodesic_rows(g, self.within)
+            if dists is None:
+                raise ValueError("path is not isometric in the host")
+        else:
+            dists = [g.bfs_levels(x, self.within) for x in path.vertices]
+        self.dists = dists
 
     def interval(self, v: int) -> tuple[int, int]:
         """Shadow of v as an inclusive (lo, hi) position range on the path."""
@@ -92,7 +104,8 @@ class PathShadows:
                 hi = p + d
         # Nonempty for any isometric path: paths are Helly, so the balls that
         # define the shadow have a common vertex.
-        assert lo <= hi, "empty shadow on an isometric path"
+        if lo > hi:
+            raise AssertionError("empty shadow on an isometric path")
         return lo, hi
 
     def shadow_vertices(self, v: int) -> tuple[int, ...]:
@@ -104,63 +117,59 @@ class PathShadows:
         lo, hi = self.interval(v)
         return lo <= q <= hi
 
+    def is_bypath_free(self) -> bool:
+        """Bypath-freeness via the shadow criterion.
+
+        An off-path vertex has a one-point shadow exactly when it lies on a
+        bypath, so a non-trivial isometric path is bypath-free exactly when
+        every off-path host vertex keeps a shadow of at least two positions.
+        Paths shorter than two edges admit no bypath at all.
+        """
+        if self.path.length < 2:
+            return True
+        for v in bits(self.within & ~self.path.mask()):
+            lo, hi = self.interval(v)
+            if lo == hi:
+                return False
+        return True
+
 
 # -- bypaths ------------------------------------------------------------------
 
 
-def _detour_levels(
-    g: Graph, path: Path, within: int, i: int, j: int,
-    di: list[int], dj: list[int],
-) -> list[list[int]] | None:
-    """Off-path vertices on equal-length detours from position i to j.
+def _detours(shadows: PathShadows):
+    """Yield (i, j, levels) for each span i < j - 1 of the path that has an
+    equal-length detour avoiding the path, by smallest i, then smallest j.
 
-    Level k holds the candidates at distance k from v_i and j-i-k from v_j.
-    Returns None as soon as some level is empty (no detour can exist).
+    levels[k - 1] lists, in increasing order, the off-path host vertices at
+    distance k from v_i and j - i - k from v_j that lie on such a detour.
     """
-    span = j - i
-    pmask = path.mask()
-    levels: list[list[int]] = []
-    for k in range(1, span):
-        lvl = [
-            w
-            for w in bits(within & ~pmask)
-            if di[w] == k and dj[w] == span - k
-        ]
-        if not lvl:
-            return None
-        levels.append(lvl)
-    return levels
+    g, verts, dists = shadows.g, shadows.path.vertices, shadows.dists
+    off = list(bits(shadows.within & ~shadows.path.mask()))
+    for i in range(len(verts) - 2):
+        di = dists[i]
+        for j in range(i + 2, len(verts)):
+            dj, span = dists[j], j - i
+            levels: list[list[int]] = [[] for _ in range(span - 1)]
+            for w in off:
+                k = di[w]
+                if 0 < k < span and dj[w] == span - k:
+                    levels[k - 1].append(w)
+            if all(levels) and _prune_levels(g, verts[i], verts[j], levels):
+                yield i, j, levels
 
 
-def _prune_levels(
-    g: Graph, vi: int, vj: int, levels: list[list[int]]
-) -> list[list[int]] | None:
-    """Keep only vertices reachable from v_i and co-reachable to v_j."""
-    fwd = 1 << vi
-    trimmed: list[list[int]] = []
-    for lvl in levels:
-        lvl = [w for w in lvl if g.adj_mask(w) & fwd]
-        if not lvl:
-            return None
-        trimmed.append(lvl)
-        fwd = 0
-        for w in lvl:
-            fwd |= 1 << w
-    back = 1 << vj
-    for k in range(len(trimmed) - 1, -1, -1):
-        trimmed[k] = [w for w in trimmed[k] if g.adj_mask(w) & back]
-        if not trimmed[k]:
-            return None
-        back = 0
-        for w in trimmed[k]:
-            back |= 1 << w
-    return trimmed
-
-
-def _span_pairs(length: int):
-    for i in range(length - 1):
-        for j in range(i + 2, length + 1):
-            yield i, j
+def _prune_levels(g: Graph, vi: int, vj: int, levels: list[list[int]]) -> bool:
+    """Keep only vertices reachable from v_i and co-reachable to v_j, in
+    place; False as soon as some level empties."""
+    for order, end in ((range(len(levels)), vi), (reversed(range(len(levels))), vj)):
+        reach = 1 << end
+        for k in order:
+            levels[k] = [w for w in levels[k] if g.adj_mask(w) & reach]
+            if not levels[k]:
+                return False
+            reach = mask_of(levels[k])
+    return True
 
 
 def find_bypath(g: Graph, path: Path, within: int | None = None) -> Path | None:
@@ -169,21 +178,10 @@ def find_bypath(g: Graph, path: Path, within: int | None = None) -> Path | None:
     Deterministic: smallest start position, then smallest end position, then
     the lexicographically least vertex sequence through the detour levels.
     """
-    w = g.vertex_mask() if within is None else within
-    if not path.is_isometric_in(g, w):
-        raise ValueError("path is not isometric in the host")
-    dists = [g.bfs_levels(x, w) for x in path.vertices]
-    for i, j in _span_pairs(path.length):
-        levels = _detour_levels(g, path, w, i, j, dists[i], dists[j])
-        if levels is None:
-            continue
-        levels = _prune_levels(g, path.vertices[i], path.vertices[j], levels)
-        if levels is None:
-            continue
+    for i, j, levels in _detours(PathShadows(g, path, within)):
         seq = [path.vertices[i]]
         for lvl in levels:
-            prev = seq[-1]
-            seq.append(min(w2 for w2 in lvl if g.has_edge(prev, w2)))
+            seq.append(min(w for w in lvl if g.has_edge(seq[-1], w)))
         seq.append(path.vertices[j])
         return Path(tuple(seq))
     return None
@@ -199,20 +197,10 @@ def bypaths(
     rerouted walk is then itself a geodesic, hence isometric. The count can
     grow quickly, so pass limit when only existence or a sample matters.
     """
-    w = g.vertex_mask() if within is None else within
-    if not path.is_isometric_in(g, w):
-        raise ValueError("path is not isometric in the host")
-    dists = [g.bfs_levels(x, w) for x in path.vertices]
     out: list[Path] = []
-    for i, j in _span_pairs(path.length):
-        levels = _detour_levels(g, path, w, i, j, dists[i], dists[j])
-        if levels is None:
-            continue
-        levels = _prune_levels(g, path.vertices[i], path.vertices[j], levels)
-        if levels is None:
-            continue
-        vi, vj = path.vertices[i], path.vertices[j]
-        stack: list[list[int]] = [[vi]]
+    for i, j, levels in _detours(PathShadows(g, path, within)):
+        vj = path.vertices[j]
+        stack: list[list[int]] = [[path.vertices[i]]]
         while stack:
             seq = stack.pop()
             k = len(seq) - 1
@@ -235,21 +223,12 @@ def bypath_vertices(g: Graph, path: Path, within: int | None = None) -> frozense
     Computed by level pruning alone (reachable and co-reachable across each
     detour), so it stays polynomial even when bypaths are plentiful.
     """
-    w = g.vertex_mask() if within is None else within
-    if not path.is_isometric_in(g, w):
-        raise ValueError("path is not isometric in the host")
-    dists = [g.bfs_levels(x, w) for x in path.vertices]
-    found: set[int] = set()
-    for i, j in _span_pairs(path.length):
-        levels = _detour_levels(g, path, w, i, j, dists[i], dists[j])
-        if levels is None:
-            continue
-        levels = _prune_levels(g, path.vertices[i], path.vertices[j], levels)
-        if levels is None:
-            continue
-        for lvl in levels:
-            found.update(lvl)
-    return frozenset(found)
+    return frozenset(
+        w
+        for _, _, levels in _detours(PathShadows(g, path, within))
+        for lvl in levels
+        for w in lvl
+    )
 
 
 def is_bypath_free_by_search(
@@ -260,22 +239,5 @@ def is_bypath_free_by_search(
 
 
 def is_bypath_free(g: Graph, path: Path, within: int | None = None) -> bool:
-    """Bypath-freeness via the shadow criterion.
-
-    An off-path vertex has a one-point shadow exactly when it lies on a
-    bypath, so a non-trivial isometric path is bypath-free exactly when every
-    off-path host vertex keeps a shadow of at least two positions. Paths
-    shorter than two edges admit no bypath at all.
-    """
-    w = g.vertex_mask() if within is None else within
-    if not path.is_isometric_in(g, w):
-        raise ValueError("path is not isometric in the host")
-    if path.length < 2:
-        return True
-    oracle = PathShadows(g, path, w, verify=False)
-    pmask = path.mask()
-    for v in bits(w & ~pmask):
-        lo, hi = oracle.interval(v)
-        if lo == hi:
-            return False
-    return True
+    """Bypath-freeness via the shadow criterion (`PathShadows.is_bypath_free`)."""
+    return PathShadows(g, path, within).is_bypath_free()

@@ -67,13 +67,18 @@ COPS, ROBBER = 0, 1
 
 
 class BudgetExceeded(RuntimeError):
-    def __init__(self, estimate: int, budget: int):
-        super().__init__(
-            f"estimated {estimate} states exceeds budget {budget}; "
-            "raise PURSUIT_STATE_CAP to proceed"
+    """A solve estimated past its state budget; source names the knob that
+    set the budget, and a caller with a knob of its own may overwrite it."""
+
+    def __init__(self, estimate: int, budget: int, source: str):
+        super().__init__(estimate, budget, source)
+        self.estimate, self.budget, self.source = estimate, budget, source
+
+    def __str__(self) -> str:
+        return (
+            f"estimated {self.estimate} states exceeds budget {self.budget}; "
+            f"raise {self.source} to proceed"
         )
-        self.estimate = estimate
-        self.budget = budget
 
 
 def state_budget() -> int:
@@ -86,9 +91,10 @@ def estimate_states(n: int, cops: int) -> int:
 
 
 def _check_budget(estimate: int, budget: int | None) -> None:
+    source = "PURSUIT_STATE_CAP" if budget is None else "the budget argument"
     budget = min(state_budget() if budget is None else budget, MAX_STATES)
     if estimate > budget:
-        raise BudgetExceeded(estimate, budget)
+        raise BudgetExceeded(estimate, budget, source)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ import json
 from dataclasses import dataclass
 
 from pursuit.controllers import (
+    ControllerFault,
     RandomAdversary,
     ScriptedWalk,
     WideShadowGuard,
@@ -705,7 +706,8 @@ def run_two_move_strategy(g: Graph, e=None, adversary=None, turn_cap=None) -> Tr
 
     The embedding is computed when not supplied; non-planar or disconnected
     input is a ValueError.  turn_cap defaults to 10 n^2 cops' turns and an
-    exceeded cap yields an aborted verdict rather than an exception.
+    exceeded cap yields an aborted verdict rather than an exception, as does
+    a ControllerFault or PlanarityFault, whose message becomes the reason.
     """
     if g.n < 1:
         raise ValueError("empty graph")
@@ -722,7 +724,12 @@ def run_two_move_strategy(g: Graph, e=None, adversary=None, turn_cap=None) -> Tr
     cap = 10 * g.n * g.n if turn_cap is None else int(turn_cap)
     if cap < 1:
         raise ValueError("turn cap must be positive")
-    return _Engine(g, e, adversary, cap).run()
+    engine = _Engine(g, e, adversary, cap)
+    try:
+        return engine.run()
+    except (ControllerFault, PlanarityFault) as fault:
+        reason = f"{type(fault).__name__}: {fault}"
+        return engine._trace({"outcome": "aborted", "reason": reason})
 
 
 # -- the validator ---------------------------------------------------------------

@@ -104,6 +104,20 @@ class TestExactValues:
         assert code == 3
         assert json.loads(err)["error"]["code"] == 3
 
+    def test_budget_advice_names_the_knob(self, capsys, corpus, monkeypatch):
+        monkeypatch.delenv("PURSUIT_STATE_CAP", raising=False)
+        code, _, err = run(
+            capsys, ["copnumber", corpus, "--max", "3", "--state-cap", "10"]
+        )
+        message = json.loads(err)["error"]["message"]
+        assert code == 3
+        assert "PURSUIT_STATE_CAP" not in message
+        assert "raise --state-cap" in message
+        monkeypatch.setenv("PURSUIT_STATE_CAP", "10")
+        code, _, err = run(capsys, ["copnumber", corpus, "--max", "3"])
+        assert code == 3
+        assert "raise PURSUIT_STATE_CAP" in json.loads(err)["error"]["message"]
+
     @pytest.mark.parametrize(
         "argv, code",
         [

@@ -14,8 +14,6 @@ from pursuit.controllers import (
     ScriptedWalk,
     WideShadowGuard,
     capture_shadow,
-    leisurely_step,
-    wide_shadow_step,
 )
 from pursuit.graphs import Graph, Path, shortest_path
 from pursuit.shadows import wide_shadow
@@ -26,7 +24,7 @@ class TestWideShadowGuard:
     def test_robber_stays_cop_stays(self):
         g = cycle(6)
         guard = WideShadowGuard(g, (0, 1, 2), 1, robber=4)
-        assert wide_shadow_step(guard, 4) == 1
+        assert guard.step(4) == 1
 
     def test_square_capture_step(self):
         # Robber beside the path's end: its shadow collapses to that end,
@@ -34,7 +32,7 @@ class TestWideShadowGuard:
         g = cycle(4)
         guard = WideShadowGuard(g, (0, 1, 2), 1, robber=3)
         assert guard.shadow == frozenset({1})
-        assert wide_shadow_step(guard, 0) == 0
+        assert guard.step(0) == 0
 
     def test_shadow_membership_invariant(self):
         rng = random.Random(7)
@@ -48,7 +46,7 @@ class TestWideShadowGuard:
             for _ in range(20):
                 opts = sorted((robber,) + g.neighbors(robber))
                 robber = rng.choice(opts)
-                at = wide_shadow_step(guard, robber)
+                at = guard.step(robber)
                 assert at in wide_shadow(g, h, robber)
 
     def test_entry_is_captured(self):
@@ -62,7 +60,7 @@ class TestWideShadowGuard:
             guard = WideShadowGuard(g, h, min(wide_shadow(g, h, robber)), robber)
             for _ in range(15):
                 robber = rng.choice(sorted((robber,) + g.neighbors(robber)))
-                at = wide_shadow_step(guard, robber)
+                at = guard.step(robber)
                 if robber in h:
                     assert at == robber
                     captures += 1
@@ -80,11 +78,17 @@ class TestWideShadowGuard:
         with pytest.raises(ValueError):
             WideShadowGuard(cycle(5), (0, 1, 2, 3), 0, robber=0)  # not isometric
 
+    def test_rejects_empty_subgraph(self):
+        with pytest.raises(ValueError):
+            WideShadowGuard(cycle(5), (), 0, robber=0)
+        with pytest.raises(ValueError):
+            capture_shadow(cycle(5), (), 0, iter([1]))
+
     def test_teleporting_robber_faults(self):
         g = path(9)
         guard = WideShadowGuard(g, tuple(range(9)), 0, robber=0)
         with pytest.raises(ControllerFault):
-            wide_shadow_step(guard, 8)
+            guard.step(8)
 
 
 class TestCaptureShadow:
@@ -154,7 +158,7 @@ class TestLeisurelyGuard:
             robber = rng.choice(sorted((robber,) + g.neighbors(robber)))
             if robber in (1, 2, 3):
                 robber = 4  # stay off the path; parking is the point here
-            at, rested = leisurely_step(guard, robber)
+            at, rested = guard.step(robber)
             assert at == 2 and rested
 
     def test_grid_shuttle_rest_window(self):
@@ -170,7 +174,7 @@ class TestLeisurelyGuard:
                 direction = -direction
                 nxt = robber + direction
             robber = nxt
-            _, rested = leisurely_step(guard, robber)
+            _, rested = guard.step(robber)
             flags.append(rested)
         ell = p.length
         for i in range(len(flags) - ell):
@@ -179,18 +183,18 @@ class TestLeisurelyGuard:
     def test_entry_is_captured(self):
         g = grid(2, 4)
         guard = LeisurelyGuard(g, Path((0, 1, 2, 3)), 1)
-        assert leisurely_step(guard, 5) == (1, True)
-        at, rested = leisurely_step(guard, 1)
+        assert guard.step(5) == (1, True)
+        at, rested = guard.step(1)
         assert at == 1 and rested  # robber walked onto the resting cop
         guard2 = LeisurelyGuard(g, Path((0, 1, 2, 3)), 1)
-        at, rested = leisurely_step(guard2, 0)
+        at, rested = guard2.step(0)
         assert at == 0 and not rested
 
     def test_far_shadow_faults(self):
         g = path(5)
         guard = LeisurelyGuard(g, Path((0, 1, 2, 3, 4)), 0)
         with pytest.raises(ControllerFault):
-            leisurely_step(guard, 4)
+            guard.step(4)
 
     def test_degenerate_path_rejected(self):
         with pytest.raises(ValueError):

@@ -211,6 +211,26 @@ class TestIsometry:
         host = mask_of([0, 1, 2, 3, 4])
         assert Path((0, 1, 2, 3, 4)).is_isometric_in(g, host)
 
+    def test_subgraph_isometric_within_host(self):
+        # Same arc as above: isometric once the host omits vertex 5, and
+        # never when the subgraph leaves the host.
+        g = cycle_graph(6)
+        host = mask_of([0, 1, 2, 3, 4])
+        assert is_isometric_subgraph(g, [0, 1, 2, 3, 4], host)
+        assert not is_isometric_subgraph(g, [0, 1, 2, 3, 4])
+        assert not is_isometric_subgraph(g, [4, 5], host)
+        assert not is_isometric_subgraph(g, [], host)
+
+    def test_geodesic_rows(self):
+        g = cycle_graph(6)
+        rows = Path((1, 2, 3)).geodesic_rows(g)
+        assert rows == [g.bfs_levels(v) for v in (1, 2, 3)]
+        assert Path((0, 1, 2, 3, 4)).geodesic_rows(g) is None
+        assert Path((0, 2)).geodesic_rows(g) is None  # not a path in g
+        host = mask_of([0, 1, 2, 3, 4])
+        rows = Path((0, 1, 2, 3, 4)).geodesic_rows(g, host)
+        assert rows == [g.bfs_levels(v, host) for v in range(5)]
+
     def test_path_validation(self):
         with pytest.raises(ValueError):
             Path(())

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
-from pursuit.graphs import Graph, Path, is_isometric_subgraph, mask_of
+from pursuit.constructions import connected_graphs
+from pursuit.constructions import random_connected as seeded_connected
+from pursuit.graphs import Graph, Path, bits, is_isometric_subgraph, mask_of
 from pursuit.shadows import (
     PathShadows,
     bypath_vertices,
@@ -34,17 +37,18 @@ def random_connected(rng: random.Random, n: int) -> Graph:
     return Graph(n, edges + extra)
 
 
-def isometric_paths(g: Graph, max_len: int = 6):
+def isometric_paths(g: Graph, max_len: int = 6, within: int | None = None):
     """All isometric paths, as vertex tuples, up to the given length."""
+    host = g.vertex_mask() if within is None else within
     found = []
-    stack = [(v,) for v in range(g.n)]
+    stack = [(v,) for v in range(g.n) if host >> v & 1]
     while stack:
         seq = stack.pop()
         found.append(seq)
         if len(seq) > max_len:
             continue
         for w in g.neighbors(seq[-1]):
-            if w not in seq and Path(seq + (w,)).is_isometric_in(g):
+            if host >> w & 1 and w not in seq and Path(seq + (w,)).is_isometric_in(g, within):
                 stack.append(seq + (w,))
     return found
 
@@ -92,6 +96,13 @@ class TestFrozenShadows:
         g = cycle(6)
         with pytest.raises(ValueError):
             PathShadows(g, Path((0, 1, 2, 3, 4)))
+
+    def test_empty_shadow_raises(self):
+        # Unverified on a non-isometric path, vertex 5 of C6 meets a lower
+        # bound 3 (from position 4) above an upper bound 1 (from position 0).
+        oracle = PathShadows(cycle(6), Path((0, 1, 2, 3, 4)), verify=False)
+        with pytest.raises(AssertionError, match="empty shadow"):
+            oracle.interval(5)
 
     def test_query_outside_host(self):
         g = cycle(6)
@@ -214,3 +225,63 @@ class TestBypathStructure:
                 assert is_isometric_subgraph(g, seq)
                 for v in range(g.n):
                     assert wide_shadow(g, set(seq), v)
+
+
+def _answer(call):
+    """A call's result, or its ValueError as (type name, message)."""
+    try:
+        return call()
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+def _pinned_cases():
+    """(graph, path, host) triples: every isometric path of every connected
+    6-vertex graph, then seeded graphs with host masks, where the paths are
+    the isometric ones of the host plus paths of g that are not isometric in
+    it (those record the refusals)."""
+    for g in connected_graphs(6):
+        for seq in isometric_paths(g):
+            yield g, Path(seq), None
+    for seed in range(12):
+        g = seeded_connected(7 + seed % 4, 0.3, seed)
+        rng = random.Random(seed)
+        kept = g.vertex_mask() & ~mask_of(rng.sample(range(g.n), 2))
+        host = g.component_of(next(bits(kept)), kept)
+        for seq in isometric_paths(g, 5, host):
+            yield g, Path(seq), host
+        for seq in isometric_paths(g, 4):
+            p = Path(seq)
+            if p.length >= 2 and not p.is_isometric_in(g, host):
+                yield g, p, host
+
+
+def _pinned_answers(g: Graph, p: Path, host: int | None):
+    def intervals():
+        oracle = PathShadows(g, p, host)
+        return [_answer(lambda v=v: oracle.interval(v)) for v in range(g.n)]
+
+    return (
+        _answer(lambda: find_bypath(g, p, host)),
+        _answer(lambda: bypaths(g, p, host)),
+        _answer(lambda: sorted(bypath_vertices(g, p, host))),
+        _answer(lambda: is_bypath_free(g, p, host)),
+        _answer(lambda: is_bypath_free_by_search(g, p, host)),
+        _answer(intervals),
+    )
+
+
+class TestPinnedAnswers:
+    def test_shadow_and_bypath_answers_are_pinned(self):
+        # sha256 of repr of every answer, in case order; recorded from the
+        # implementation that ran one BFS set per call before the detour
+        # scanner and the isometry check were shared.
+        h = hashlib.sha256()
+        count = 0
+        for g, p, host in _pinned_cases():
+            h.update(repr((g.edges(), p.vertices, host, _pinned_answers(g, p, host))).encode())
+            count += 1
+        assert (count, h.hexdigest()) == (
+            5825,
+            "b96dbca4bf6bc2f5e27132f621edbaf26854acde541409d0ab07579ed223d1ca",
+        )

@@ -114,6 +114,7 @@ class TestBudget:
             solve(GameSpec(petersen(), 3))
         assert exc.value.estimate == estimate_states(10, 3)
         assert exc.value.budget == 1000
+        assert "raise PURSUIT_STATE_CAP" in str(exc.value)
 
     def test_env_override_allows_run(self, monkeypatch):
         monkeypatch.setenv("PURSUIT_STATE_CAP", str(10**9))
@@ -141,6 +142,7 @@ class TestBudget:
             with pytest.raises(BudgetExceeded) as exc:
                 call()
             assert exc.value.budget == budget
+            assert "PURSUIT_STATE_CAP" not in str(exc.value)
 
 
 def _digest(items) -> str:

@@ -12,11 +12,16 @@ from pursuit.constructions import (
     petersen,
     random_planar_triangulation,
 )
-from pursuit.controllers import GreedyAdversary, OptimalAdversary, RandomAdversary
+from pursuit.controllers import (
+    ControllerFault,
+    GreedyAdversary,
+    OptimalAdversary,
+    RandomAdversary,
+)
 from pursuit.graphs import Graph, to_graph6
-from pursuit.planar import embed
+from pursuit.planar import PlanarityFault, embed
 from pursuit.solver import GameSpec, solve
-from pursuit.strategy import Trace, run_two_move_strategy, validate_trace
+from pursuit.strategy import Trace, _Engine, run_two_move_strategy, validate_trace
 
 
 def assert_clean_capture(g, adversary, turn_cap=None):
@@ -125,6 +130,35 @@ class TestAbortAndInput:
         assert tr.verdict["outcome"] == "aborted"
         assert tr.verdict["reason"]
         assert validate_trace(g, tr) == []
+
+    @pytest.mark.parametrize("fault", [PlanarityFault, ControllerFault])
+    def test_fault_becomes_aborted_trace(self, monkeypatch, fault):
+        replan = _Engine._replan
+        calls = []
+
+        def failing(engine):
+            calls.append(None)
+            if len(calls) == 3:
+                raise fault("injected")
+            return replan(engine)
+
+        monkeypatch.setattr(_Engine, "_replan", failing)
+        g = grid(6, 6)
+        tr = run_two_move_strategy(g, adversary=GreedyAdversary(g))
+        assert len(calls) == 3
+        assert tr.verdict == {
+            "outcome": "aborted",
+            "reason": f"{fault.__name__}: injected",
+        }
+        assert validate_trace(g, tr) == []
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def failing(engine):
+            raise RuntimeError("not a fault")
+
+        monkeypatch.setattr(_Engine, "_replan", failing)
+        with pytest.raises(RuntimeError):
+            run_two_move_strategy(grid(3, 3), adversary=GreedyAdversary(grid(3, 3)))
 
     def test_nonpositive_cap_rejected(self):
         with pytest.raises(ValueError):
