@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pursuit.constructions import build_guard_adversary, build_hole_gadget, build_hts
 from pursuit.controllers import GreedyAdversary, OptimalAdversary, RandomAdversary
 from pursuit.graphs import Graph, Path, from_graph6, to_graph6
-from pursuit.helly import dismantling_order, find_hole, is_helly
+from pursuit.helly import dismantling_order, find_hole
 from pursuit.shadows import bypaths, is_bypath_free, wide_shadow
 from pursuit.solver import (
     BudgetExceeded,
@@ -171,7 +171,7 @@ def cmd_helly(cfg: RunConfig) -> int:
             {
                 "index": i,
                 "n": g.n,
-                "helly": is_helly(g),
+                "helly": hole is None,
                 "hole_centers": None if hole is None else list(hole.centers),
                 "hole_radii": None if hole is None else list(hole.radii),
                 "dismantling": None if order is None else [list(p) for p in order],

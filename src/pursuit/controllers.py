@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Graph, Path, distance_matrix, is_isometric_subgraph, shortest_path
+from .graphs import Graph, distance_matrix, is_isometric_subgraph, shortest_path
 from .helly import dismantling_order, is_helly
 from .shadows import PathShadows, wide_shadow
 from .solver import COPS
@@ -170,25 +170,23 @@ def capture_shadow(
 
 
 class LeisurelyGuard:
-    """Cop patrolling a bypath-free isometric path, resting when possible."""
+    """Cop patrolling a bypath-free isometric path, resting when possible.
+
+    ``shadows`` holds the path's rows in its host; building it verified
+    that the path is isometric there, and the caller may already have
+    read its bypath-freeness from the same rows.
+    """
 
     kind = "leisurely"
 
-    def __init__(
-        self,
-        g: Graph,
-        path: Path,
-        cop_at: int,
-        within: int | None = None,
-    ):
+    def __init__(self, shadows: PathShadows, cop_at: int):
+        path = shadows.path
         if path.length < 1:
             raise ValueError("leisurely guarding needs a path of length >= 1")
-        self.graph = g
-        self.path = path
-        self.within = g.vertex_mask() if within is None else within
-        self.shadows = PathShadows(g, path, self.within)  # verifies isometry
-        if not self.shadows.is_bypath_free():
+        if not shadows.is_bypath_free():
             raise ValueError("path has a bypath; leisurely guarding unsound")
+        self.shadows = shadows
+        self.path = path
         self.at = path.index_of(cop_at)
         self.cop_at = cop_at
         self.unrested = 0

@@ -5,17 +5,23 @@ every pairwise-intersecting collection of balls has a common vertex.  A
 *hole* is a minimal witness against that property: at least three centers
 with positive radii whose balls pairwise intersect yet share no vertex.
 
-Three independent routes decide the property:
+Recognition and the hole search share one table: the BFS distance rows and
+the nested ball masks B(u, r) of every center u.
 
-* ``is_helly`` runs the polynomial triple test: for each vertex triple the
-  balls that contain at least two of the three vertices must have a common
-  point.  Any two such balls already share one of the triple, so the family
-  is pairwise intersecting; conversely a ball hypergraph is Helly exactly
-  when all these triple families have common points.
-* ``is_helly_oracle`` searches exhaustively for a pairwise-intersecting
-  ball family with empty intersection.  Exponential, guarded to small n,
-  and kept deliberately independent of the triple test.
-* ``find_hole`` produces the canonical smallest witness, or ``None``.
+* ``is_helly`` runs the triple test of Berge and Duchet: a hypergraph is
+  Helly exactly when, for each vertex triple, the edges holding at least
+  two of the three have a common point.  Balls around one center are
+  nested, so for ball hypergraphs (Bandelt and Prisner, "Clique graphs and
+  Helly graphs", JCTB 1991) the test reads P(a,b) & P(b,c) & P(a,c) != 0,
+  where the pair mask P(x,y) intersects B(u, max(d(u,x), d(u,y))) over
+  every center u.
+* ``find_hole`` decides with the same triple test and returns ``None`` on
+  Helly graphs; only a non-Helly graph reaches the exponential search for
+  the canonical smallest witness.
+* ``is_helly_oracle`` is the independent route: it searches exhaustively
+  for a pairwise-intersecting ball family with empty intersection.
+  Exponential, guarded to small n, and sharing only the distance rows
+  with the triple test.
 
 Dismantling orders double as data for shadow-capture controllers, so each
 elimination step records its witness vertex.
@@ -78,6 +84,59 @@ def is_dismantlable(g: Graph) -> bool:
     return dismantling_order(g) is not None
 
 
+def _ball_table(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
+    """Distance rows and cumulative ball masks of every vertex.
+
+    rows[u][v] is d(u, v), or n when v is unreachable from u.  balls[u][r]
+    is the mask of B(u, r) for r in 0..ecc(u); the last entry is u's
+    component, so any finite radius of at least ecc(u) reads it.
+    """
+    n = g.n
+    rows = _dist_rows(g, n)
+    balls = []
+    for row in rows:
+        masks = [0] * (max(d for d in row if d < n) + 1)
+        for v, d in enumerate(row):
+            if d < n:
+                masks[d] |= 1 << v
+        for r in range(1, len(masks)):
+            masks[r] |= masks[r - 1]
+        balls.append(masks)
+    return rows, balls
+
+
+def _triple_test(rows: list[list[int]], balls: list[list[int]]) -> bool:
+    """Whether every vertex triple passes the Berge-Duchet test.
+
+    The pair mask P(x,y) intersects B(u, max(d(u,x), d(u,y))) over every
+    center u; an unreachable pair maximum selects the full mask.  Each P is
+    filled on first use and kept, so a non-Helly graph stops at its first
+    failing triple.  P(x,y) holds x and y, so 0 marks an unfilled entry.
+    """
+    n = len(rows)
+    full = (1 << n) - 1
+    meet = [[0] * n for _ in range(n)]
+
+    def fill(x: int, y: int) -> int:
+        acc = full
+        for masks, dx, dy in zip(balls, rows[x], rows[y]):
+            r = dx if dx > dy else dy
+            if r < n:
+                acc &= masks[r]
+        meet[x][y] = acc
+        return acc
+
+    for a in range(n - 2):
+        ma = meet[a]
+        for b in range(a + 1, n - 1):
+            mb = meet[b]
+            ab = ma[b] or fill(a, b)
+            for c in range(b + 1, n):
+                if not ab & (ma[c] or fill(a, c)) & (mb[c] or fill(b, c)):
+                    return False
+    return True
+
+
 def is_helly(g: Graph) -> bool:
     """Polynomial Helly test over vertex triples.
 
@@ -85,36 +144,12 @@ def is_helly(g: Graph) -> bool:
     at least two of the triple has radius at least
     m(u) = min over pairs {x, y} of max(d(u,x), d(u,y)).
     The graph is Helly iff for every triple some vertex w lies within m(u)
-    of every center u.
+    of every center u.  Nested balls turn that intersection into
+    P(a,b) & P(b,c) & P(a,c) over the pair masks of ``_triple_test``.
     """
-    n = g.n
-    if n <= 2:
+    if g.n <= 2:
         return True
-    inf = n
-    rows = _dist_rows(g, inf)
-    full = g.vertex_mask()
-    # ball_masks[u][r] for r in 0..n, saturating at the full component.
-    ball_masks: list[list[int]] = []
-    for u in range(n):
-        row = rows[u]
-        masks = [0] * (inf + 1)
-        for v in range(n):
-            if row[v] <= inf:
-                for r in range(row[v], inf + 1):
-                    masks[r] |= 1 << v
-        ball_masks.append(masks)
-    for a, b, c in combinations(range(n), 3):
-        inter = full
-        for u in range(n):
-            row = rows[u]
-            da, db, dc = row[a], row[b], row[c]
-            m = min(max(da, db), max(db, dc), max(da, dc))
-            if m >= inf:
-                continue
-            inter &= ball_masks[u][m]
-            if inter == 0:
-                return False
-    return True
+    return _triple_test(*_ball_table(g))
 
 
 def is_helly_oracle(g: Graph, limit: int = 8) -> bool:
@@ -205,29 +240,20 @@ def is_valid_hole(g: Graph, hole: Hole) -> bool:
 def find_hole(g: Graph) -> Hole | None:
     """Canonical minimal hole, or ``None`` for Helly graphs.
 
-    Minimality order: fewest centers, then smallest radius sum, then
-    lexicographically least (centers, radii).  Radii are searched in
-    1..ecc(center)-1, which suffices: larger radii never constrain and a
-    radius-0 ball cannot appear in a violating family.
+    The triple test decides first, so a Helly graph costs one polynomial
+    pass.  Otherwise the search runs in minimality order: fewest centers,
+    then smallest radius sum, then lexicographically least (centers,
+    radii).  Radii are searched in 1..ecc(center)-1, which suffices: larger
+    radii never constrain and a radius-0 ball cannot appear in a violating
+    family.
     """
     n = g.n
     if n <= 2:
         return None
-    inf = n
-    rows = _dist_rows(g, inf)
-    max_r = []
-    ball_masks: list[list[int]] = []
-    for v in range(n):
-        ecc = max(d for d in rows[v] if d < inf)
-        max_r.append(ecc - 1)
-        masks = [0] * (max(ecc, 1))
-        for r in range(ecc):
-            mask = 0
-            for u in range(n):
-                if rows[v][u] <= r:
-                    mask |= 1 << u
-            masks[r] = mask
-        ball_masks.append(masks)
+    rows, balls = _ball_table(g)
+    if _triple_test(rows, balls):
+        return None
+    max_r = [len(masks) - 2 for masks in balls]
     eligible = [v for v in range(n) if max_r[v] >= 1]
 
     def radii_tuples(centers: tuple[int, ...], total: int):
@@ -271,9 +297,9 @@ def find_hole(g: Graph) -> Hole | None:
                 for radii in radii_tuples(centers, total):
                     inter = g.vertex_mask()
                     for v, r in zip(centers, radii):
-                        inter &= ball_masks[v][r]
+                        inter &= balls[v][r]
                         if inter == 0:
                             break
                     if inter == 0:
                         return Hole(centers, radii)
-    return None
+    raise AssertionError("triple test and hole search disagree")

@@ -48,7 +48,7 @@ from pursuit.graphs import (
     to_graph6,
 )
 from pursuit.planar import PlanarityFault, classify_vertex, embed
-from pursuit.shadows import PathShadows, find_bypath, is_bypath_free
+from pursuit.shadows import PathShadows, find_bypath
 from pursuit.controllers import LeisurelyGuard
 
 __all__ = ["Trace", "run_two_move_strategy", "validate_trace"]
@@ -310,9 +310,10 @@ class _Engine:
             if gd.kind != "shadow":
                 continue
             host = ymask | gd.path.mask()
-            if not is_bypath_free(self.g, gd.path, host):
+            shadows = PathShadows(self.g, gd.path, host)
+            if not shadows.is_bypath_free():
                 continue
-            gd.ctl = LeisurelyGuard(self.g, gd.path, self.cops[gd.cop], host)
+            gd.ctl = LeisurelyGuard(shadows, self.cops[gd.cop])
             gd.kind = "leisurely"
             gd.host = host
             changed = True

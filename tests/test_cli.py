@@ -9,8 +9,8 @@ import sys
 import pytest
 
 from pursuit.cli import main
-from pursuit.constructions import cycle, grid, path, petersen
-from pursuit.graphs import from_graph6, to_graph6
+from pursuit.constructions import cycle, grid, path, petersen, random_connected
+from pursuit.graphs import Graph, from_graph6, to_graph6
 from pursuit.shadows import wide_shadow
 from pursuit.strategy import Trace, validate_trace
 
@@ -74,6 +74,31 @@ class TestHelly:
         code, out, _ = run(capsys, ["helly", "-"])
         assert code == 0
         assert records(out)[0]["helly"] is False
+
+    def test_large_helly_graphs_answer(self, capsys, tmp_path):
+        # Helly graphs past 9 vertices: the triple test answers before any
+        # hole search starts, so these take milliseconds.
+        king = Graph(
+            16,
+            [
+                (4 * r + c, 4 * rr + cc)
+                for r in range(4)
+                for c in range(4)
+                for rr, cc in ((r, c + 1), (r + 1, c - 1), (r + 1, c), (r + 1, c + 1))
+                if 0 <= rr < 4 and 0 <= cc < 4
+            ],
+        )
+        tree = random_connected(14, 0.0, 5)
+        f = tmp_path / "helly.g6"
+        f.write_text("\n".join(to_graph6(g) for g in (path(12), king, tree)) + "\n")
+        code, out, err = run(capsys, ["helly", str(f)])
+        assert code == 0 and err == ""
+        recs = records(out)
+        assert [r["n"] for r in recs] == [12, 16, 14]
+        for r in recs:
+            assert r["helly"] is True
+            assert r["hole_centers"] is None and r["hole_radii"] is None
+            assert len(r["dismantling"]) == r["n"] - 1
 
 
 class TestExactValues:

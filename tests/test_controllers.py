@@ -16,7 +16,7 @@ from pursuit.controllers import (
     capture_shadow,
 )
 from pursuit.graphs import Graph, Path, shortest_path
-from pursuit.shadows import wide_shadow
+from pursuit.shadows import PathShadows, wide_shadow
 from pursuit.solver import GameSpec, solve
 
 
@@ -147,11 +147,11 @@ class TestLeisurelyGuard:
     def test_bypath_rejected_at_attach(self):
         g = cycle(4)
         with pytest.raises(ValueError):
-            LeisurelyGuard(g, Path((0, 1, 2)), 1)
+            LeisurelyGuard(PathShadows(g, Path((0, 1, 2))), 1)
 
     def test_short_path_parks_forever(self):
         g = path(5)
-        guard = LeisurelyGuard(g, Path((1, 2, 3)), 2)
+        guard = LeisurelyGuard(PathShadows(g, Path((1, 2, 3))), 2)
         robber = 4
         rng = random.Random(3)
         for _ in range(30):
@@ -164,7 +164,7 @@ class TestLeisurelyGuard:
     def test_grid_shuttle_rest_window(self):
         g = grid(2, 6)
         p = Path(tuple(range(6)))
-        guard = LeisurelyGuard(g, p, 0)
+        guard = LeisurelyGuard(PathShadows(g, p), 0)
         flags = []
         robber = 6
         direction = 1
@@ -182,23 +182,23 @@ class TestLeisurelyGuard:
 
     def test_entry_is_captured(self):
         g = grid(2, 4)
-        guard = LeisurelyGuard(g, Path((0, 1, 2, 3)), 1)
+        guard = LeisurelyGuard(PathShadows(g, Path((0, 1, 2, 3))), 1)
         assert guard.step(5) == (1, True)
         at, rested = guard.step(1)
         assert at == 1 and rested  # robber walked onto the resting cop
-        guard2 = LeisurelyGuard(g, Path((0, 1, 2, 3)), 1)
+        guard2 = LeisurelyGuard(PathShadows(g, Path((0, 1, 2, 3))), 1)
         at, rested = guard2.step(0)
         assert at == 0 and not rested
 
     def test_far_shadow_faults(self):
         g = path(5)
-        guard = LeisurelyGuard(g, Path((0, 1, 2, 3, 4)), 0)
+        guard = LeisurelyGuard(PathShadows(g, Path((0, 1, 2, 3, 4))), 0)
         with pytest.raises(ControllerFault):
             guard.step(4)
 
     def test_degenerate_path_rejected(self):
         with pytest.raises(ValueError):
-            LeisurelyGuard(path(3), Path((1,)), 1)
+            LeisurelyGuard(PathShadows(path(3), Path((1,))), 1)
 
 
 class TestScriptedWalk:

@@ -1,9 +1,11 @@
 """Helly recognition, dismantling, and hole witnesses."""
 
+import hashlib
 import random
 
 import pytest
 
+from pursuit.constructions import connected_graphs
 from pursuit.graphs import Graph
 from pursuit.helly import (
     Hole,
@@ -207,3 +209,21 @@ class TestGuards:
         assert not is_valid_hole(g, Hole(centers=(0, 1, 3), radii=(1, 1, 1)))
         # Common vertex exists for this family.
         assert not is_valid_hole(g, Hole(centers=(0, 1, 2), radii=(2, 2, 2)))
+
+
+class TestPinnedAnswers:
+    def test_verdicts_and_holes_are_pinned(self):
+        # sha256 of repr of (edges, is_helly, find_hole) over every connected
+        # graph on up to 7 vertices, in corpus order; recorded from the
+        # implementation that looped over every center inside each triple
+        # and searched for holes on Helly graphs too.
+        h = hashlib.sha256()
+        count = 0
+        for n in range(1, 8):
+            for g in connected_graphs(n):
+                h.update(repr((g.edges(), is_helly(g), find_hole(g))).encode())
+                count += 1
+        assert (count, h.hexdigest()) == (
+            996,
+            "314536f19eade55401de9d72b02d77ea1368b2f61d35a81cb40715c889b936c5",
+        )

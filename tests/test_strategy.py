@@ -1,6 +1,7 @@
 """Strategy engine tests: capture campaigns, trace validation, fault injection."""
 
 import json
+import random
 
 import pytest
 
@@ -22,6 +23,28 @@ from pursuit.graphs import Graph, to_graph6
 from pursuit.planar import PlanarityFault, embed
 from pursuit.solver import GameSpec, solve
 from pursuit.strategy import Trace, _Engine, run_two_move_strategy, validate_trace
+
+
+def sparse_planar(n, seed):
+    """random_planar_triangulation(n, seed) with seeded edges deleted.
+
+    Deleting edges keeps a graph planar; a deletion that would disconnect
+    the graph is skipped.  Between none and all of the non-tree edges go.
+    """
+    g = random_planar_triangulation(n, seed=seed)
+    rng = random.Random(seed)
+    edges = g.edges()
+    rng.shuffle(edges)
+    drop = rng.randrange(g.m - n + 2)
+    kept = set(edges)
+    for e in edges:
+        if drop == 0:
+            break
+        trial = Graph(n, sorted(kept - {e}))
+        if trial.is_connected():
+            kept.discard(e)
+            drop -= 1
+    return Graph(n, sorted(kept))
 
 
 def assert_clean_capture(g, adversary, turn_cap=None):
@@ -70,6 +93,14 @@ class TestCaptures:
     def test_single_vertex(self):
         tr = run_two_move_strategy(path(1))
         assert tr.captured
+
+    def test_sparse_planar_fuzz(self):
+        # The acceptance campaign plays only grids and triangulations; these
+        # are planar graphs between a spanning tree and a triangulation.
+        for i in range(30):
+            g = sparse_planar(4 + i * 35 // 29, seed=i)
+            assert_clean_capture(g, RandomAdversary(g, seed=i))
+            assert_clean_capture(g, GreedyAdversary(g, seed=i))
 
 
 class TestTraceSerialization:
