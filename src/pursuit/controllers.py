@@ -2,9 +2,12 @@
 
 The wide-shadow guard pins a cop inside the robber's wide shadow on a
 Helly isometric subgraph; `capture_shadow` attaches it by chasing the
-shadow through a dismantling of the subgraph.  The leisurely guard patrols
-a bypath-free isometric path and certifies a rest at least once in every
-window of length+1 cop turns unless the robber stepped onto the path.
+shadow through a dismantling of the subgraph; both first check that the
+subgraph is isometric and Helly.  On an isometric path the shadow is an
+interval read off the path's `PathShadows` rows: the path-shadow guard
+stays pinned to it, and the leisurely guard patrols a bypath-free path and
+certifies a rest at least once in every window of length+1 cop turns
+unless the robber stepped onto the path.
 
 Controllers are single-owner state machines.  Proof-backed invariants are
 re-checked every turn; a violation raises ControllerFault, which game
@@ -38,17 +41,15 @@ class WideShadowGuard:
         cop_at: int,
         robber: int,
         within: int | None = None,
-        verify: bool = True,
     ):
         self.graph = g
         self.guarded = tuple(sorted(set(guarded)))
         self.within = g.vertex_mask() if within is None else within
-        if verify:
-            if not is_isometric_subgraph(g, self.guarded, self.within):
-                raise ValueError("guarded subgraph must be isometric in its host")
-            sub, _ = g.induced(self.guarded)
-            if not is_helly(sub):
-                raise ValueError("guarded subgraph must be Helly")
+        if not is_isometric_subgraph(g, self.guarded, self.within):
+            raise ValueError("guarded subgraph must be isometric in its host")
+        sub, _ = g.induced(self.guarded)
+        if not is_helly(sub):
+            raise ValueError("guarded subgraph must be Helly")
         self.cop_at = cop_at
         self.shadow = wide_shadow(g, self.guarded, robber, self.within)
         if cop_at not in self.shadow:
@@ -76,7 +77,6 @@ def capture_shadow(
     cop_at: int,
     robber_stream,
     within: int | None = None,
-    verify: bool = True,
 ) -> tuple[int, int]:
     """Walk a cop into the robber's wide shadow on h.
 
@@ -94,14 +94,11 @@ def capture_shadow(
     """
     hv = tuple(sorted(set(h)))
     w = g.vertex_mask() if within is None else within
-    if verify:
-        if not is_isometric_subgraph(g, hv, w):
-            raise ValueError("guarded subgraph must be isometric in its host")
-        sub, keep = g.induced(hv)
-        if not is_helly(sub):
-            raise ValueError("guarded subgraph must be Helly")
-    else:
-        sub, keep = g.induced(hv)
+    if not is_isometric_subgraph(g, hv, w):
+        raise ValueError("guarded subgraph must be isometric in its host")
+    sub, keep = g.induced(hv)
+    if not is_helly(sub):
+        raise ValueError("guarded subgraph must be Helly")
     order = dismantling_order(sub)
     if order is None:
         raise ValueError("guarded subgraph must be dismantlable")
@@ -122,7 +119,8 @@ def capture_shadow(
         raise ValueError("robber stream yielded no placement") from None
 
     pos = cop_at
-    if pos in wide_shadow(g, hv, r, w):
+    shadow = wide_shadow(g, hv, r, w)  # one per robber position
+    if pos in shadow:
         return 0, pos
 
     route = shortest_path(g, pos, keep[last]).vertices
@@ -139,10 +137,10 @@ def capture_shadow(
             leg += 1
             pos = route[leg]
             if leg == len(route) - 1:
-                anchor = min(wide_shadow(g, hv, r, w))
+                anchor = min(shadow)
         else:
             if anchor is None:
-                anchor = min(wide_shadow(g, hv, r, w))
+                anchor = min(shadow)
             img = None
             for j in range(stage + 1):
                 cand = keep[stages[j][local[anchor]]]
@@ -153,28 +151,64 @@ def capture_shadow(
                 raise ControllerFault("retraction image out of reach")
             stage = img
             pos = keep[stages[img][local[anchor]]]
-        if pos in wide_shadow(g, hv, r, w):
+        if pos in shadow:
             return turns, pos
         try:
             r = next(stream)
         except StopIteration:
             continue
+        shadow = wide_shadow(g, hv, r, w)
         if anchor is not None:
-            nxt = wide_shadow(g, hv, r, w)
-            step = sorted(
-                y for y in nxt if y == anchor or g.has_edge(y, anchor)
-            )
+            step = [y for y in shadow if y == anchor or g.has_edge(y, anchor)]
             if not step:
                 raise ControllerFault("shadow drifted more than one step")
-            anchor = step[0]
+            anchor = min(step)
 
 
-class LeisurelyGuard:
-    """Cop patrolling a bypath-free isometric path, resting when possible.
+class PathShadowGuard:
+    """Cop pinned to the robber's shadow interval on an isometric path.
 
     ``shadows`` holds the path's rows in its host; building it verified
-    that the path is isometric there, and the caller may already have
-    read its bypath-freeness from the same rows.
+    that the path is isometric there.  The cop must start inside the
+    shadow, which then drifts at most one position per robber move;
+    either violation is a ControllerFault.
+    """
+
+    kind = "path-shadow"
+
+    def __init__(self, shadows: PathShadows, cop_at: int, robber: int):
+        lo, hi = shadows.interval(robber)
+        verts = shadows.path.vertices
+        if cop_at not in verts[lo : hi + 1]:
+            raise ControllerFault("cop must start inside the robber's shadow")
+        self.shadows = shadows
+        self.path = shadows.path
+        self.at = verts.index(cop_at)
+        self.cop_at = cop_at
+
+    def step(self, robber: int) -> int:
+        """Stay or make the single step that re-enters the shadow."""
+        self._follow(robber)
+        return self.cop_at
+
+    def _follow(self, robber: int) -> bool:
+        """Step one position toward the robber's shadow; True if already in."""
+        lo, hi = self.shadows.interval(robber)
+        if lo <= self.at <= hi:
+            return True
+        if self.at < lo - 1 or self.at > hi + 1:
+            raise ControllerFault("shadow drifted more than one step")
+        self.at += 1 if self.at < lo else -1
+        self.cop_at = self.path.vertices[self.at]
+        return False
+
+
+class LeisurelyGuard(PathShadowGuard):
+    """Cop patrolling a bypath-free isometric path, resting when possible.
+
+    ``shadows`` is as for the path-shadow guard, and the caller may already
+    have read its bypath-freeness from the same rows.  The cop may start
+    anywhere on the path.
     """
 
     kind = "leisurely"
@@ -193,15 +227,10 @@ class LeisurelyGuard:
 
     def step(self, robber: int) -> tuple[int, bool]:
         """Return (cop vertex, rested) for one turn against this robber."""
-        lo, hi = self.shadows.interval(robber)
         entered = robber in self.path.vertex_set()
-        if lo <= self.at <= hi:
+        if self._follow(robber):
             self.unrested = 0
             return self.cop_at, True
-        if self.at < lo - 1 or self.at > hi + 1:
-            raise ControllerFault("shadow slipped more than one step away")
-        self.at += 1 if self.at < lo else -1
-        self.cop_at = self.path.vertices[self.at]
         if entered:
             if self.cop_at != robber:
                 raise ControllerFault("robber on the path escaped capture")

@@ -123,25 +123,14 @@ class Graph:
         return [UNREACHABLE if d < 0 else d for d in self.bfs_levels(src, within)]
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        return all(d >= 0 for d in self.bfs_levels(0))
+        return self.n == 0 or self.component_of(0) == self.vertex_mask()
 
     def components(self) -> list[int]:
         """Connected components as vertex bitmasks."""
         remaining = self.vertex_mask()
         out = []
         while remaining:
-            src = (remaining & -remaining).bit_length() - 1
-            comp = 1 << src
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for v in bits(frontier):
-                    nxt |= self._adj[v]
-                nxt &= remaining & ~comp
-                comp |= nxt
-                frontier = nxt
+            comp = self.component_of((remaining & -remaining).bit_length() - 1, remaining)
             out.append(comp)
             remaining &= ~comp
         return out
@@ -172,12 +161,6 @@ class Graph:
             if u in index and v in index
         ]
         return Graph(len(keep), edges), keep
-
-    def with_edges_added(
-        self, extra_vertices: int, edges: Iterable[tuple[int, int]]
-    ) -> Graph:
-        n = self.n + extra_vertices
-        return Graph(n, self.edges() + list(edges))
 
 
 # -- graph6 codec -----------------------------------------------------------
@@ -431,29 +414,45 @@ class Path:
 def shortest_path(
     g: Graph, src: int, dst: int, within: int | None = None
 ) -> Path | None:
-    """Lexicographically least shortest path from src to dst, or None.
+    """Lexicographically least shortest path from src to dst, or None:
+    the one-vertex case of `shortest_path_between`."""
+    return shortest_path_between(g, 1 << src, 1 << dst, within)
 
-    Lex-least over vertex sequences among all shortest paths, which pins down
-    a deterministic choice everywhere a geodesic is needed.
+
+def shortest_path_between(
+    g: Graph, sources: int, targets: int, within: int | None = None
+) -> Path | None:
+    """Lexicographically least shortest path from the mask sources to the
+    mask targets inside within, or None when no such path exists.
+
+    Lex-least over vertex sequences among the shortest paths of the nearest
+    pairs, which pins down a deterministic choice everywhere a geodesic is
+    needed.  A BFS grows level masks from the targets up to the first level
+    that holds a source; the walk then takes the least vertex of each level
+    that continues it.
     """
     allowed = g.vertex_mask() if within is None else within
-    if not (allowed >> src & 1 and allowed >> dst & 1):
+    sources &= allowed
+    frontier = targets & allowed
+    if not (sources and frontier):
         return None
-    back = g.bfs_levels(dst, within)
-    if back[src] < 0:
-        return None
-    seq = [src]
-    cur = src
-    while cur != dst:
-        step = None
-        for v in bits(g.adj_mask(cur) & allowed):
-            if back[v] == back[cur] - 1:
-                step = v
-                break
-        if step is None:
-            raise AssertionError("no BFS successor on the way to dst")
-        seq.append(step)
-        cur = step
+    levels = [frontier]
+    seen = frontier
+    while not frontier & sources:
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= g.adj_mask(v)
+        frontier = nxt & allowed & ~seen
+        if not frontier:
+            return None
+        seen |= frontier
+        levels.append(frontier)
+    seq: list[int] = []
+    pick = sources
+    for level in reversed(levels):
+        step = level & pick
+        seq.append((step & -step).bit_length() - 1)
+        pick = g.adj_mask(seq[-1])
     return Path(tuple(seq))
 
 

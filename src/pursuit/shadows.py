@@ -11,7 +11,9 @@ Everything about one path in one host comes from one set of rows, a BFS from
 each path vertex inside the host. `Path.geodesic_rows` computes them while it
 checks isometry and `PathShadows` keeps them: a shadow interval is a scan of
 the rows at one vertex, and the detour scanner `_detours` reads the levels of
-every equal-length detour off the rows of its two ends.
+every equal-length detour off the rows of its two ends.  The planar engine
+keeps one such object per guarded path and host, from the chase that
+attaches the path's guard to the guard's release.
 
 Two independent routes still decide bypath-freeness from those rows: the
 shadow criterion (`PathShadows.is_bypath_free`, no off-path vertex with a

@@ -22,6 +22,11 @@ bridged contact to contact.  Milestones annotate the trace with the case
 label, the guard set, and the territory size; sizes never increase and
 strictly decrease whenever the label changes.
 
+A guarded path has one row set, its `PathShadows` in its host, from chase
+to release: the shadow chase builds it, the pinned guard steps by its
+intervals, and the leisurely upgrade reuses it while the host is
+unchanged.  A territory bridge is one `shortest_path_between` call.
+
 validate_trace re-checks a finished trace against the graph alone, using
 only the core graph primitives: move legality, the two-mover cap, park
 stationarity and coverage, shadow membership of guarding cops, leisurely
@@ -35,9 +40,10 @@ from dataclasses import dataclass
 
 from pursuit.controllers import (
     ControllerFault,
+    LeisurelyGuard,
+    PathShadowGuard,
     RandomAdversary,
     ScriptedWalk,
-    WideShadowGuard,
 )
 from pursuit.graphs import (
     Graph,
@@ -45,11 +51,11 @@ from pursuit.graphs import (
     bits,
     mask_of,
     shortest_path,
+    shortest_path_between,
     to_graph6,
 )
 from pursuit.planar import PlanarityFault, classify_vertex, embed
 from pursuit.shadows import PathShadows, find_bypath
-from pursuit.controllers import LeisurelyGuard
 
 __all__ = ["Trace", "run_two_move_strategy", "validate_trace"]
 
@@ -115,10 +121,9 @@ class _ShadowChase:
     cop's position to get past it, and the crossing is observed.
     """
 
-    def __init__(self, g: Graph, path: Path, cop_at: int, robber: int, within: int):
-        self.graph = g
+    def __init__(self, g: Graph, path: Path, cop_at: int, within: int):
         self.path = path
-        self.shadows = PathShadows(g, path, within)  # verifies isometry
+        self.shadows = PathShadows(g, path, within)  # verifies isometry; kept by the guard
         dist = g.bfs_levels(cop_at)
         entry = min(
             range(len(path.vertices)),
@@ -140,11 +145,10 @@ class _ShadowChase:
         return self.path.vertices[self.at]
 
     def done(self, robber: int) -> bool:
-        pos = self.pos
-        if pos not in self.path.vertex_set():
-            return False
+        if self.leg < len(self.route) - 1:
+            return False  # the route meets the path only at its end
         lo, hi = self.shadows.interval(robber)
-        return lo <= self.path.index_of(pos) <= hi
+        return lo <= self.at <= hi
 
     def step(self, robber: int) -> int:
         self.steps += 1
@@ -164,20 +168,13 @@ class _ShadowChase:
 class _Guard:
     """One cop bound to one path, with the controller that keeps it honest."""
 
-    __slots__ = ("cop", "kind", "path", "host", "ctl")
+    __slots__ = ("cop", "kind", "path", "ctl")
 
-    def __init__(self, cop: int, kind: str, path: Path, host=None, ctl=None):
+    def __init__(self, cop: int, kind: str, path: Path, ctl=None):
         self.cop = cop
         self.kind = kind  # "park" | "shadow" | "leisurely"
         self.path = path
-        self.host = host
-        self.ctl = ctl
-
-    def step(self, robber: int) -> int:
-        if self.kind == "leisurely":
-            pos, _rested = self.ctl.step(robber)
-            return pos
-        return self.ctl.step(robber)
+        self.ctl = ctl  # a pinned or leisurely guard's host is ctl.shadows.within
 
 
 class _Mission:
@@ -193,16 +190,12 @@ class _Mission:
         walk: ScriptedWalk | None = None,
         chase: _ShadowChase | None = None,
         park_path: Path | None = None,
-        guard_path: Path | None = None,
-        host: int | None = None,
         release=(),
     ):
         self.cop = cop
         self.walk = walk
         self.chase = chase
         self.park_path = park_path
-        self.guard_path = guard_path
-        self.host = host
         self.release = tuple(release)
 
     def done(self, robber: int) -> bool:
@@ -310,12 +303,13 @@ class _Engine:
             if gd.kind != "shadow":
                 continue
             host = ymask | gd.path.mask()
-            shadows = PathShadows(self.g, gd.path, host)
+            shadows = gd.ctl.shadows
+            if host != shadows.within:
+                shadows = PathShadows(self.g, gd.path, host)
             if not shadows.is_bypath_free():
                 continue
             gd.ctl = LeisurelyGuard(shadows, self.cops[gd.cop])
             gd.kind = "leisurely"
-            gd.host = host
             changed = True
         return changed
 
@@ -348,7 +342,7 @@ class _Engine:
                     "cop": gd.cop,
                     "kind": gd.kind,
                     "path": list(gd.path.vertices),
-                    "host": None if gd.host is None else sorted(bits(gd.host)),
+                    "host": None if gd.ctl is None else sorted(bits(gd.ctl.shadows.within)),
                 }
                 for gd in self.guards
             ],
@@ -371,14 +365,8 @@ class _Engine:
 
     def _attach(self, path: Path, host: int, release) -> _Mission:
         cop = self._free_cop()
-        chase = _ShadowChase(self.g, path, self.cops[cop], self.robber, host)
-        return _Mission(
-            cop,
-            chase=chase,
-            guard_path=path,
-            host=host,
-            release=release,
-        )
+        chase = _ShadowChase(self.g, path, self.cops[cop], host)
+        return _Mission(cop, chase=chase, release=release)
 
     def _swap_span(self, gd: _Guard, ymask: int, i: int, j: int, detour: Path) -> _Mission:
         """Replace gd's span [i..j] by a reroute sharing its end vertices.
@@ -435,18 +423,11 @@ class _Engine:
 
     def _inner_bridge(self, ymask: int, vi: int, vj: int) -> Path:
         """Shortest territory route between neighborhoods of two contacts."""
-        best = None
-        for a in bits(self.g.adj_mask(vi) & ymask):
-            for b in bits(self.g.adj_mask(vj) & ymask):
-                p = shortest_path(self.g, a, b, ymask)
-                if p is None:
-                    continue
-                key = (p.length, p.vertices)
-                if best is None or key < best[0]:
-                    best = (key, p)
-        if best is None:
+        adj = self.g.adj_mask
+        bridge = shortest_path_between(self.g, adj(vi) & ymask, adj(vj) & ymask, ymask)
+        if bridge is None:
             raise PlanarityFault("no territory bridge between adjacent contacts")
-        return best[1]
+        return bridge
 
     def _classified(self, gd: _Guard, w: int, ymask: int) -> _Mission:
         emb = self.e.restrict(tuple(bits(ymask)) + (w,))
@@ -490,12 +471,7 @@ class _Engine:
         for gd, other in ((first, second), (second, first)):
             # a guard with one door of its own folds into a walk joining
             # that door to a far partner door; its other doors stay covered
-            omask = other.path.mask()
-            own = [
-                gd.path.vertices[k]
-                for k in self._contacts(gd, ymask)
-                if not omask >> gd.path.vertices[k] & 1
-            ]
+            own = self._own_doors(gd, other, ymask)
             if len(own) != 1:
                 continue
             for k in self._contacts(other, ymask):
@@ -536,15 +512,7 @@ class _Engine:
         released.  The vetting runs on the components of the cut territory
         before any cop commits to the walk.
         """
-        fmask = first.path.mask()
-        smask = second.path.mask()
-        owns = []
-        for gd, others in ((first, smask), (second, fmask)):
-            owns.append([
-                gd.path.vertices[k]
-                for k in self._contacts(gd, ymask)
-                if not others >> gd.path.vertices[k] & 1
-            ])
+        owns = (self._own_doors(first, second, ymask), self._own_doors(second, first, ymask))
         for a in owns[0]:
             for b in owns[1]:
                 if self.g.has_edge(a, b):
@@ -566,20 +534,22 @@ class _Engine:
                     ):
                         good = False
                         break
-                if not good:
-                    continue
-                if inner.length == 0:
-                    y = inner.vertices[0]
-                    return self._park(y, Path((a, y, b)), ())
-                walk = Path((a,) + inner.vertices + (b,))
-                if not walk.is_path_in(self.g):
-                    continue
-                return self._attach(walk, ymask | walk.mask(), ())
+                if good:
+                    return self._bridge(ymask, a, inner, b)
         return None
+
+    def _own_doors(self, gd: _Guard, other: _Guard, ymask: int) -> list[int]:
+        """gd's doors that do not lie on the other guard's path."""
+        omask = other.path.mask()
+        verts = gd.path.vertices
+        return [verts[k] for k in self._contacts(gd, ymask) if not omask >> verts[k] & 1]
 
     def _cross(self, ymask: int, a: int, b: int) -> _Mission:
         """Guard a door-to-door route bridged through the territory."""
-        inner = self._inner_bridge(ymask, a, b)
+        return self._bridge(ymask, a, self._inner_bridge(ymask, a, b), b)
+
+    def _bridge(self, ymask: int, a: int, inner: Path, b: int) -> _Mission:
+        """Guard the walk from door a through the territory route inner to b."""
         if inner.length == 0:
             return self._park(inner.vertices[0], Path((a, inner.vertices[0], b)), ())
         walk = Path((a,) + inner.vertices + (b,))
@@ -617,10 +587,8 @@ class _Engine:
                     raise PlanarityFault("parked cop does not cover its path")
             new = _Guard(m.cop, "park", m.park_path)
         else:
-            ctl = WideShadowGuard(
-                self.g, m.guard_path.vertices, pos, self.robber, m.host, verify=False
-            )
-            new = _Guard(m.cop, "shadow", m.guard_path, m.host, ctl)
+            ctl = PathShadowGuard(m.chase.shadows, pos, self.robber)
+            new = _Guard(m.cop, "shadow", ctl.path, ctl)
         self.guards.append(new)
         dead = {id(gd) for gd in drop}
         self.guards = [gd for gd in self.guards if id(gd) not in dead]
@@ -665,7 +633,8 @@ class _Engine:
             for gd in self.guards:
                 if gd.ctl is None:
                     continue  # parks hold still
-                pos = gd.step(self.robber)
+                gd.ctl.step(self.robber)
+                pos = gd.ctl.cop_at
                 if pos != self.cops[gd.cop]:
                     self.cops[gd.cop] = pos
                     movers += 1

@@ -10,6 +10,7 @@ from pursuit.controllers import (
     GreedyAdversary,
     LeisurelyGuard,
     OptimalAdversary,
+    PathShadowGuard,
     RandomAdversary,
     ScriptedWalk,
     WideShadowGuard,
@@ -141,6 +142,37 @@ class TestCaptureShadow:
     def test_rejects_empty_stream(self):
         with pytest.raises(ValueError):
             capture_shadow(path(3), (0, 1), 2, iter([]))
+
+
+class TestPathShadowGuard:
+    def test_moves_as_the_wide_shadow_guard(self):
+        # On an isometric path both guards keep the cop in the same shadow
+        # and take the same single step back into it.
+        rng = random.Random(17)
+        for _ in range(40):
+            g = random_connected(rng.randrange(4, 11), rng.random() * 0.5, rng.randrange(10**6))
+            a, b = rng.sample(range(g.n), 2)
+            h = shortest_path(g, a, b)
+            robber = rng.randrange(g.n)
+            start = min(wide_shadow(g, h.vertices, robber))
+            wide = WideShadowGuard(g, h.vertices, start, robber)
+            pinned = PathShadowGuard(PathShadows(g, h), start, robber)
+            for _ in range(20):
+                robber = rng.choice(sorted((robber,) + g.neighbors(robber)))
+                assert pinned.step(robber) == wide.step(robber)
+
+    def test_start_outside_shadow_faults(self):
+        shadows = PathShadows(path(7), Path(tuple(range(7))))
+        with pytest.raises(ControllerFault):
+            PathShadowGuard(shadows, 0, robber=6)
+        with pytest.raises(ControllerFault):
+            PathShadowGuard(PathShadows(grid(2, 4), Path((0, 1, 2, 3))), 5, robber=5)
+
+    def test_drift_of_two_faults(self):
+        guard = PathShadowGuard(PathShadows(path(7), Path(tuple(range(7)))), 0, robber=0)
+        assert guard.step(1) == 1
+        with pytest.raises(ControllerFault):
+            guard.step(3)
 
 
 class TestLeisurelyGuard:

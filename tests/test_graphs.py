@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pursuit.constructions import connected_graphs, random_connected
 from pursuit.graphs import (
     UNREACHABLE,
     Graph,
@@ -21,6 +23,7 @@ from pursuit.graphs import (
     is_isometric_subgraph,
     mask_of,
     shortest_path,
+    shortest_path_between,
     to_edge_list,
     to_graph6,
 )
@@ -268,6 +271,67 @@ class TestShortestPath:
             p = shortest_path(g, u, v)
             if p is not None:
                 assert p.is_isometric_in(g)
+
+    def test_answers_are_pinned(self):
+        # sha256 of repr of every answer, recorded from the implementation
+        # that walked a full BFS row from dst: every ordered pair of every
+        # connected 6-vertex graph, then every ordered pair of seeded
+        # random hosts restricted to seeded masks.
+        h = hashlib.sha256()
+        count = 0
+        for g in connected_graphs(6):
+            for u in range(g.n):
+                for v in range(g.n):
+                    p = shortest_path(g, u, v)
+                    ans = None if p is None else p.vertices
+                    h.update(repr((g.edges(), u, v, ans)).encode())
+                    count += 1
+        for g, within, _, _ in _masked_hosts(150):
+            for u in range(g.n):
+                for v in range(g.n):
+                    p = shortest_path(g, u, v, within)
+                    ans = None if p is None else p.vertices
+                    h.update(repr((g.edges(), within, u, v, ans)).encode())
+                    count += 1
+        assert (count, h.hexdigest()) == (
+            14476,
+            "4349e76d546c91a3615c138c30e5f157df77128247bc3d84de57bfacd7c94553",
+        )
+
+    def test_between_masks_is_least_over_pairs(self):
+        # Reference: the least (length, vertices) over every pair's path.
+        hits = 0
+        for g, within, sources, targets in _masked_hosts(400):
+            best = None
+            for a in range(g.n):
+                for b in range(g.n):
+                    if not (sources >> a & 1 and targets >> b & 1):
+                        continue
+                    p = shortest_path(g, a, b, within)
+                    if p is not None and (best is None or (p.length, p.vertices) < best):
+                        best = (p.length, p.vertices)
+            got = shortest_path_between(g, sources, targets, within)
+            assert (None if got is None else (got.length, got.vertices)) == best
+            hits += best is not None
+        assert hits > 200
+
+    def test_between_masks_edge_cases(self):
+        g = cycle_graph(6)
+        assert shortest_path_between(g, 0, mask_of([3])) is None
+        assert shortest_path_between(g, mask_of([2, 4]), mask_of([4, 5])).vertices == (4,)
+        # 1 and 5 are both two steps from 3; the lex-least sequence wins.
+        p = shortest_path_between(g, mask_of([1, 5]), mask_of([3]))
+        assert p.vertices == (1, 2, 3)
+        assert shortest_path_between(g, mask_of([0]), mask_of([3]), mask_of([0, 1, 3])) is None
+
+
+def _masked_hosts(count: int):
+    """Seeded (graph, host mask, source mask, target mask) cases."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        g = random_connected(rng.randint(2, 14), rng.choice((0.0, 0.1, 0.25, 0.5)), seed)
+        within = rng.getrandbits(g.n) | rng.getrandbits(g.n)
+        yield g, within, rng.getrandbits(g.n), rng.getrandbits(g.n)
 
 
 class TestDomination:

@@ -1,5 +1,6 @@
 """Strategy engine tests: capture campaigns, trace validation, fault injection."""
 
+import hashlib
 import json
 import random
 
@@ -17,12 +18,20 @@ from pursuit.controllers import (
     ControllerFault,
     GreedyAdversary,
     OptimalAdversary,
+    PathShadowGuard,
     RandomAdversary,
 )
 from pursuit.graphs import Graph, to_graph6
 from pursuit.planar import PlanarityFault, embed
 from pursuit.solver import GameSpec, solve
-from pursuit.strategy import Trace, _Engine, run_two_move_strategy, validate_trace
+from pursuit import strategy
+from pursuit.strategy import (
+    Trace,
+    _Engine,
+    _ShadowChase,
+    run_two_move_strategy,
+    validate_trace,
+)
 
 
 def sparse_planar(n, seed):
@@ -103,6 +112,26 @@ class TestCaptures:
             assert_clean_capture(g, GreedyAdversary(g, seed=i))
 
 
+class TestPinnedTraces:
+    def test_traces_are_pinned(self):
+        # sha256 of every Trace.to_json(), recorded from the engine whose
+        # pinned guard rebuilt the path's rows through wide_shadow and whose
+        # territory bridge ran one BFS per pair of contact neighbours.
+        graphs = [(grid(r, c), 0) for r, c in ((12, 12), (13, 13), (14, 14), (15, 15), (3, 30))]
+        graphs += [(random_planar_triangulation(n, s), s) for n in (30, 60, 120, 200) for s in (0, 1)]
+        graphs += [(sparse_planar(4 + i * 35 // 29, seed=i), i) for i in range(30)]
+        h = hashlib.sha256()
+        count = 0
+        for g, seed in graphs:
+            for adversary in (RandomAdversary(g, seed=seed), GreedyAdversary(g, seed=seed)):
+                h.update(run_two_move_strategy(g, adversary=adversary).to_json().encode())
+                count += 1
+        assert (count, h.hexdigest()) == (
+            86,
+            "c66192fa078395db6e66115391627e900de9f9d9db42f316d6663be8769fe017",
+        )
+
+
 class TestTraceSerialization:
     def test_json_round_trip(self):
         g = grid(3, 4)
@@ -180,6 +209,38 @@ class TestAbortAndInput:
         assert tr.verdict == {
             "outcome": "aborted",
             "reason": f"{fault.__name__}: injected",
+        }
+        assert validate_trace(g, tr) == []
+
+    def test_pinned_guard_start_fault_aborts(self, monkeypatch):
+        # A chase that reports done as soon as its cop reaches the path
+        # hands the pinned guard a cop outside the robber's shadow.
+        monkeypatch.setattr(
+            _ShadowChase, "done", lambda chase, robber: chase.pos in chase.path.vertex_set()
+        )
+        g = grid(6, 6)
+        tr = run_two_move_strategy(g, adversary=GreedyAdversary(g))
+        assert tr.verdict == {
+            "outcome": "aborted",
+            "reason": "ControllerFault: cop must start inside the robber's shadow",
+        }
+        assert validate_trace(g, tr) == []
+
+    def test_pinned_guard_drift_fault_aborts(self, monkeypatch):
+        class Drifting(PathShadowGuard):
+            def step(self, robber):
+                # the guard sees the robber jump to a path vertex two
+                # positions away, whose shadow is that vertex alone
+                verts = self.path.vertices
+                far = self.at + 2 if self.at + 2 < len(verts) else self.at - 2
+                return super().step(verts[far])
+
+        monkeypatch.setattr(strategy, "PathShadowGuard", Drifting)
+        g = random_planar_triangulation(30, seed=0)
+        tr = run_two_move_strategy(g, adversary=GreedyAdversary(g))
+        assert tr.verdict == {
+            "outcome": "aborted",
+            "reason": "ControllerFault: shadow drifted more than one step",
         }
         assert validate_trace(g, tr) == []
 
