@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Graph, distance_matrix, is_isometric_subgraph, shortest_path
+from .graphs import Graph, is_isometric_subgraph, shortest_path
 from .helly import dismantling_order, is_helly
 from .shadows import PathShadows, wide_shadow
 from .solver import COPS
@@ -298,22 +298,26 @@ class GreedyAdversary:
 
     def __init__(self, g: Graph, seed: int = 0):
         self.graph = g
-        self.dm = distance_matrix(g)
 
-    def _score(self, v: int, cops) -> int:
-        worst = None
-        for c in cops:
-            d = self.dm.rows[c][v]
-            if worst is None or d < worst:
-                worst = d
-        return self.graph.n * self.graph.n if worst is None else worst
+    def _farthest(self, cops, options) -> int:
+        """The option whose nearest cop is farthest, ties to the lowest.
+
+        Reads one whole-graph row per cop.  A vertex that no cop reaches
+        scores n, above every distance; with no cops every option ties.
+        """
+        g = self.graph
+        rows = [g.bfs_levels(c) for c in set(cops)]
+
+        def score(v: int) -> int:
+            return min((row[v] if row[v] >= 0 else g.n for row in rows), default=g.n)
+
+        return max(options, key=lambda v: (score(v), -v))
 
     def place(self, cops) -> int:
-        return max(range(self.graph.n), key=lambda v: (self._score(v, cops), -v))
+        return self._farthest(cops, range(self.graph.n))
 
     def move(self, cops, robber: int) -> int:
-        opts = sorted((robber,) + self.graph.neighbors(robber))
-        return max(opts, key=lambda v: (self._score(v, cops), -v))
+        return self._farthest(cops, (robber,) + self.graph.neighbors(robber))
 
 
 class OptimalAdversary:

@@ -6,6 +6,19 @@ the exhaustive corpora and the n=200 strategy campaigns without numpy.
 
 Distances use a dedicated UNREACHABLE sentinel (IEEE infinity), never a large
 magic number, so metric checks fail loudly instead of silently passing.
+
+A graph answers each whole-graph distance question once.  `bfs_levels` keeps
+a row per source for BFS over the whole graph (no mask, or the full vertex
+mask), filled on first use, so distance matrices, balls, shadows, Helly ball
+tables, isometry host rows and corpus labels all read the same rows; a graph
+that is never asked allocates nothing.  Each caller gets its own copy of the
+row.  A BFS restricted to a smaller mask (the engine's hosts, the validator,
+`PathShadows`) is almost always a fresh (source, mask) pair, so it runs
+uncached; its loops walk the lowest set bit inline instead of calling `bits`.
+
+The graph6 codec handles the bit stream as text: the encoder writes it column
+by column and maps it six bits at a time, and the decoder reads the set bits
+with `str.find`, both in time linear in the stream.
 """
 
 from __future__ import annotations
@@ -35,7 +48,7 @@ def mask_of(vertices: Iterable[int]) -> int:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_adj", "_neigh")
+    __slots__ = ("n", "_adj", "_neigh", "_rows")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -51,6 +64,7 @@ class Graph:
         self.n = n
         self._adj = tuple(adj)
         self._neigh: tuple[tuple[int, ...], ...] | None = None
+        self._rows: list[list[int] | None] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -95,28 +109,43 @@ class Graph:
     # -- traversal ---------------------------------------------------------
 
     def bfs_levels(self, src: int, within: int | None = None) -> list[int]:
-        """Distances from src as a list, -1 for unreachable.
+        """Distances from src as a list the caller owns, -1 for unreachable.
 
         within restricts the search to the given vertex bitmask; src must be
-        inside it. This is the hot path shared by every metric computation.
+        inside it.  A whole-graph row (within None or the full vertex mask)
+        is computed once per source and kept; a masked call runs its own
+        BFS and never touches those rows.
         """
-        allowed = self.vertex_mask() if within is None else within
+        if within is not None and within != (1 << self.n) - 1:
+            return self._bfs(src, within)
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = [None] * self.n
+        row = rows[src]
+        if row is None:
+            row = rows[src] = self._bfs(src, (1 << self.n) - 1)
+        return row[:]
+
+    def _bfs(self, src: int, allowed: int) -> list[int]:
         adj = self._adj
         dist = [-1] * self.n
         dist[src] = 0
-        seen = 1 << src
-        frontier = seen
+        seen = frontier = 1 << src
         d = 0
         while frontier:
             d += 1
             nxt = 0
-            for v in bits(frontier):
-                nxt |= adj[v]
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
             nxt &= allowed & ~seen
-            for v in bits(nxt):
-                dist[v] = d
             seen |= nxt
             frontier = nxt
+            while nxt:
+                low = nxt & -nxt
+                dist[low.bit_length() - 1] = d
+                nxt ^= low
         return dist
 
     def distances_from(self, src: int, within: int | None = None) -> list[float]:
@@ -138,12 +167,14 @@ class Graph:
     def component_of(self, v: int, within: int | None = None) -> int:
         """Bitmask of the component of v inside the given vertex mask."""
         allowed = self.vertex_mask() if within is None else within
-        comp = 1 << v
-        frontier = comp
+        adj = self._adj
+        comp = frontier = 1 << v
         while frontier:
             nxt = 0
-            for u in bits(frontier):
-                nxt |= self._adj[u]
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
             nxt &= allowed & ~comp
             comp |= nxt
             frontier = nxt
@@ -185,8 +216,19 @@ def _g6_size(data: str) -> tuple[int, int]:
     return c - 63, 1
 
 
+# Each graph6 data character carries six bits of the stream, most
+# significant first.
+_G6_BITS = {chr(63 + c): format(c, "06b") for c in range(64)}
+_G6_CHAR = {six: ch for ch, six in _G6_BITS.items()}
+
+
 def from_graph6(text: str) -> Graph:
-    """Parse one graph in graph6 format (optional >>graph6<< header)."""
+    """Parse one graph in graph6 format (optional >>graph6<< header).
+
+    The stream lists the upper triangle column by column (x_01, x_02, x_12,
+    x_03, ...); the pad bits that round it up to whole characters must be 0,
+    so each graph has exactly one accepted body.
+    """
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
@@ -195,21 +237,23 @@ def from_graph6(text: str) -> Graph:
     body = s[at:]
     if len(body) != need:
         raise ValueError(f"graph6 body length {len(body)}, expected {need} for n={n}")
-    bitstream = 0
-    for ch in body:
-        c = ord(ch)
-        if not 63 <= c <= 126:
-            raise ValueError(f"invalid graph6 data character {ch!r}")
-        bitstream = bitstream << 6 | (c - 63)
-    total_bits = 6 * len(body)
+    try:
+        stream = "".join([_G6_BITS[ch] for ch in body])
+    except KeyError as e:
+        raise ValueError(f"invalid graph6 data character {e.args[0]!r}") from None
+    nbits = n * (n - 1) // 2
+    if "1" in stream[nbits:]:
+        raise ValueError("graph6 padding bits must be 0")
+    # Bit k is x_ij for the column j with top - j <= k < top, top = j(j+1)/2.
     edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            bit = bitstream >> (total_bits - 1 - k) & 1
-            if bit:
-                edges.append((i, j))
-            k += 1
+    j = top = 1
+    k = stream.find("1", 0, nbits)
+    while k >= 0:
+        while k >= top:
+            j += 1
+            top += j
+        edges.append((k - top + j, j))
+        k = stream.find("1", k + 1, nbits)
     return Graph(n, edges)
 
 
@@ -221,19 +265,14 @@ def to_graph6(g: Graph) -> str:
         head = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
     else:
         raise ValueError("graphs beyond 258047 vertices not supported")
-    nbits = n * (n - 1) // 2
-    stream = 0
-    for j in range(1, n):
-        col = g.adj_mask(j)
-        for i in range(j):
-            stream = stream << 1 | (col >> i & 1)
-    pad = (-nbits) % 6
-    stream <<= pad
-    nbits += pad
-    body = "".join(
-        chr(63 + (stream >> (nbits - 6 * (k + 1)) & 63)) for k in range(nbits // 6)
+    # Column j is x_0j .. x_(j-1)j: the binary digits of j's lower
+    # neighbours, least significant first.  The guard bit 1 << j fixes the
+    # digit count; reversing drops it with the "0b" prefix.
+    stream = "".join(
+        [bin(g.adj_mask(j) & ((1 << j) - 1) | 1 << j)[:2:-1] for j in range(1, n)]
     )
-    return head + body
+    stream += "0" * (-len(stream) % 6)
+    return head + "".join([_G6_CHAR[stream[k : k + 6]] for k in range(0, len(stream), 6)])
 
 
 # -- edge-list text I/O ------------------------------------------------------
@@ -436,20 +475,53 @@ def shortest_path_between(
     frontier = targets & allowed
     if not (sources and frontier):
         return None
+    adj = g._adj
     levels = [frontier]
     seen = frontier
     while not frontier & sources:
         nxt = 0
-        for v in bits(frontier):
-            nxt |= g.adj_mask(v)
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & allowed & ~seen
         if not frontier:
             return None
         seen |= frontier
         levels.append(frontier)
+    return _least_walk(g, reversed(levels), sources)
+
+
+def shortest_path_in_row(g: Graph, row: Sequence[int], src: int, dst: int) -> Path:
+    """`shortest_path(g, src, dst)` read off src's whole-graph row.
+
+    row is `g.bfs_levels(src)` and must reach dst.  Its levels are pruned
+    back from dst to the vertices that lie on a shortest path, then walked
+    forward by the least vertex, so no second BFS runs from dst.
+    """
+    d = row[dst]
+    levels = [0] * (d + 1)
+    for v, dv in enumerate(row):
+        if 0 <= dv < d:
+            levels[dv] |= 1 << v
+    levels[d] = 1 << dst
+    adj = g._adj
+    for k in range(d, 0, -1):
+        reach = 0
+        level = levels[k]
+        while level:
+            low = level & -level
+            reach |= adj[low.bit_length() - 1]
+            level ^= low
+        levels[k - 1] &= reach
+    return _least_walk(g, levels, 1 << src)
+
+
+def _least_walk(g: Graph, levels: Iterable[int], pick: int) -> Path:
+    """Walk level masks in order, taking the least vertex of each level
+    that continues the walk; pick holds the candidates for the first."""
     seq: list[int] = []
-    pick = sources
-    for level in reversed(levels):
+    for level in levels:
         step = level & pick
         seq.append((step & -step).bit_length() - 1)
         pick = g.adj_mask(seq[-1])

@@ -35,11 +35,9 @@ from itertools import combinations
 from .graphs import Graph, bits
 
 
-def _dist_rows(g: Graph, infinity: int) -> list[list[int]]:
-    rows = []
-    for v in range(g.n):
-        rows.append([d if d >= 0 else infinity for d in g.bfs_levels(v)])
-    return rows
+def _dist_row(g: Graph, v: int, infinity: int) -> list[int]:
+    """v's whole-graph distance row, infinity where v does not reach."""
+    return [d if d >= 0 else infinity for d in g.bfs_levels(v)]
 
 
 def find_corner(g: Graph, alive: int | None = None) -> tuple[int, int] | None:
@@ -92,7 +90,7 @@ def _ball_table(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
     component, so any finite radius of at least ecc(u) reads it.
     """
     n = g.n
-    rows = _dist_rows(g, n)
+    rows = [_dist_row(g, v, n) for v in range(n)]
     balls = []
     for row in rows:
         masks = [0] * (max(d for d in row if d < n) + 1)
@@ -169,7 +167,7 @@ def is_helly_oracle(g: Graph, limit: int = 8) -> bool:
     if n <= 2:
         return True
     inf = n
-    rows = _dist_rows(g, inf)
+    rows = [_dist_row(g, v, inf) for v in range(n)]
     balls: list[tuple[int, int, int]] = []
     for v in range(n):
         ecc = max(d for d in rows[v] if d < inf)
@@ -224,7 +222,7 @@ def is_valid_hole(g: Graph, hole: Hole) -> bool:
     if any(not 0 <= v < n for v in hole.centers):
         return False
     inf = n
-    rows = {v: [d if d >= 0 else inf for d in g.bfs_levels(v)] for v in set(hole.centers)}
+    rows = {v: _dist_row(g, v, inf) for v in set(hole.centers)}
     k = len(hole.centers)
     for i in range(k):
         for j in range(i + 1, k):

@@ -30,6 +30,7 @@ __all__ = [
     "bypath_vertices",
     "bypaths",
     "find_bypath",
+    "first_bypath",
     "gamma",
     "is_bypath_free",
     "is_bypath_free_by_search",
@@ -180,7 +181,13 @@ def find_bypath(g: Graph, path: Path, within: int | None = None) -> Path | None:
     Deterministic: smallest start position, then smallest end position, then
     the lexicographically least vertex sequence through the detour levels.
     """
-    for i, j, levels in _detours(PathShadows(g, path, within)):
+    return first_bypath(PathShadows(g, path, within))
+
+
+def first_bypath(shadows: PathShadows) -> Path | None:
+    """`find_bypath` on rows already built for the path and host."""
+    g, path = shadows.g, shadows.path
+    for i, j, levels in _detours(shadows):
         seq = [path.vertices[i]]
         for lvl in levels:
             seq.append(min(w for w in lvl if g.has_edge(seq[-1], w)))

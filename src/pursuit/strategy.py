@@ -24,8 +24,10 @@ strictly decrease whenever the label changes.
 
 A guarded path has one row set, its `PathShadows` in its host, from chase
 to release: the shadow chase builds it, the pinned guard steps by its
-intervals, and the leisurely upgrade reuses it while the host is
-unchanged.  A territory bridge is one `shortest_path_between` call.
+intervals, and the leisurely upgrade and the bypath reroute reuse it while
+the host is unchanged.  The chase reads its entry and its route off the
+free cop's whole-graph BFS row.  A territory bridge is one
+`shortest_path_between` call.
 
 validate_trace re-checks a finished trace against the graph alone, using
 only the core graph primitives: move legality, the two-mover cap, park
@@ -52,10 +54,11 @@ from pursuit.graphs import (
     mask_of,
     shortest_path,
     shortest_path_between,
+    shortest_path_in_row,
     to_graph6,
 )
 from pursuit.planar import PlanarityFault, classify_vertex, embed
-from pursuit.shadows import PathShadows, find_bypath
+from pursuit.shadows import PathShadows, first_bypath
 
 __all__ = ["Trace", "run_two_move_strategy", "validate_trace"]
 
@@ -131,8 +134,7 @@ class _ShadowChase:
         )
         if dist[path.vertices[entry]] < 0:
             raise PlanarityFault("chase target unreachable by the free cop")
-        route = shortest_path(g, cop_at, path.vertices[entry])
-        self.route = route.vertices
+        self.route = shortest_path_in_row(g, dist, cop_at, path.vertices[entry]).vertices
         self.leg = 0
         self.at = entry  # path position once the route is walked
         self.steps = 0
@@ -302,16 +304,20 @@ class _Engine:
         for gd in self.guards:
             if gd.kind != "shadow":
                 continue
-            host = ymask | gd.path.mask()
-            shadows = gd.ctl.shadows
-            if host != shadows.within:
-                shadows = PathShadows(self.g, gd.path, host)
+            shadows = self._rows_in(gd, ymask)
             if not shadows.is_bypath_free():
                 continue
             gd.ctl = LeisurelyGuard(shadows, self.cops[gd.cop])
             gd.kind = "leisurely"
             changed = True
         return changed
+
+    def _rows_in(self, gd: _Guard, ymask: int) -> PathShadows:
+        """gd's path rows in territory plus path: the guard's own rows while
+        that host is unchanged, else a fresh set."""
+        host = ymask | gd.path.mask()
+        shadows = gd.ctl.shadows
+        return shadows if shadows.within == host else PathShadows(self.g, gd.path, host)
 
     def _free_cop(self) -> int:
         used = {gd.cop for gd in self.guards}
@@ -381,8 +387,7 @@ class _Engine:
         return self._attach(walk, ymask | walk.mask(), ())
 
     def _movepath(self, gd: _Guard, ymask: int) -> _Mission:
-        host = ymask | gd.path.mask()
-        detour = find_bypath(self.g, gd.path, host)
+        detour = first_bypath(self._rows_in(gd, ymask))
         if detour is None:
             raise PlanarityFault("pinned guard has no bypath to reroute")
         i = gd.path.index_of(detour.vertices[0])

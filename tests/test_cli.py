@@ -314,6 +314,15 @@ class TestSimulateValidateReplay:
         assert code == 1
         assert "planar" in json.loads(err)["error"]["message"]
 
+    def test_simulate_nonzero_padding_is_usage_error(self, capsys, tmp_path):
+        # "A`" once decoded as K2, whose record then read graph "A_"
+        f = tmp_path / "pad.g6"
+        f.write_text("A_\nA`\n")
+        code, out, err = run(capsys, ["simulate", str(f)])
+        assert code == 2 and out == ""
+        msg = json.loads(err)["error"]["message"]
+        assert "line 2" in msg and "padding" in msg
+
     def test_simulate_tiny_cap_aborts(self, capsys, corpus):
         code, out, _ = run(capsys, ["simulate", corpus, "--turn-cap", "1"])
         assert code == 1

@@ -6,11 +6,17 @@ import hashlib
 import math
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pursuit.constructions import connected_graphs, random_connected
+from pursuit.constructions import (
+    connected_graphs,
+    grid,
+    random_connected,
+    random_planar_triangulation,
+)
 from pursuit.graphs import (
     UNREACHABLE,
     Graph,
@@ -24,6 +30,7 @@ from pursuit.graphs import (
     mask_of,
     shortest_path,
     shortest_path_between,
+    shortest_path_in_row,
     to_edge_list,
     to_graph6,
 )
@@ -124,6 +131,43 @@ class TestGraph6:
         g = random_graph(rng, n, 0.4)
         assert from_graph6(to_graph6(g)) == g
 
+    def test_nonzero_padding_rejected(self):
+        # "A`" carries x_01 = 1 and a set pad bit; only "A_" encodes K2.
+        with pytest.raises(ValueError, match="padding"):
+            from_graph6("A`")
+        with pytest.raises(ValueError, match="padding"):
+            from_graph6("Bx")  # K3 is "Bw"
+        # n = 63 in the '~' form: 1953 bits, then 3 pad bits, the last set
+        assert from_graph6("~??~" + "?" * 326).n == 63
+        with pytest.raises(ValueError, match="padding"):
+            from_graph6("~??~" + "?" * 325 + "@")
+
+    def test_encoding_is_pinned(self):
+        # sha256 of the encodings, recorded from the bit-at-a-time encoder;
+        # n = 62, 63 and 64 straddle the switch to the '~' size header.
+        h = hashlib.sha256()
+        for g in _codec_corpus():
+            h.update(to_graph6(g).encode() + b"\n")
+        assert h.hexdigest() == (
+            "602c41e087472e710ea0f09eb0c384955da85c52ef6eba6a8122e45ffb419024"
+        )
+
+    def test_decode_round_trip(self):
+        for g in _codec_corpus():
+            assert from_graph6(to_graph6(g)) == g
+
+
+def _codec_corpus():
+    for n in range(1, 8):
+        yield from connected_graphs(n)
+    for k in range(12, 16):
+        yield grid(k, k)
+    yield grid(3, 30)
+    for s in range(10):
+        yield random_planar_triangulation(200, s)
+    for n in (62, 63, 64):
+        yield random_connected(n, 0.1, n)
+
 
 class TestEdgeListIO:
     def test_roundtrip(self):
@@ -188,6 +232,38 @@ class TestMetrics:
         assert ball(g, 3, 0) == {3}
         assert ball(g, 3, 2) == {1, 2, 3, 4, 5}
         assert ball(g, 0, 100) == set(range(7))
+
+
+class TestRowCache:
+    def test_rows_match_networkx(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            g = random_connected(rng.randint(1, 30), rng.choice((0.0, 0.1, 0.3)), seed)
+            ref = nx.Graph(g.edges())
+            ref.add_nodes_from(range(g.n))
+            for _ in range(2):  # the second pass reads kept rows
+                for v in range(g.n):
+                    want = nx.single_source_shortest_path_length(ref, v)
+                    assert g.bfs_levels(v) == [want[u] for u in range(g.n)]
+                    assert g.bfs_levels(v, g.vertex_mask()) == [want[u] for u in range(g.n)]
+
+    def test_returned_row_is_the_callers(self):
+        g = path_graph(4)
+        row = g.bfs_levels(1)
+        row[0] = 99
+        row.append(7)
+        assert g.bfs_levels(1) == [1, 0, 1, 2]
+        assert g.bfs_levels(1) is not g.bfs_levels(1)
+
+    def test_masked_call_never_reads_the_cache(self):
+        g = cycle_graph(6)
+        allowed = mask_of([0, 1, 2, 3, 4])
+        assert g.bfs_levels(0, allowed) == [0, 1, 2, 3, 4, -1]
+        assert g._rows is None  # masked calls allocate nothing
+        assert g.bfs_levels(0) == [0, 1, 2, 3, 2, 1]
+        g._rows[0] = [-5] * 6  # a masked call must not see a poisoned row
+        assert g.bfs_levels(0, allowed) == [0, 1, 2, 3, 4, -1]
+        assert g.bfs_levels(0) == [-5] * 6
 
 
 class TestIsometry:
@@ -314,6 +390,17 @@ class TestShortestPath:
             assert (None if got is None else (got.length, got.vertices)) == best
             hits += best is not None
         assert hits > 200
+
+    def test_in_row_matches_shortest_path(self):
+        graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+        graphs += [random_connected(20 + s, 0.08, s) for s in range(20)]
+        graphs.append(grid(6, 7))
+        for g in graphs:
+            for u in range(g.n):
+                row = g.bfs_levels(u)
+                for v in range(g.n):
+                    got = shortest_path_in_row(g, row, u, v)
+                    assert got == shortest_path(g, u, v)
 
     def test_between_masks_edge_cases(self):
         g = cycle_graph(6)
