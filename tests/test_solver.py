@@ -239,6 +239,44 @@ PINNED_TABLES = {
 }
 
 
+# table.initial of each PINNED_TABLES spec.
+PINNED_INITIAL = {
+    "cycle7-c2": (0, 2),
+    "grid4x5-c3-cap2": (0, 2, 13),
+    "petersen-c3": (0, 2, 6),
+    "tri24-0-c2": (0, 2),
+    "tri24-0-c2-cap1": (0, 2),
+    "tri24-1-c2": (1, 6),
+    "tri24-1-c2-cap1": (3, 18),
+    "tri24-2-c2": (1, 3),
+    "tri24-2-c2-cap1": (1, 3),
+    "tri24-3-c2": (1, 2),
+    "tri24-3-c2-cap1": (1, 2),
+    "tri24-4-c2": (0, 2),
+    "tri24-4-c2-cap1": (0, 2),
+    "tri24-5-c2": (0, 0),
+    "tri24-5-c2-cap1": (0, 0),
+    "tri24-6-c2": (0, 1),
+    "tri24-6-c2-cap1": (0, 2),
+    "tri24-7-c2": (0, 0),
+    "tri24-7-c2-cap1": (0, 1),
+    "tri24-8-c2": (0, 3),
+    "tri24-8-c2-cap1": (0, 3),
+}
+
+# sha256 of repr() of the list of (cop_number(g, 3), k_move_cop_number(g, 1, 3),
+# k_move_cop_number(g, 2, 3)) over connected_graphs(n) for n = 1..7, in order.
+PINNED_COP_NUMBERS = "9099b27f3847354d47f1254651191bc8ad7f1eb8ef02c3dbade5c2df98846186"
+# sha256 of repr() of the list of is_guardable(g, h, cops, strict) for cops in
+# (1, 2) and strict in (True, False), over every connected graph with n <= 6
+# and, per graph, h = shortest_path(g, a, b).vertices for each pair a < b
+# ("paths") or h = every vertex ("whole").  Every path verdict is True.
+PINNED_GUARD_VERDICTS = {
+    "paths": "d453ac7b24e0f6801a0b1f43d3739eaf3d099ceb00ec90053e90d0387034b0d1",
+    "whole": "f5502d18a2f6408146b19c37728749a1e4521a82330cddce3235d5467c964914",
+}
+
+
 def _pinned_spec(name: str) -> GameSpec:
     if name == "grid4x5-c3-cap2":
         return GameSpec(grid(4, 5), 3, active_cap=2)
@@ -268,6 +306,35 @@ class TestPinnedAnswers:
         won, table = solve(_pinned_spec(name))
         assert won
         assert (_digest(table.rank.items()), _digest(table.move.items())) == PINNED_TABLES[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_TABLES))
+    def test_initial_placements(self, name):
+        assert solve(_pinned_spec(name))[1].initial == PINNED_INITIAL[name]
+
+    def test_small_graph_cop_numbers(self):
+        values = [
+            (cop_number(g, 3), k_move_cop_number(g, 1, 3), k_move_cop_number(g, 2, 3))
+            for n in range(1, 8)
+            for g in connected_graphs(n)
+        ]
+        assert len(values) == 996
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == PINNED_COP_NUMBERS
+
+    def test_small_graph_guard_verdicts(self):
+        targets = {"paths": [], "whole": []}
+        for n in range(1, 7):
+            for g in connected_graphs(n):
+                pairs = [(a, b) for a in range(g.n) for b in range(a + 1, g.n)]
+                targets["paths"] += [(g, shortest_path(g, a, b).vertices) for a, b in pairs]
+                targets["whole"].append((g, tuple(range(g.n))))
+        for name, cases in targets.items():
+            verdicts = [
+                is_guardable(g, h, cops, strict=strict)
+                for g, h in cases
+                for cops in (1, 2)
+                for strict in (True, False)
+            ]
+            assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == PINNED_GUARD_VERDICTS[name], name
 
     def test_grid_guard_verdicts(self):
         for k, target, cops, expect in PINNED_GRID_GUARDS:
