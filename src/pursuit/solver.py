@@ -1,46 +1,70 @@
-"""Exact pursuit-game solver by backward induction over flat integer states.
+"""Exact pursuit-game solver: layered backward induction over robber bitmasks.
 
 Cops place first, the robber answers, and cops move first; on each cops'
 turn at most ``active_cap`` cops may step (passing is always legal).
 Capture is positional coincidence, including the robber stepping onto a cop.
 
-State layout.  A cop position is a sorted multiset, numbered by its place
-i in ``combinations_with_replacement`` order over the vertices the cops may
-use.  State ``2 * (i * n + r) + side`` is multiset i, robber vertex r and
-the side to move (COPS = 0, ROBBER = 1).  Ranks (-1 while unranked), robber
-and cop countdowns and the cops' chosen successor multiset are
-``array('i')`` rows indexed by state, and the FIFO queue is one more: 16
-bytes per state.  With the move table a capture solve peaks at about 40
-bytes per state (38 on the 4x5 grid with three cops, two moving).  Each
-multiset's cop-move successors are computed once, as multiset indices in
-increasing order, into one CSR table (an offsets array and a targets
-array).  The table is built by index arithmetic: a multiset is its smallest
-cop plus the index of the other cops, and inserting a cop's new vertex into
-that index is a table lookup, so no tuple is sorted or hashed per move.
+Mask layout.  A cop position is a sorted multiset, numbered by its place i
+in ``combinations_with_replacement`` order over the vertices the cops may
+use.  Each multiset holds two Python ints with one bit per robber vertex:
+C[i] marks the states (i, r, COPS) and R[i] the states (i, r, ROBBER) that
+the attacker has won so far.  Each multiset's cop-move successors are
+computed once, as multiset indices in increasing order, into one CSR table
+(an offsets array and a targets array).  The table is built by index
+arithmetic: a multiset is its smallest cop plus the index of the other
+cops, and inserting a cop's new vertex into that index is a table lookup,
+so no tuple is sorted or hashed per move.
 
-One attractor serves every game.  It runs backward from its seed states in
-FIFO order.  An attacker state joins as soon as one of its moves leads in;
-a defender state joins when its countdown, the number of its moves still
-leading out, reaches zero; states ranked -2 are out of play and never
-join.  Move relations are symmetric (stay-or-step along edges), so
-predecessors are enumerated with the successor table, and the ranks of a
-row of cop predecessors are read in one call through a strided view of the
-rank array.  In the capture game the cops attack toward capture, so every
-winning state receives its exact optimal rank: cop states take 1 + min
-over successors at first discovery, robber states take 1 + max.
+Recurrence.  In the capture game, with N[v] the closed neighbourhood of v:
+
+    C_0[i] = R_0[i] = the mask of the cops of i
+    R_k[i] = R_{k-1}[i] | ~U{N[v] : v not in C_{k-1}[i]}
+    C_k[j] = C_{k-1}[j] | U{R_{k-1}[i] : i in row j}
+
+A robber state is lost once every step leads into C, and a cop state is won
+once some move leads into R.  Stay-or-step moves are symmetric, so the CSR
+rows are also the predecessor rows, and a worklist recomputes only the
+multisets whose inputs changed in the previous layer.  A state's rank is
+the layer in which it joins, which is its exact optimal distance to
+capture.  This is the iterative scheme of Berarducci & Intrigila (1993) and
+Hahn & MacGillivray (2006) with each robber position held as one bit.
+``cop_number`` reads only the verdict and stops at the first layer in which
+some C[j] is full; ``solve`` writes each new bit's layer into the ``rank``
+array, ``2 * (i * n + r) + side`` (COPS = 0, ROBBER = 1), -1 while unranked.
+
+Moves on first read.  ``StrategyTable.move``, ``cop_move`` and iteration
+over ``rank`` replay, from the ranks, the order in which a one-state-at-a-
+time FIFO attractor would rank the states, and its cop moves; ``len(rank)``,
+``state_rank``, ``robber_reply`` and ``initial`` never need that pass.  Layer
+0 is the seeds: per multiset, per cop vertex in ``set(cops)``, the cop state
+and then the robber state.  In layer k a cop state (j, r) is keyed by the
+queue position of its earliest robber successor (i, r, ROBBER) in layer
+k-1, then by j, and its move is that i; a robber state (i, r) is keyed by
+the position of its latest cop successor (i, v, COPS), then by the index of
+r in closed[v].  So the first popped successor breaks ties.
+
+Memory.  A solve keeps the 4-byte rank of every state, two masks per
+multiset and the CSR table; its tracemalloc peak is about 24 bytes per
+state on the 4x5 grid with three cops, two moving, while the move table is
+built.  The move pass, when it runs, keeps a queue entry and a move per
+state and a scratch copy of the ranks while it runs: about 13 bytes per
+state at its peak, 8 kept.
 
 Guard mode answers whether c cops can permanently protect an isometric
 subgraph h: a greatest fixed point over cops-on-h states (robber on h at the
 cops' turn must be capturable immediately; otherwise some within-h reply
-must stay safe), computed as the robber's attractor to the unsafe states
-over the arena restricted to h, then the cops' attractor for the free
-approach phase.  The approach phase pursues safe entry only: cops have no
-capture power off the guarded subgraph, so a robber parked elsewhere is
-simply a threat source, never a target.  Under the strict entry semantics
-(default) guarding may begin with the robber already on h only when
-immediate capture is available; the lenient toggle instead tolerates the
-on-h robber for the entry instant, demanding a within-h continuation that
-punishes every later violation, the robber staying put included.
+must stay safe), computed on the same kernel as the robber's attractor to
+the unsafe states over the arena restricted to h (the robber attacks: one
+step into the unsafe cop states suffices, and a cop state is lost when its
+whole row is), then the cops' attractor for the free approach phase,
+which is the capture recurrence seeded with the safe entry states.  The
+approach phase pursues safe entry only: cops have no capture power off the
+guarded subgraph, so a robber parked elsewhere is simply a threat source,
+never a target.  Under the strict entry semantics (default) guarding may
+begin with the robber already on h only when immediate capture is
+available; the lenient toggle instead tolerates the on-h robber for the
+entry instant, demanding a within-h continuation that punishes every later
+violation, the robber staying put included.
 
 State counts are estimated before enumeration; beyond the budget (the
 ``budget`` argument, else ``PURSUIT_STATE_CAP``, else 50 million) the
@@ -51,13 +75,14 @@ from __future__ import annotations
 
 import os
 from array import array
-from collections.abc import ItemsView, Mapping
+from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import accumulate, chain, combinations_with_replacement, compress
 from math import comb
-from operator import itemgetter
+from operator import and_, or_
 
-from .graphs import Graph, is_isometric_subgraph
+from .graphs import Graph, is_isometric_subgraph, mask_of
 
 DEFAULT_STATE_BUDGET = 50_000_000
 # States are array('i') indices.
@@ -173,74 +198,154 @@ def _closed(g: Graph) -> list[tuple[int, ...]]:
     return [(v,) + g.neighbors(v) for v in range(g.n)]
 
 
-def _gatherer(row: list[int]):
-    """A callable reading the items at the indices in row as a tuple."""
-    if len(row) == 1:
-        return lambda seq, j=row[0]: (seq[j],)
-    return itemgetter(*row)
+def _unions(g: Graph):
+    """A callable mapping a vertex mask X to the union of N[v] over v in X.
+
+    One table of 256 unions per 8 vertices, so a union costs n / 8 lookups.
+    """
+    tables = []
+    for lo in range(0, g.n, 8):
+        table = [0]
+        for v in range(lo, min(lo + 8, g.n)):
+            nv = g.adj_mask(v) | 1 << v
+            table += [m | nv for m in table]
+        tables.append(table)
+    if len(tables) == 1:
+        return tables[0].__getitem__
+
+    def union(mask: int) -> int:
+        out = 0
+        for table in tables:
+            out |= table[mask & 255]
+            mask >>= 8
+        return out
+
+    return union
 
 
-def _attractor(
-    n: int,
+def _cop_masks(n: int, c: int) -> list[int]:
+    """The vertex mask of every c-multiset, in multiset order."""
+    return [mask_of(cops) for cops in combinations_with_replacement(range(n), c)]
+
+
+def _layers(
     moves: tuple[array, array],
-    closed: list[tuple[int, ...]],
-    attacker: int,
-    rank: array,
-    count: array,
-    queue: array,
-    move: array | None = None,
-) -> None:
-    """Grow the attacker's attractor of the seeds in queue (ranked 0), in FIFO order.
+    union,
+    full: int,
+    cop_win: list[int],
+    rob_win: list[int],
+    cops_attack: bool,
+    settled: int = 0,
+    cop_masks: list[int] | None = None,
+) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
+    """Grow the attacker's win masks in place, one layer per step.
 
-    A popped state's predecessors are the cop turns one cop move before it
-    (for a robber state) or the robber turns one robber move before it (for
-    a cop state).  An unranked attacker predecessor joins at once; a
-    defender predecessor joins when its countdown, its number of moves,
-    reaches zero.  Joining states are ranked one above the popped state and
-    queued, and move, when given, records the multiset a cop steps to.
-    States ranked -2 are out of play and never join.
+    cop_win[i] and rob_win[i] are the robber vertices r whose state (i, r,
+    COPS) and (i, r, ROBBER) the attacker has won; they hold the seeds on
+    entry.  Layer k reads layer k-1 only: a cop state joins when one move
+    (attacking) or every move (defending) along its CSR row leads into
+    rob_win, and a robber state when one step (attacking) or every step
+    (defending) leads into cop_win.  Cop states whose robber is in settled,
+    and robber states standing on a cop of cop_masks (robber attacking),
+    never join.  Only the multisets whose inputs changed are recomputed:
+    a row's cop states when a multiset in the row gained robber states,
+    since moves are symmetric, and a multiset's robber states when its cop
+    states grew.  Yields the new bits of each layer as two dicts from
+    multiset to mask, cop side first, after applying them.
+    """
+    offsets, targets = moves
+    op = or_ if cops_attack else and_
+    keep = full & ~settled
+    new_c = {i: m for i, m in enumerate(cop_win) if m}
+    new_r = {i: m for i, m in enumerate(rob_win) if m}
+    while new_c or new_r:
+        rows = set()
+        for i in new_r:
+            rows.update(targets[offsets[i] : offsets[i + 1]])
+        grown_c = {}
+        for j in rows:
+            m = reduce(op, map(rob_win.__getitem__, targets[offsets[j] : offsets[j + 1]])) & keep & ~cop_win[j]
+            if m:
+                grown_c[j] = m
+        grown_r = {}
+        for i in new_c:
+            m = full & ~union(full & ~cop_win[i]) if cops_attack else union(cop_win[i]) & ~cop_masks[i]
+            m &= ~rob_win[i]
+            if m:
+                grown_r[i] = m
+        for j, m in grown_c.items():
+            cop_win[j] |= m
+        for i, m in grown_r.items():
+            rob_win[i] |= m
+        new_c, new_r = grown_c, grown_r
+        yield new_c, new_r
+
+
+def _some_row_full(cop_win: list[int], layers, full: int) -> bool:
+    """Run layers until some multiset wins every robber vertex; report whether one does."""
+    return full in cop_win or any(cop_win[j] == full for new_c, _ in layers for j in new_c)
+
+
+def _capture(spec: GameSpec, budget: int | None):
+    """The capture game's move table, seeded win masks and layers."""
+    g, c = spec.graph, spec.cops
+    _check_budget(estimate_states(g.n, c), budget)
+    moves = _move_table([g.neighbors(v) for v in range(g.n)], c, spec.active_cap or c)
+    cop_win = _cop_masks(g.n, c)
+    rob_win = cop_win[:]
+    return moves, cop_win, rob_win, _layers(moves, _unions(g), (1 << g.n) - 1, cop_win, rob_win, True)
+
+
+def _replay(
+    n: int, moves: tuple[array, array], closed: list[tuple[int, ...]], multisets: list[tuple[int, ...]], rank: array
+) -> tuple[array, array]:
+    """The queue order of a one-state-at-a-time FIFO attractor, and its cop moves.
+
+    Rebuilt from the ranks.  The seeds come first: per multiset, per cop
+    vertex r in set(cops), the cop state and then the robber state.  Popping
+    a robber state (i, r) of rank k-1 appends each cop state (j, r) of rank
+    k not yet queued, j along row i in increasing order, and its move is i.
+    Popping a cop state (i, r) of rank k-1 counts down each robber state
+    (i, v) of rank k, v along closed[r], and appends it when its last
+    successor of rank k-1 has been popped.
     """
     offsets, targets = moves
     n2 = 2 * n
-    # cop_ranks[r][j] is the rank of (j, r, COPS), and gather[i] reads the
-    # ranks of row i's multisets out of it in one call.  The rows share one
-    # int object per multiset index.
-    view = memoryview(rank)
-    cop_ranks = [view[2 * r :: n2] for r in range(n)]
-    shared = list(range(len(offsets) - 1))
-    gather = [_gatherer(list(map(shared.__getitem__, targets[lo:hi]))) for lo, hi in zip(offsets, offsets[1:])]
-    unranked = (-1).__eq__
+    move = array("i", [-1]) * len(rank)
+    waiting = array("i", rank)  # a queued cop state is marked -3
+    view = memoryview(waiting)
+    cop_waiting = [view[2 * r :: n2] for r in range(n)]
+    left: dict[int, int] = {}
+    queue = array("i")
+    for i, cops in enumerate(multisets):
+        for r in set(cops):
+            s = 2 * (i * n + r)
+            queue.extend((s, s + 1))
     for s in queue:  # the queue grows while it is read
-        nxt = rank[s] + 1
+        k = rank[s] + 1
         i, r = divmod(s >> 1, n)
         if s & 1:
-            ranks = gather[i](cop_ranks[r])
-            if -1 not in ranks:
-                continue
+            row = targets[offsets[i] : offsets[i + 1]]
             r2 = 2 * r
-            preds = [j * n2 + r2 for j in compress(targets[offsets[i]:offsets[i + 1]], map(unranked, ranks))]
-        else:
-            row = i * n2 + 1
-            preds = [p for v in closed[r] if rank[p := row + 2 * v] == -1]
-        if s & 1 != attacker:
-            for p in preds:
-                rank[p] = nxt
+            for j in compress(row, map(k.__eq__, map(cop_waiting[r].__getitem__, row))):
+                p = j * n2 + r2
+                waiting[p] = -3
+                move[p] = i
                 queue.append(p)
-                if move is not None:
-                    move[p] = i
         else:
-            for p in preds:
-                left = count[p] - 1
-                if left:
-                    count[p] = left
+            base = i * n2
+            for v in closed[r]:
+                p = base + 2 * v + 1
+                if rank[p] != k:
+                    continue
+                count = left.pop(p, None)
+                if count is None:
+                    count = sum(rank[base + 2 * w] == k - 1 for w in closed[v])
+                if count > 1:
+                    left[p] = count - 1
                 else:
-                    rank[p] = nxt
                     queue.append(p)
-
-
-def _countdowns(closed: list[tuple[int, ...]], blocks: int) -> array:
-    """The robber's countdowns: every one of its moves must lead into the attractor."""
-    return array("i", [x for moves in closed for x in (0, len(moves))]) * blocks
+    return queue, move
 
 
 class _StateMap(Mapping):
@@ -288,7 +393,8 @@ class StrategyTable:
     """Exact winning strategy: ranks, cop moves, and the robber's best replies.
 
     ``rank`` and ``move`` are read-only mappings keyed by (sorted cops,
-    robber, side), iterated in the order the solver ranked the states.
+    robber, side), iterated in the order a FIFO attractor ranks the states.
+    That order and the moves are rebuilt from the ranks on first use.
     """
 
     def __init__(
@@ -298,10 +404,10 @@ class StrategyTable:
         active_cap: int | None,
         multisets: list[tuple[int, ...]],
         rank: array,
-        move: array,
-        order: array,
+        ranked: int,
         initial: tuple[int, ...] | None,
         closed: list[tuple[int, ...]],
+        moves: tuple[array, array],
     ):
         self.n = n
         self.cops = cops
@@ -309,11 +415,22 @@ class StrategyTable:
         self.initial = initial
         self._multisets = multisets
         self._rank = rank
-        self._move = move
-        self._order = order
         self._closed = closed
-        self.rank: Mapping = _StateMap(self, lambda s: rank[s] if rank[s] >= 0 else None, len(order))
-        self.move: Mapping = _StateMap(self, lambda s: multisets[move[s]] if move[s] >= 0 else None)
+        self._moves = moves
+        self.rank: Mapping = _StateMap(self, lambda s: rank[s] if rank[s] >= 0 else None, ranked)
+        self.move: Mapping = _StateMap(self, lambda s: multisets[m] if (m := self._move[s]) >= 0 else None)
+
+    @cached_property
+    def _replayed(self) -> tuple[array, array]:
+        return _replay(self.n, self._moves, self._closed, self._multisets, self._rank)
+
+    @property
+    def _order(self) -> array:
+        return self._replayed[0]
+
+    @property
+    def _move(self) -> array:
+        return self._replayed[1]
 
     def _state(self, key) -> int | None:
         """State number of a canonical (sorted cops, robber, side) key, else None."""
@@ -344,11 +461,9 @@ class StrategyTable:
     def cop_move(self, cops: tuple[int, ...], robber: int) -> tuple[int, ...]:
         cops = tuple(sorted(cops))
         s = self._state((cops, robber, COPS))
-        if s is not None and self._rank[s] == 0:
-            return cops
-        if s is None or self._move[s] < 0:
+        if s is None or self._rank[s] < 0:
             raise ValueError("no winning move from this state")
-        return self._multisets[self._move[s]]
+        return cops if self._rank[s] == 0 else self._multisets[self._move[s]]
 
     def robber_reply(self, cops: tuple[int, ...], robber: int) -> int:
         """Optimal adversary: escape the attractor if possible, else stall."""
@@ -368,30 +483,25 @@ class StrategyTable:
 def solve(spec: GameSpec, budget: int | None = None) -> tuple[bool, StrategyTable]:
     g, c = spec.graph, spec.cops
     n = g.n
-    _check_budget(estimate_states(n, c), budget)
+    moves, cop_win, rob_win, layers = _capture(spec, budget)
     multisets = list(combinations_with_replacement(range(n), c))
-    closed = _closed(g)
-    moves = _move_table([g.neighbors(v) for v in range(n)], c, spec.active_cap or c)
-
-    size = 2 * n * len(multisets)
-    rank = array("i", [-1]) * size
-    move = array("i", [-1]) * size
-    count = _countdowns(closed, len(multisets))
-    queue = array("i")
-    for i, cops in enumerate(multisets):
-        for r in set(cops):
-            s = 2 * (i * n + r)
-            rank[s] = rank[s + 1] = 0
-            queue.extend((s, s + 1))
-    _attractor(n, moves, closed, COPS, rank, count, queue, move)
-
-    best: tuple[int, int] | None = None
-    for i in range(len(multisets)):
-        row = rank[2 * i * n : 2 * (i + 1) * n : 2]
-        if min(row) >= 0 and (best is None or max(row) < best[0]):
-            best = (max(row), i)
-    initial = multisets[best[1]] if best is not None else None
-    table = StrategyTable(n, c, spec.active_cap, multisets, rank, move, queue, initial, closed)
+    full = (1 << n) - 1
+    rank = array("i", [-1]) * (2 * n * len(multisets))
+    done: list[int] = []
+    for k, wins in enumerate(chain([(dict(enumerate(cop_win)), dict(enumerate(rob_win)))], layers)):
+        for side, grown in enumerate(wins):
+            for i, m in grown.items():
+                base = 2 * i * n + side
+                while m:
+                    low = m & -m
+                    rank[base + 2 * low.bit_length() - 2] = k
+                    m ^= low
+        if not done:
+            done = [j for j in wins[COPS] if cop_win[j] == full]
+    # The first multiset to win every robber vertex wins soonest against the best one.
+    initial = multisets[min(done)] if done else None
+    ranked = sum(m.bit_count() for m in chain(cop_win, rob_win))
+    table = StrategyTable(n, c, spec.active_cap, multisets, rank, ranked, initial, _closed(g), moves)
     return initial is not None, table
 
 
@@ -401,8 +511,8 @@ def cop_number(
     """Least c <= max_cops winning the game, or None when all of them lose."""
     for c in range(1, max_cops + 1):
         cap = None if active_cap is None else min(active_cap, c)
-        won, _ = solve(GameSpec(g, c, active_cap=cap), budget=budget)
-        if won:
+        _, cop_win, _, layers = _capture(GameSpec(g, c, active_cap=cap), budget)
+        if _some_row_full(cop_win, layers, (1 << g.n) - 1):
             return c
     return None
 
@@ -424,53 +534,34 @@ def is_guardable(
         raise ValueError("guard target must induce an isometric subgraph")
     n = g.n
     _check_budget(estimate_states(n, cops) + comb(len(hv) + cops - 1, cops) * (n + 1) * 2, budget)
-    closed = _closed(g)
     local = {v: k for k, v in enumerate(hv)}
     guard_sets = list(combinations_with_replacement(hv, cops))
     guard_moves = _move_table([[local[u] for u in g.neighbors(v) if u in local] for v in hv], cops, cops)
     offsets, targets = guard_moves
+    union = _unions(g)
+    full, on_h = (1 << n) - 1, mask_of(hv)
 
-    # Greatest fixed point: the robber's attractor to unsafe guard states.
-    # A cop turn with the robber on h is settled at once: a seed (rank 0)
-    # when no cop can capture, else out of play (-2); so is a robber turn
-    # with the robber on a cop, a capture.
-    bad = array("i")
-    count = array("i")
-    queue = array("i")
-    for i, cset in enumerate(guard_sets):
-        block = [-1] * (2 * n)
-        covered = set(cset)
-        for v in cset:
-            covered.update(g.neighbors(v))
-        for r in hv:
-            if r in covered:
-                block[2 * r] = -2
-            else:
-                block[2 * r] = 0
-                queue.append(2 * (i * n + r))
-        for r in cset:
-            block[2 * r + 1] = -2
-        bad.extend(block)
-        count.extend([offsets[i + 1] - offsets[i], 0] * n)
-    _attractor(n, guard_moves, closed, ROBBER, bad, count, queue)
+    # Greatest fixed point, as the robber's attractor to the unsafe states:
+    # the robber on h at the cops' turn and out of the cops' reach.  A cop
+    # turn with the robber on h is settled by that seed, and a robber
+    # standing on a cop is caught.
+    guard_masks = [mask_of(cset) for cset in guard_sets]
+    bad_c = [on_h & ~union(m) for m in guard_masks]
+    bad_r = [0] * len(guard_sets)
+    for _ in _layers(guard_moves, union, full, bad_c, bad_r, False, on_h, guard_masks):
+        pass
 
     # Approach phase: attract the free game into safe guarding entry states.
-    free = comb(n + cops - 1, cops)
-    win = array("i", [-1]) * (2 * n * free)
-    count = _countdowns(closed, free)
-    queue = array("i")
+    # Cops have no capture power off h, so only these entries are seeds.
+    win_c = [0] * comb(n + cops - 1, cops)
     for i, cset in enumerate(guard_sets):
-        base = 2 * n * _multiset_index(cset, n)
-        for r in range(n):
-            if r not in local or strict:
-                ok = bad[2 * (i * n + r)] < 0
-            else:
-                # Tolerate the robber on h at the entry instant: some
-                # within-h continuation must survive all later play.
-                ok = any(bad[2 * (j * n + r) + 1] < 0 for j in targets[offsets[i]:offsets[i + 1]])
-            if ok:
-                win[base + 2 * r] = 0
-                queue.append(base + 2 * r)
+        safe = full & ~bad_c[i]
+        if not strict:
+            # Tolerate the robber on h at the entry instant: some within-h
+            # continuation must survive all later play.
+            always_bad = reduce(and_, map(bad_r.__getitem__, targets[offsets[i] : offsets[i + 1]]))
+            safe = safe & ~on_h | on_h & ~always_bad
+        win_c[_multiset_index(cset, n)] = safe
     free_moves = _move_table([g.neighbors(v) for v in range(n)], cops, cops)
-    _attractor(n, free_moves, closed, COPS, win, count, queue)
-    return any(min(win[2 * i * n : 2 * (i + 1) * n : 2]) >= 0 for i in range(free))
+    layers = _layers(free_moves, union, full, win_c, [0] * len(win_c), True)
+    return _some_row_full(win_c, layers, full)

@@ -170,13 +170,14 @@ class _ShadowChase:
 class _Guard:
     """One cop bound to one path, with the controller that keeps it honest."""
 
-    __slots__ = ("cop", "kind", "path", "ctl")
+    __slots__ = ("cop", "kind", "path", "ctl", "rows")
 
     def __init__(self, cop: int, kind: str, path: Path, ctl=None):
         self.cop = cop
         self.kind = kind  # "park" | "shadow" | "leisurely"
         self.path = path
         self.ctl = ctl  # a pinned or leisurely guard's host is ctl.shadows.within
+        self.rows: PathShadows | None = None  # the path's rows last built in another host
 
 
 class _Mission:
@@ -313,11 +314,14 @@ class _Engine:
         return changed
 
     def _rows_in(self, gd: _Guard, ymask: int) -> PathShadows:
-        """gd's path rows in territory plus path: the guard's own rows while
-        that host is unchanged, else a fresh set."""
+        """gd's path rows in territory plus path: the guard's own rows, or the
+        set last built for it, while that host is unchanged, else a fresh set."""
         host = ymask | gd.path.mask()
-        shadows = gd.ctl.shadows
-        return shadows if shadows.within == host else PathShadows(self.g, gd.path, host)
+        for shadows in (gd.ctl.shadows, gd.rows):
+            if shadows is not None and shadows.within == host:
+                return shadows
+        gd.rows = PathShadows(self.g, gd.path, host)
+        return gd.rows
 
     def _free_cop(self) -> int:
         used = {gd.cop for gd in self.guards}
@@ -842,6 +846,7 @@ def validate_trace(g: Graph, trace: Trace) -> list[str]:
     runs: dict[tuple, list] = {}
     last_terr: int | None = None
     last_case: str | None = None
+    rows: dict[tuple[int, int], list[int]] = {}  # (robber, host) -> BFS row
     for idx in range(1, len(turns)):
         rec, prev = turns[idx], turns[idx - 1]
         cops, pcops = rec["cops"], prev["cops"]
@@ -930,7 +935,9 @@ def validate_trace(g: Graph, trace: Trace) -> list[str]:
             if not host >> robber & 1:
                 out.append(f"shadow: robber outside the host of cop {c} on turn {idx}")
                 continue
-            dist = g.bfs_levels(robber, host)
+            dist = rows.get((robber, host))
+            if dist is None:
+                dist = rows[robber, host] = g.bfs_levels(robber, host)
             k = p.index(cops[c])
             if any(
                 dist[v] >= 0 and abs(jj - k) > dist[v] for jj, v in enumerate(p)

@@ -366,6 +366,37 @@ class TestValidatorFaults:
         assert len(out) == 1
         assert out[0].startswith("rest: cop 0 moved 3 straight turns")
 
+    def test_repeated_robber_and_host_flagged_each_time(self, monkeypatch):
+        # The robber stands on 3 at three cops' turns (and on 4 at one) in
+        # one host; the cop is outside the wide shadow whenever it is on 0.
+        g = path(7)
+        note = {
+            "case": "a",
+            "guards": [{"cop": 0, "kind": "shadow", "path": [0, 1, 2], "host": [0, 1, 2, 3, 4, 5]}],
+            "territory": 4,
+        }
+        still, step = (False, False, False), (True, False, False)
+        turns = [
+            rec(0, "place-cops", (0, 0, 0), None, (True, True, True)),
+            rec(1, "place-robber", (0, 0, 0), 3, still),
+            rec(2, "cops", (0, 0, 0), 3, still, note),
+            rec(3, "robber", (0, 0, 0), 3, still),
+            rec(4, "cops", (1, 0, 0), 3, step),
+            rec(5, "robber", (1, 0, 0), 3, still),
+            rec(6, "cops", (0, 0, 0), 3, step),
+            rec(7, "robber", (0, 0, 0), 4, still),
+            rec(8, "cops", (0, 0, 0), 4, still),
+            rec(9, "robber", (0, 0, 0), 3, still),
+            rec(10, "cops", (0, 0, 0), 3, still),
+        ]
+        tr = synthetic(g, turns, {"outcome": "aborted", "reason": "stopped"})
+        calls = []
+        bfs = Graph._bfs
+        monkeypatch.setattr(Graph, "_bfs", lambda self, src, allowed: calls.append(src) or bfs(self, src, allowed))
+        out = validate_trace(g, tr)
+        assert out == [f"shadow: cop 0 is outside the wide shadow on turn {t}" for t in (2, 6, 10)]
+        assert sorted(calls) == [3, 4]  # one masked BFS per (robber, host) pair
+
     def test_tampered_territory_flagged(self):
         g = grid(4, 4)
         tr = assert_clean_capture(g, RandomAdversary(g, seed=1))
