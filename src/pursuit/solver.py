@@ -210,8 +210,6 @@ def _unions(g: Graph):
             nv = g.adj_mask(v) | 1 << v
             table += [m | nv for m in table]
         tables.append(table)
-    if len(tables) == 1:
-        return tables[0].__getitem__
 
     def union(mask: int) -> int:
         out = 0
