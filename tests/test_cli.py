@@ -1,5 +1,6 @@
 """CLI tests: every subcommand, both formats, exit codes, error objects."""
 
+import hashlib
 import io
 import json
 import os
@@ -9,10 +10,19 @@ import sys
 import pytest
 
 from pursuit.cli import main
-from pursuit.constructions import cycle, grid, path, petersen, random_connected
+from pursuit.constructions import (
+    build_hole_gadget,
+    cycle,
+    grid,
+    path,
+    petersen,
+    random_connected,
+)
+from pursuit.controllers import GreedyAdversary
 from pursuit.graphs import Graph, from_graph6, to_graph6
+from pursuit.helly import find_hole
 from pursuit.shadows import wide_shadow
-from pursuit.strategy import Trace, validate_trace
+from pursuit.strategy import Trace, run_two_move_strategy, validate_trace
 
 
 @pytest.fixture()
@@ -446,3 +456,176 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+
+# Every subcommand but play, and the error paths, each run under --format json
+# and --format tsv.  Upper-case arguments name the files that the fixture
+# below writes.
+PINNED_CASES = {
+    "helly": ["helly", "CORPUS"],
+    "copnumber": ["copnumber", "CORPUS", "--max", "3"],
+    "copnumber-over-cap": ["copnumber", "CORPUS", "--max", "1"],
+    "kmove": ["kmove", "CORPUS", "--active", "1", "--max", "3"],
+    "kmove-two": ["kmove", "CORPUS", "--active", "2", "--max", "3", "--state-cap", "100000"],
+    "shadow": ["shadow", "CORPUS", "--subgraph", "0,1,2", "--vertex", "3"],
+    "bypaths": ["bypaths", "CORPUS", "--path", "0,1,2"],
+    "guardable": ["guardable", "CORPUS", "--subgraph", "0,1,2", "--cops", "1"],
+    "guardable-gadget": ["guardable", "GADGET", "--subgraph", "0,1,2,3", "--cops", "1"],
+    "hts": ["construct", "hts", "--t", "3", "--s", "1"],
+    "hts-adversary": ["construct", "hts", "--t", "3", "--s", "2", "--adversary", "1"],
+    "hole-gadget": ["construct", "hole-gadget", "CORPUS"],
+    "simulate-random": ["simulate", "CORPUS", "--seed", "3"],
+    "simulate-greedy": ["simulate", "CORPUS", "--adversary", "greedy", "--seed", "4"],
+    "simulate-optimal": ["simulate", "SMALL", "--adversary", "optimal"],
+    "simulate-turn-cap": ["simulate", "CORPUS", "--turn-cap", "1"],
+    "simulate-nonplanar": ["simulate", "PETERSEN"],
+    "validate": ["validate", "TRACES"],
+    "validate-tampered": ["validate", "TAMPERED"],
+    "replay": ["replay", "TRACES"],
+    "replay-tampered": ["replay", "TAMPERED"],
+    "missing-file": ["helly", "MISSING"],
+    "bad-graph6": ["helly", "JUNK"],
+    "empty-corpus": ["copnumber", "EMPTY", "--max", "2"],
+    "empty-traces": ["validate", "EMPTY"],
+    "vertex-out-of-range": ["shadow", "CORPUS", "--subgraph", "0,1", "--vertex", "99"],
+    "bad-vertex-list": ["guardable", "CORPUS", "--subgraph", "0,x", "--cops", "1"],
+    "empty-vertex-list": ["shadow", "CORPUS", "--subgraph", ",", "--vertex", "0"],
+    "repeated-path-vertex": ["bypaths", "CORPUS", "--path", "0,1,0"],
+    "non-path": ["bypaths", "CORPUS", "--path", "0,2"],
+    "non-isometric-path": ["bypaths", "C6", "--path", "0,1,2,3,4"],
+    "non-isometric-guard": ["guardable", "C6", "--subgraph", "0,1,2,3,4", "--cops", "1"],
+    "malformed-trace": ["validate", "BADTRACE"],
+    "malformed-turn": ["replay", "BADTURN"],
+    "refusal-copnumber": ["copnumber", "CORPUS", "--max", "3", "--state-cap", "10"],
+    "refusal-guardable": ["guardable", "CORPUS", "--subgraph", "0,1", "--cops", "1", "--state-cap", "10"],
+    "refusal-simulate": ["simulate", "CORPUS", "--adversary", "optimal", "--state-cap", "10"],
+    "hts-even-t": ["construct", "hts", "--t", "4", "--s", "1"],
+    "hts-oversize": ["construct", "hts", "--t", "5", "--s", "3", "--adversary", "1"],
+}
+
+# sha256 of repr((exit code, stdout, stderr)), with the temporary directory
+# written as TMP, recorded from the CLI before its per-item driver.
+PINNED_OUTPUTS = {
+    "bad-graph6/json": "257b831a4aa07954e972b35b7df7e51d6f346a2f3a3283131304c6776ae69968",
+    "bad-graph6/tsv": "dffb3e1a47888be3b251b724e179aa65a79dbfba4a1e4facfe4263fdb39b97ff",
+    "bad-vertex-list/json": "eca57a3a8c476cd37d5a60285f5632073f259203a34ddb18431757cc21554924",
+    "bad-vertex-list/tsv": "a5d663f25f3feb3a8f5985f705c4d5b40e324c39087c854c0d25cf7f9a73259c",
+    "bypaths/json": "913e19db49c7d5ea19a04e247ec68c285bc744c2d708d16dcd4d814b9b01a5bf",
+    "bypaths/tsv": "eeda1f7f756c7ac8abc07f4ce7ef1bfe6f94d48e41da2fc70d81e44708bdd375",
+    "copnumber-over-cap/json": "bcfe7df7b40735a3fd280edcd5d38571a4020be5915c8155ecde802e5e9c0979",
+    "copnumber-over-cap/tsv": "bf8b8a58c6cef45283512dc06cac4af4ae0fb4cb09177c850258085eefb15955",
+    "copnumber/json": "60e50e43fe71bddd43bb16d4bda4c9d988b5a48d97b2a62b4af792a9fe53d3fa",
+    "copnumber/tsv": "87a8aab1e1c26c26da222715509e56e2e967f8f08c024c31727503710704a0f0",
+    "empty-corpus/json": "5851260bed5afa3937813fb7b68d687b12d75616fa0c126b0ddf4f0452ba2ccc",
+    "empty-corpus/tsv": "d2de6bb02b20e2f938683ea713f1df8f83c52c45c61cbf9dc40b8144d10f556b",
+    "empty-traces/json": "172237eb524d7d2f0117b061157c38a14b5bf32ce1cd1d321ff378d642fb9b63",
+    "empty-traces/tsv": "5b7409fdb9c72191483a79e66f74f4d9c01c0acce4c969e4eaec1a9a1c67b056",
+    "empty-vertex-list/json": "637dce39885ba219a62f055dbec333ff8c9087cf81c41762dca8bfae87affea6",
+    "empty-vertex-list/tsv": "f6fb7fc45eb721e974a574cdb5ee98140f2a4e7acffd00d3e20ab76b460a91f8",
+    "guardable-gadget/json": "3ea1bf1cd4741fef5c0cc4b151f2c4fbf6a9059cc6226c6eabbb6846ce596ccf",
+    "guardable-gadget/tsv": "e89dffe639a61d4ec9ef1bfe0a5c6eaa4ca51ea8075800e78f1f243d5b0eac07",
+    "guardable/json": "46a1331ebd8d914307decda9c05297ce694e69ddeaada722fea2e30bd4926ac4",
+    "guardable/tsv": "53693646b5f599e96e7e85d8faf45ae4143c1ca4dc60f2c8c7cbc2c8849660ca",
+    "helly/json": "a19ab15b11d5e57a260f5bb2a8298314394189d84845d1a4658ac9d0317af72c",
+    "helly/tsv": "3003b6f52bd896fab67a0df3e49778a49234345726b854795cf569b12169a346",
+    "hole-gadget/json": "15def1122ab1a5ee3ba02aad346b3ba116ca9103904c24ca43210f50d805cca3",
+    "hole-gadget/tsv": "4f30cf36aef7f8f44de230befce659fd5439e5fe38aa616dad2bb7f32916ae89",
+    "hts-adversary/json": "8a56eb1bfaaccaf5a605049c7c8aa289aedfdb7b633df00ebe1f7d385d78ff7f",
+    "hts-adversary/tsv": "c2cd006bc0f53ca1f90c18607d81c9840c0885442bf976f9a8d87366b163b482",
+    "hts-even-t/json": "30ae8e051ec3436d50c2aeccd3061144936ea35be80f61088a5591b7c116b6c8",
+    "hts-even-t/tsv": "48c89d57ddeecc4e301ff86b06c3613001dd69a87a135822778834f1d531b990",
+    "hts-oversize/json": "267e37e92887e76431c5efc5ddda568e1f92f30e53efee97f3e28e3dda2dc3fa",
+    "hts-oversize/tsv": "6a491317acbba009bdabcd32d48200f1c19f27c5f9fa738600c6cf4221af2c3a",
+    "hts/json": "00d3eca11ea40b6cc8e7e36623457524c460b3bf47bf55877f1e312f362e48e0",
+    "hts/tsv": "36c4d545fbc460a673758fcc36c6f7d724fd57212469b07ac848cecafbc83eb7",
+    "kmove-two/json": "6f2936afe4a97562825d585f70d4695c8358b7c7d535cd0e60f2da442d5dee7f",
+    "kmove-two/tsv": "2ac893b4f18d7f27dc23586798dd490739e5b27eb57c42873c5bf45434ab068d",
+    "kmove/json": "710cbabeb7579bffc17ba6c596e1b8ff6ead2a9a73e9bd736fc67f8e6380cc80",
+    "kmove/tsv": "deb87ea94cd215af94e0abe4a4b3ec82c45e30fef9393017362f0f6a87b1240e",
+    "malformed-trace/json": "99137109d1993a4a040ba41c3bcaa3c4473280667dfb79f3e4f956d05ffb47b0",
+    "malformed-trace/tsv": "4cc9bdd83342aba71fa8022af6cf7486c1ef45acae688df96e66d6e702e30aa5",
+    "malformed-turn/json": "6c9ac1a7587051243b72df7ecc3da44e086c6b097bea0f0d012b0297ac5056e3",
+    "malformed-turn/tsv": "21b0163134781594aab1cb89852ba53fc2c6bdafd7922201a61e44f576c65361",
+    "missing-file/json": "2884b1630c9ee6795c43da11dc3bc5bea60b5e5e060a904d5ca6fffee0c137db",
+    "missing-file/tsv": "aae35de8c84a574d462523e3b19e9ce0df5f6e910e37145b569243388f72339b",
+    "non-isometric-guard/json": "1ed61d20de4fa50d0be279e50a59d764646bb97737b4fe35e25eda76a3baf8d8",
+    "non-isometric-guard/tsv": "c975bbf6890b370d358e785f101254871863f0b8b00c6c8b72da15cbd9ed5c3a",
+    "non-isometric-path/json": "08ee7830b964b2d2da57d979a63d08749d52d2c738da80740dc210feee40eda6",
+    "non-isometric-path/tsv": "2297cde0eb6a46d2444c96eab379426619e03d95126531981b8fb97c6d00a927",
+    "non-path/json": "08ee7830b964b2d2da57d979a63d08749d52d2c738da80740dc210feee40eda6",
+    "non-path/tsv": "2297cde0eb6a46d2444c96eab379426619e03d95126531981b8fb97c6d00a927",
+    "refusal-copnumber/json": "86c54e81eee75e450edc7f1672ec2c8f5483a2d746912a78385fd783105bae17",
+    "refusal-copnumber/tsv": "a44e1cf191523064baa320f1903a9dd44ff3aa8e43b444ae6357237bd8e1a40a",
+    "refusal-guardable/json": "001e8cfd45a9d6b9eba754a270cfc3d1ed8eac512e66df862d26e570cbd5ba22",
+    "refusal-guardable/tsv": "c8bd0e62d0790fc78fa925c4e5380871861aa479a74efca2c20198b5d8bb0db6",
+    "refusal-simulate/json": "87ae1a6312916778c775d73cf15e87bf973f8888097b69e5615a256b32252100",
+    "refusal-simulate/tsv": "f97df93a676e7e900c9142d8d8e4dd20984414ba13f2c7400a10bc381a11e363",
+    "repeated-path-vertex/json": "310c5227910c8215a754cb03441ecb2118ad99e91875b641270f1756267d8af1",
+    "repeated-path-vertex/tsv": "e1a2749f905ca01140c564bf2633b3989f5771a0d160b825a42d1f7633d80bf9",
+    "replay-tampered/json": "e947d287b1a6db371ac68ab5140870f813f8aa2b8ff9321fa82f9e2787221e10",
+    "replay-tampered/tsv": "3a6b7d64648e5fc51024132e1d452af3f17999b87d5119395cef3a3afe98150d",
+    "replay/json": "f8127a3bebe9a7d261de461db01db6495b9ab3f5120648fe9e5fae175de724f1",
+    "replay/tsv": "b44afadfdccf3e7f0c27bc92c2f42b619fc456a9b22d87c831173a07aa50cef3",
+    "shadow/json": "ce6d0eb6467392046a943dd476f25fd8ae2071abeff7ff31d9681d04821d290d",
+    "shadow/tsv": "359486c8976d95023d8a2fae7105f97b5ca9ef92a79ae19ed55121ec58195df4",
+    "simulate-greedy/json": "105b33abd8c0e596b231caf563414e56bb3ed5500990e24b3306a79a2205142d",
+    "simulate-greedy/tsv": "74b606bf736a427c74f36dc53dae325e88dfafdf5b8456bd8f600617e9661e3d",
+    "simulate-nonplanar/json": "11d3bfdb8ffa52e92e8deac2f8e5061a39a4c9b3566df93bc239662b7670e3b7",
+    "simulate-nonplanar/tsv": "d4d6bd212b5ec7e3076d4b5f3fc5190333b41aa3e267a9787061ffcd8cfd61b0",
+    "simulate-optimal/json": "cb369941139c03d22fe05c9014259af155c3f7067cec17e52aed69fa7d6d3b6b",
+    "simulate-optimal/tsv": "2bba0e168cac6c668d0bfce7e472901aa7b2131d23c2aeb804055ac014784866",
+    "simulate-random/json": "61a911ce319032c3bc7bdb60eda0bb2e2af4ac08c23294f6699c9b43b6ed4e83",
+    "simulate-random/tsv": "1dfa10f391a8e6f6e2d9018fc12d49934ef88cb81a0a249938779ccbc150b82d",
+    "simulate-turn-cap/json": "970e8c2521266416f615acb7da0439fe21c64ba37eaea88e7a76aadd34882834",
+    "simulate-turn-cap/tsv": "766339b6850332b992cb2e7648e52e3cb76dd8e30f87a369d77b552b391e3eff",
+    "validate-tampered/json": "e947d287b1a6db371ac68ab5140870f813f8aa2b8ff9321fa82f9e2787221e10",
+    "validate-tampered/tsv": "bf99951ccb14813eb2d8401357b043c9d049e920b9a176dfd34c49e87bf0ac3e",
+    "validate/json": "f8127a3bebe9a7d261de461db01db6495b9ab3f5120648fe9e5fae175de724f1",
+    "validate/tsv": "f0f8d6d516f1f0d6964a6f69f7e8c3872effe81bf0d7776a70852c0ac445942d",
+    "vertex-out-of-range/json": "898afd632389e4b09dca916d0104f2b49de4180e1c17f3fd60727769b5cf2f7e",
+    "vertex-out-of-range/tsv": "cd7c1e256287c740029b479e0b4ac844a1857110e9581c5ea2436f9118c3331a",
+}
+
+
+@pytest.fixture()
+def pinned_files(tmp_path, corpus):
+    def write(name, lines):
+        f = tmp_path / name
+        f.write_text("".join(ln + "\n" for ln in lines))
+        return str(f)
+
+    c4 = cycle(4)
+    traces = [
+        run_two_move_strategy(g, adversary=GreedyAdversary(g, seed=1)).to_json().strip()
+        for g in (c4, grid(3, 3))
+    ]
+    doc = json.loads(traces[1])
+    for rec in doc["turns"]:
+        if isinstance(rec.get("note"), dict) and "case" in rec["note"]:
+            rec["note"]["territory"] += 1
+            break
+    return {
+        "CORPUS": corpus,
+        "GADGET": write("gadget.g6", [to_graph6(build_hole_gadget(c4, find_hole(c4)))]),
+        "SMALL": write("small.g6", [to_graph6(cycle(5)), to_graph6(grid(2, 3))]),
+        "PETERSEN": write("petersen.g6", [to_graph6(petersen())]),
+        "C6": write("c6.g6", [to_graph6(cycle(6))]),
+        "TRACES": write("traces.jsonl", traces),
+        "TAMPERED": write("tampered.jsonl", [traces[0], json.dumps(doc, sort_keys=True)]),
+        "MISSING": str(tmp_path / "missing.g6"),
+        "JUNK": write("junk.g6", ["# comment", "Cl", "!!notagraph"]),
+        "EMPTY": write("empty.g6", ["# nothing here", ""]),
+        "BADTRACE": write("bad.jsonl", [traces[0], '{"graph": "Cl"}']),
+        "BADTURN": write("badturn.jsonl", ['{"graph": "A_", "turns": [{}], "verdict": {}}']),
+    }
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    @pytest.mark.parametrize("case", sorted(PINNED_CASES))
+    def test_output_digest(self, capsys, tmp_path, pinned_files, case, fmt):
+        argv = [pinned_files.get(a, a) for a in PINNED_CASES[case]] + ["--format", fmt]
+        code, out, err = run(capsys, argv)
+        got = (code, out.replace(str(tmp_path), "TMP"), err.replace(str(tmp_path), "TMP"))
+        digest = hashlib.sha256(repr(got).encode()).hexdigest()
+        assert digest == PINNED_OUTPUTS[f"{case}/{fmt}"], got
