@@ -7,6 +7,15 @@ a TSV summary.  Every record echoes the seed and budgets that shaped it, so
 a run can be reproduced from its output alone.  In json mode errors are JSON
 objects on stderr; in tsv mode they are plain lines.
 
+Each subparser names its handler with ``set_defaults(run=...)``.  A corpus
+or trace command gives ``_per_item`` its items and an ``answer(i, item)``
+that returns one record and its verdict; the driver writes the records
+once, reports a library ``ValueError`` as exit 1 on ``graph i``, and exits
+1 when any verdict is negative.  The count flags --active, --cops,
+--turn-cap and --state-cap must be at least 1.  The solvers' budget is
+--state-cap alone, 50 million states by default; a refusal exits 3 and
+says to raise it.
+
 Exit codes: 0 success, 1 negative verdict (unguardable target, cop number
 over the cap, trace violations, unplayable input), 2 usage error, 3 budget
 refusal.
@@ -17,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from pursuit.constructions import build_guard_adversary, build_hole_gadget, build_hts
 from pursuit.controllers import GreedyAdversary, OptimalAdversary, RandomAdversary
@@ -25,13 +33,12 @@ from pursuit.graphs import Graph, Path, from_graph6, to_graph6
 from pursuit.helly import dismantling_order, find_hole
 from pursuit.shadows import bypaths, is_bypath_free, wide_shadow
 from pursuit.solver import (
+    DEFAULT_STATE_BUDGET,
     BudgetExceeded,
     GameSpec,
     cop_number,
     is_guardable,
-    k_move_cop_number,
     solve,
-    state_budget,
 )
 from pursuit.strategy import Trace, run_two_move_strategy, validate_trace
 
@@ -40,24 +47,13 @@ NEGATIVE = 1
 USAGE = 2
 BUDGET = 3
 
+COUNT_FLAGS = ("active", "cops", "turn_cap", "state_cap")
+
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One invocation: command, inputs, seed, budgets, and output routing."""
-
-    command: str
-    inputs: tuple[str, ...]
-    fmt: str
-    output: str | None
-    seed: int
-    turn_cap: int | None
-    state_cap: int | None
 
 
 # -- input and output plumbing ---------------------------------------------------
@@ -70,7 +66,7 @@ def _read_lines(path: str) -> list[str]:
         else:
             with open(path, "r", encoding="ascii") as fh:
                 text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(USAGE, f"cannot read {path}: {e}") from e
     out = []
     for ln in text.splitlines():
@@ -122,227 +118,198 @@ def _cell(v, sep: str = ";") -> str:
     return str(v)
 
 
-def _write(cfg: RunConfig, records: list[dict], columns: list[str]) -> None:
+def _write(args, records: list[dict], columns: list[str]) -> None:
     lines: list[str] = []
-    if cfg.fmt == "json":
+    if args.format == "json":
         lines = [json.dumps(r, sort_keys=True) for r in records]
     else:
         lines.append("\t".join(columns))
         for r in records:
             lines.append("\t".join(_cell(r.get(c)) for c in columns))
-    _write_raw(cfg, lines)
+    _write_raw(args, lines)
 
 
-def _write_raw(cfg: RunConfig, lines: list[str]) -> None:
+def _write_raw(args, lines: list[str]) -> None:
     text = "".join(ln + "\n" for ln in lines)
-    if cfg.output is None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
         try:
-            with open(cfg.output, "w", encoding="utf-8") as fh:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as e:
-            raise CliError(USAGE, f"cannot write {cfg.output}: {e}") from e
+            raise CliError(USAGE, f"cannot write {args.output}: {e}") from e
 
 
-def _error(cfg: RunConfig, code: int, message: str) -> int:
-    if cfg.fmt == "json":
-        obj = {"error": {"code": code, "command": cfg.command, "message": message}}
+def _error(args, code: int, message: str) -> int:
+    if args.format == "json":
+        obj = {"error": {"code": code, "command": args.command, "message": message}}
         sys.stderr.write(json.dumps(obj, sort_keys=True) + "\n")
     else:
         sys.stderr.write(f"error: {message}\n")
     return code
 
 
-def _state_cap(cfg: RunConfig) -> int:
-    """The solver's state budget: --state-cap, else the environment default."""
-    return state_budget() if cfg.state_cap is None else cfg.state_cap
+def _per_item(args, items, answer, columns: list[str]) -> int:
+    """Write answer(i, item)'s record for each item; exit 1 on any negative verdict."""
+    records = []
+    worst = OK
+    for i, item in enumerate(items):
+        try:
+            record, ok = answer(i, item)
+        except ValueError as e:
+            raise CliError(NEGATIVE, f"graph {i}: {e}") from e
+        if not ok:
+            worst = NEGATIVE
+        records.append(record)
+    _write(args, records, columns)
+    return worst
 
 
 # -- corpus queries ---------------------------------------------------------------
 
 
-def cmd_helly(cfg: RunConfig) -> int:
-    records = []
-    for i, g in enumerate(_read_corpus(cfg.inputs[0])):
+def cmd_helly(args) -> int:
+    def answer(i: int, g: Graph):
         hole = find_hole(g)
         order = dismantling_order(g)
-        records.append(
-            {
-                "index": i,
-                "n": g.n,
-                "helly": hole is None,
-                "hole_centers": None if hole is None else list(hole.centers),
-                "hole_radii": None if hole is None else list(hole.radii),
-                "dismantling": None if order is None else [list(p) for p in order],
-            }
-        )
-    _write(
-        cfg,
-        records,
-        ["index", "n", "helly", "hole_centers", "hole_radii", "dismantling"],
-    )
-    return OK
+        return {
+            "index": i,
+            "n": g.n,
+            "helly": hole is None,
+            "hole_centers": None if hole is None else list(hole.centers),
+            "hole_radii": None if hole is None else list(hole.radii),
+            "dismantling": None if order is None else [list(p) for p in order],
+        }, True
+
+    columns = ["index", "n", "helly", "hole_centers", "hole_radii", "dismantling"]
+    return _per_item(args, _read_corpus(args.file), answer, columns)
 
 
-def cmd_copnumber(cfg: RunConfig, max_cops: int, active: int | None = None) -> int:
-    budget = _state_cap(cfg)
-    records = []
-    worst = OK
-    for i, g in enumerate(_read_corpus(cfg.inputs[0])):
-        if active is None:
-            c = cop_number(g, max_cops, budget=budget)
-        else:
-            c = k_move_cop_number(g, active, max_cops, budget=budget)
-        if c is None:
-            worst = NEGATIVE
+def cmd_copnumber(args) -> int:
+    def answer(i: int, g: Graph):
+        c = cop_number(g, args.max_cops, active_cap=args.active, budget=args.state_cap)
         rec = {
             "index": i,
             "n": g.n,
             "cop_number": c,
-            "max_cops": max_cops,
-            "state_cap": budget,
+            "max_cops": args.max_cops,
+            "state_cap": args.state_cap,
         }
-        if active is not None:
-            rec["active"] = active
-        records.append(rec)
-    cols = ["index", "n", "cop_number", "max_cops", "state_cap"]
-    if active is not None:
-        cols.insert(3, "active")
-    _write(cfg, records, cols)
-    return worst
+        if args.active is not None:
+            rec["active"] = args.active
+        return rec, c is not None
+
+    columns = ["index", "n", "cop_number", "max_cops", "state_cap"]
+    if args.active is not None:
+        columns.insert(3, "active")
+    return _per_item(args, _read_corpus(args.file), answer, columns)
 
 
-def cmd_shadow(cfg: RunConfig, subgraph: str, vertex: int) -> int:
-    target = _vertex_list(subgraph)
-    records = []
-    for i, g in enumerate(_read_corpus(cfg.inputs[0])):
-        _check_range(g, target + (vertex,), i)
-        records.append(
-            {
-                "index": i,
-                "n": g.n,
-                "subgraph": sorted(set(target)),
-                "vertex": vertex,
-                "shadow": sorted(wide_shadow(g, target, vertex)),
-            }
-        )
-    _write(cfg, records, ["index", "n", "subgraph", "vertex", "shadow"])
-    return OK
+def cmd_shadow(args) -> int:
+    target = _vertex_list(args.subgraph)
+
+    def answer(i: int, g: Graph):
+        _check_range(g, target + (args.vertex,), i)
+        return {
+            "index": i,
+            "n": g.n,
+            "subgraph": sorted(set(target)),
+            "vertex": args.vertex,
+            "shadow": sorted(wide_shadow(g, target, args.vertex)),
+        }, True
+
+    columns = ["index", "n", "subgraph", "vertex", "shadow"]
+    return _per_item(args, _read_corpus(args.file), answer, columns)
 
 
-def cmd_bypaths(cfg: RunConfig, path_text: str) -> int:
-    pv = _vertex_list(path_text)
-    records = []
-    for i, g in enumerate(_read_corpus(cfg.inputs[0])):
+def cmd_bypaths(args) -> int:
+    pv = _vertex_list(args.path)
+
+    def answer(i: int, g: Graph):
         _check_range(g, pv, i)
-        try:
-            p = Path(pv)
-            found = bypaths(g, p)
-            free = is_bypath_free(g, p)
-        except ValueError as e:
-            raise CliError(NEGATIVE, f"graph {i}: {e}") from e
-        records.append(
-            {
-                "index": i,
-                "n": g.n,
-                "path": list(pv),
-                "bypaths": [list(q.vertices) for q in found],
-                "bypath_free": free,
-            }
-        )
-    _write(cfg, records, ["index", "n", "path", "bypath_free", "bypaths"])
-    return OK
+        p = Path(pv)
+        return {
+            "index": i,
+            "n": g.n,
+            "path": list(pv),
+            "bypaths": [list(q.vertices) for q in bypaths(g, p)],
+            "bypath_free": is_bypath_free(g, p),
+        }, True
+
+    columns = ["index", "n", "path", "bypath_free", "bypaths"]
+    return _per_item(args, _read_corpus(args.file), answer, columns)
 
 
-def cmd_guardable(cfg: RunConfig, subgraph: str, cops: int) -> int:
-    budget = _state_cap(cfg)
-    target = _vertex_list(subgraph)
-    records = []
-    worst = OK
-    for i, g in enumerate(_read_corpus(cfg.inputs[0])):
+def cmd_guardable(args) -> int:
+    target = _vertex_list(args.subgraph)
+
+    def answer(i: int, g: Graph):
         _check_range(g, target, i)
-        try:
-            ok = is_guardable(g, target, cops, budget=budget)
-        except ValueError as e:
-            raise CliError(NEGATIVE, f"graph {i}: {e}") from e
-        if not ok:
-            worst = NEGATIVE
-        records.append(
-            {
-                "index": i,
-                "n": g.n,
-                "subgraph": sorted(set(target)),
-                "cops": cops,
-                "guardable": ok,
-                "state_cap": budget,
-            }
-        )
-    _write(cfg, records, ["index", "n", "subgraph", "cops", "guardable", "state_cap"])
-    return worst
+        ok = is_guardable(g, target, args.cops, budget=args.state_cap)
+        return {
+            "index": i,
+            "n": g.n,
+            "subgraph": sorted(set(target)),
+            "cops": args.cops,
+            "guardable": ok,
+            "state_cap": args.state_cap,
+        }, ok
+
+    columns = ["index", "n", "subgraph", "cops", "guardable", "state_cap"]
+    return _per_item(args, _read_corpus(args.file), answer, columns)
 
 
 # -- constructions ----------------------------------------------------------------
 
 
-def cmd_construct_hts(cfg: RunConfig, t: int, s: int, adversary: int | None) -> int:
+def cmd_construct_hts(args) -> int:
     try:
-        g, desc = build_hts(t, s)
+        g, desc = build_hts(args.t, args.s)
+        gadget = None if args.adversary is None else build_guard_adversary(g, desc, args.adversary)
     except ValueError as e:
         raise CliError(USAGE, str(e)) from e
-    rec = {"construct": "hts", "t": t, "s": s, "n": g.n, "graph6": to_graph6(g)}
-    if adversary is not None:
-        try:
-            gadget = build_guard_adversary(g, desc, adversary)
-        except ValueError as e:
-            raise CliError(USAGE, str(e)) from e
+    rec = {"construct": "hts", "t": args.t, "s": args.s, "n": g.n, "graph6": to_graph6(g)}
+    if gadget is not None:
         if not gadget.explicit:
             raise CliError(
                 BUDGET,
                 "explicit adversary gadget too large; fewer private vertices "
                 "or a smaller core keep it materializable",
             )
-        rec["adversary"] = adversary
+        rec["adversary"] = args.adversary
         rec["apex_count"] = len(gadget.transversals)
         rec["n"] = gadget.graph.n
         rec["graph6"] = to_graph6(gadget.graph)
-    if cfg.fmt == "tsv":
+    if args.format == "tsv":
         # bare graph6 so the output pipes straight into another command
-        _write_raw(cfg, [rec["graph6"]])
+        _write_raw(args, [rec["graph6"]])
     else:
-        _write(cfg, [rec], [])
+        _write(args, [rec], [])
     return OK
 
 
-def cmd_construct_hole_gadget(cfg: RunConfig) -> int:
-    records = []
-    lines = []
-    worst = OK
-    for i, g in enumerate(_read_corpus(cfg.inputs[0])):
+def cmd_construct_hole_gadget(args) -> int:
+    def answer(i: int, g: Graph):
         hole = find_hole(g)
         if hole is None:
-            worst = NEGATIVE
-            records.append(
-                {"index": i, "n": g.n, "graph6": None, "reason": "graph is Helly"}
-            )
-            lines.append("-")
-            continue
+            return {"index": i, "n": g.n, "graph6": None, "reason": "graph is Helly"}, False
         gg = build_hole_gadget(g, hole)
-        records.append(
-            {
-                "index": i,
-                "n": gg.n,
-                "graph6": to_graph6(gg),
-                "hole_centers": list(hole.centers),
-                "hole_radii": list(hole.radii),
-            }
-        )
-        lines.append(to_graph6(gg))
-    if cfg.fmt == "tsv":
-        _write_raw(cfg, lines)
-    else:
-        _write(cfg, records, [])
-    return worst
+        return {
+            "index": i,
+            "n": gg.n,
+            "graph6": to_graph6(gg),
+            "hole_centers": list(hole.centers),
+            "hole_radii": list(hole.radii),
+        }, True
+
+    graphs = _read_corpus(args.file)
+    if args.format == "json":
+        return _per_item(args, graphs, answer, [])
+    # bare graph6 so the output pipes straight into another command
+    answers = [answer(i, g) for i, g in enumerate(graphs)]
+    _write_raw(args, [rec["graph6"] or "-" for rec, _ in answers])
+    return OK if all(ok for _, ok in answers) else NEGATIVE
 
 
 # -- simulation, replay, validation ------------------------------------------------
@@ -359,35 +326,25 @@ def _make_adversary(name: str, g: Graph, seed: int, budget: int):
     return OptimalAdversary(g, table)
 
 
-def cmd_simulate(cfg: RunConfig, adversary: str) -> int:
-    budget = _state_cap(cfg)
-    records = []
-    worst = OK
-    for i, g in enumerate(_read_corpus(cfg.inputs[0])):
-        adv = _make_adversary(adversary, g, cfg.seed, budget)
-        try:
-            tr = run_two_move_strategy(g, adversary=adv, turn_cap=cfg.turn_cap)
-        except ValueError as e:
-            raise CliError(NEGATIVE, f"graph {i}: {e}") from e
-        if not tr.captured:
-            worst = NEGATIVE
-        payload = json.loads(tr.to_json())
-        payload["index"] = i
-        payload["adversary"] = adversary
-        payload["seed"] = cfg.seed
-        payload["turn_cap"] = (
-            10 * g.n * g.n if cfg.turn_cap is None else cfg.turn_cap
-        )
-        payload["n"] = g.n
-        payload["outcome"] = tr.verdict.get("outcome")
-        payload["turn"] = tr.verdict.get("turn")
-        records.append(payload)
-    _write(
-        cfg,
-        records,
-        ["index", "n", "adversary", "seed", "turn_cap", "outcome", "turn"],
-    )
-    return worst
+def cmd_simulate(args) -> int:
+    def answer(i: int, g: Graph):
+        adv = _make_adversary(args.adversary, g, args.seed, args.state_cap)
+        tr = run_two_move_strategy(g, adversary=adv, turn_cap=args.turn_cap)
+        return {
+            "graph": tr.graph,
+            "turns": list(tr.turns),
+            "verdict": tr.verdict,
+            "index": i,
+            "adversary": args.adversary,
+            "seed": args.seed,
+            "turn_cap": 10 * g.n * g.n if args.turn_cap is None else args.turn_cap,
+            "n": g.n,
+            "outcome": tr.verdict.get("outcome"),
+            "turn": tr.verdict.get("turn"),
+        }, tr.captured
+
+    columns = ["index", "n", "adversary", "seed", "turn_cap", "outcome", "turn"]
+    return _per_item(args, _read_corpus(args.file), answer, columns)
 
 
 def _read_traces(path: str) -> list[tuple[Graph, Trace]]:
@@ -404,24 +361,20 @@ def _read_traces(path: str) -> list[tuple[Graph, Trace]]:
     return out
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    records = []
-    worst = OK
-    for i, (g, tr) in enumerate(_read_traces(cfg.inputs[0])):
+def cmd_validate(args) -> int:
+    def answer(i: int, item: tuple[Graph, Trace]):
+        g, tr = item
         viol = validate_trace(g, tr)
-        if viol:
-            worst = NEGATIVE
-        records.append(
-            {
-                "index": i,
-                "n": g.n,
-                "outcome": tr.verdict.get("outcome"),
-                "ok": not viol,
-                "violations": viol,
-            }
-        )
-    _write(cfg, records, ["index", "n", "outcome", "ok", "violations"])
-    return worst
+        return {
+            "index": i,
+            "n": g.n,
+            "outcome": tr.verdict.get("outcome"),
+            "ok": not viol,
+            "violations": viol,
+        }, not viol
+
+    columns = ["index", "n", "outcome", "ok", "violations"]
+    return _per_item(args, _read_traces(args.trace), answer, columns)
 
 
 def _render_turn(rec: dict) -> str:
@@ -443,18 +396,18 @@ def _render_turn(rec: dict) -> str:
     return line
 
 
-def cmd_replay(cfg: RunConfig) -> int:
-    if cfg.fmt == "json":
-        return cmd_validate(cfg)
+def cmd_replay(args) -> int:
+    if args.format == "json":
+        return cmd_validate(args)
     lines = []
     worst = OK
-    for i, (g, tr) in enumerate(_read_traces(cfg.inputs[0])):
+    for i, (g, tr) in enumerate(_read_traces(args.trace)):
         lines.append(f"trace {i}: n={g.n} graph {tr.graph}")
         for k, rec in enumerate(tr.turns):
             try:
                 lines.append(_render_turn(rec))
             except ValueError as e:
-                raise CliError(USAGE, f"{cfg.inputs[0]} trace {i} turn {k}: {e}") from e
+                raise CliError(USAGE, f"{args.trace} trace {i} turn {k}: {e}") from e
         lines.append(f"  verdict: {json.dumps(tr.verdict, sort_keys=True)}")
         viol = validate_trace(g, tr)
         if viol:
@@ -462,7 +415,7 @@ def cmd_replay(cfg: RunConfig) -> int:
             lines.extend(f"  violation: {v}" for v in viol)
         else:
             lines.append("  violations: none")
-    _write_raw(cfg, lines)
+    _write_raw(args, lines)
     return worst
 
 
@@ -500,10 +453,10 @@ class _HumanRobber:
         return self._ask(f"move to one of {opts}: ", opts)
 
 
-def cmd_play(cfg: RunConfig) -> int:
-    g = _read_corpus(cfg.inputs[0])[0]
+def cmd_play(args) -> int:
+    g = _read_corpus(args.file)[0]
     try:
-        tr = run_two_move_strategy(g, adversary=_HumanRobber(g), turn_cap=cfg.turn_cap)
+        tr = run_two_move_strategy(g, adversary=_HumanRobber(g), turn_cap=args.turn_cap)
     except ValueError as e:
         raise CliError(NEGATIVE, str(e)) from e
     except EOFError:
@@ -531,118 +484,76 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", metavar="PATH")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("helly", parents=[common], help="Helly verdicts with witnesses")
-    p.add_argument("file")
+    def command(subs, name, run, help, positional="file", parents=(common,), **defaults):
+        p = subs.add_parser(name, parents=list(parents), help=help)
+        p.set_defaults(run=run, **defaults)
+        if positional:
+            p.add_argument(positional)
+        return p
 
-    p = sub.add_parser("copnumber", parents=[common], help="exact cop number")
-    p.add_argument("file")
+    command(sub, "helly", cmd_helly, "Helly verdicts with witnesses")
+
+    p = command(sub, "copnumber", cmd_copnumber, "exact cop number", active=None)
     p.add_argument("--max", type=int, required=True, dest="max_cops")
-    p.add_argument("--state-cap", type=int)
+    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_BUDGET)
 
-    p = sub.add_parser("kmove", parents=[common], help="cop number with a move cap")
-    p.add_argument("file")
+    p = command(sub, "kmove", cmd_copnumber, "cop number with a move cap")
     p.add_argument("--active", type=int, required=True)
     p.add_argument("--max", type=int, required=True, dest="max_cops")
-    p.add_argument("--state-cap", type=int)
+    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_BUDGET)
 
-    p = sub.add_parser("shadow", parents=[common], help="wide shadow of a vertex")
-    p.add_argument("file")
+    p = command(sub, "shadow", cmd_shadow, "wide shadow of a vertex")
     p.add_argument("--subgraph", required=True, metavar="V1,V2,...")
     p.add_argument("--vertex", type=int, required=True)
 
-    p = sub.add_parser("bypaths", parents=[common], help="bypaths of an isometric path")
-    p.add_argument("file")
+    p = command(sub, "bypaths", cmd_bypaths, "bypaths of an isometric path")
     p.add_argument("--path", required=True, metavar="V1,V2,...")
 
-    p = sub.add_parser("guardable", parents=[common], help="subgraph guardability")
-    p.add_argument("file")
+    p = command(sub, "guardable", cmd_guardable, "subgraph guardability")
     p.add_argument("--subgraph", required=True, metavar="V1,V2,...")
     p.add_argument("--cops", type=int, required=True)
-    p.add_argument("--state-cap", type=int)
+    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_BUDGET)
 
     c = sub.add_parser("construct", help="build named graphs")
     csub = c.add_subparsers(dest="what", required=True)
-    p = csub.add_parser("hts", parents=[common], help="diameter-2 dismantlable family")
+    p = command(csub, "hts", cmd_construct_hts, "diameter-2 dismantlable family", None)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--adversary", type=int)
-    p = csub.add_parser(
-        "hole-gadget", parents=[common], help="apex gadget over a Helly hole"
-    )
-    p.add_argument("file")
+    command(csub, "hole-gadget", cmd_construct_hole_gadget, "apex gadget over a Helly hole")
 
-    p = sub.add_parser("simulate", parents=[common], help="run the capture strategy")
-    p.add_argument("file")
+    p = command(sub, "simulate", cmd_simulate, "run the capture strategy")
     p.add_argument(
         "--adversary", choices=("random", "greedy", "optimal"), default="random"
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--turn-cap", type=int)
-    p.add_argument("--state-cap", type=int)
+    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_BUDGET)
 
     # not parented on common: replay renders text unless json is asked for
-    p = sub.add_parser("replay", help="render a trace turn by turn")
+    p = command(sub, "replay", cmd_replay, "render a trace turn by turn", "trace", ())
     p.add_argument("--format", choices=("json", "tsv"), default="tsv")
     p.add_argument("--output", metavar="PATH")
-    p.add_argument("trace")
 
-    p = sub.add_parser("validate", parents=[common], help="re-check a trace")
-    p.add_argument("trace")
+    command(sub, "validate", cmd_validate, "re-check a trace", "trace")
 
-    p = sub.add_parser("play", parents=[common], help="type the robber's moves")
-    p.add_argument("file")
+    p = command(sub, "play", cmd_play, "type the robber's moves")
     p.add_argument("--turn-cap", type=int)
     return top
 
 
-def _config(args) -> RunConfig:
-    inputs = tuple(
-        getattr(args, name) for name in ("file", "trace") if getattr(args, name, None)
-    )
-    return RunConfig(
-        command=args.command,
-        inputs=inputs,
-        fmt=getattr(args, "format", "json"),
-        output=getattr(args, "output", None),
-        seed=getattr(args, "seed", 0),
-        turn_cap=getattr(args, "turn_cap", None),
-        state_cap=getattr(args, "state_cap", None),
-    )
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = _config(args)
     try:
-        if args.command == "helly":
-            return cmd_helly(cfg)
-        if args.command == "copnumber":
-            return cmd_copnumber(cfg, args.max_cops)
-        if args.command == "kmove":
-            return cmd_copnumber(cfg, args.max_cops, active=args.active)
-        if args.command == "shadow":
-            return cmd_shadow(cfg, args.subgraph, args.vertex)
-        if args.command == "bypaths":
-            return cmd_bypaths(cfg, args.path)
-        if args.command == "guardable":
-            return cmd_guardable(cfg, args.subgraph, args.cops)
-        if args.command == "construct" and args.what == "hts":
-            return cmd_construct_hts(cfg, args.t, args.s, args.adversary)
-        if args.command == "construct":
-            return cmd_construct_hole_gadget(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.adversary)
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        if args.command == "replay":
-            return cmd_replay(cfg)
-        return cmd_play(cfg)
+        for flag in COUNT_FLAGS:
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise CliError(USAGE, f"--{flag.replace('_', '-')} must be at least 1")
+        return args.run(args)
     except CliError as e:
-        return _error(cfg, e.code, str(e))
+        return _error(args, e.code, str(e))
     except BudgetExceeded as e:
-        # the CLI always passes a budget; name the knob that set it
-        e.source = "PURSUIT_STATE_CAP" if cfg.state_cap is None else "--state-cap"
-        return _error(cfg, BUDGET, str(e))
+        return _error(args, BUDGET, f"{e}; raise --state-cap to proceed")
 
 
 if __name__ == "__main__":

@@ -67,13 +67,12 @@ entry instant, demanding a within-h continuation that punishes every later
 violation, the robber staying put included.
 
 State counts are estimated before enumeration; beyond the budget (the
-``budget`` argument, else ``PURSUIT_STATE_CAP``, else 50 million) the
-solver refuses with ``BudgetExceeded`` rather than thrash.
+``budget`` argument, 50 million states when it is None) the solver refuses
+with ``BudgetExceeded`` rather than thrash.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass
@@ -92,23 +91,19 @@ COPS, ROBBER = 0, 1
 
 
 class BudgetExceeded(RuntimeError):
-    """A solve estimated past its state budget; source names the knob that
-    set the budget, and a caller with a knob of its own may overwrite it."""
+    """A solve estimated past its state budget."""
 
-    def __init__(self, estimate: int, budget: int, source: str):
-        super().__init__(estimate, budget, source)
-        self.estimate, self.budget, self.source = estimate, budget, source
+    def __init__(self, estimate: int, budget: int):
+        super().__init__(estimate, budget)
+        self.estimate, self.budget = estimate, budget
 
     def __str__(self) -> str:
-        return (
-            f"estimated {self.estimate} states exceeds budget {self.budget}; "
-            f"raise {self.source} to proceed"
-        )
+        return f"estimated {self.estimate} states exceeds budget {self.budget}"
 
 
 def state_budget() -> int:
-    raw = os.environ.get("PURSUIT_STATE_CAP", "")
-    return int(raw) if raw else DEFAULT_STATE_BUDGET
+    """The budget a solve gets when its caller passes none."""
+    return DEFAULT_STATE_BUDGET
 
 
 def estimate_states(n: int, cops: int) -> int:
@@ -116,10 +111,9 @@ def estimate_states(n: int, cops: int) -> int:
 
 
 def _check_budget(estimate: int, budget: int | None) -> None:
-    source = "PURSUIT_STATE_CAP" if budget is None else "the budget argument"
-    budget = min(state_budget() if budget is None else budget, MAX_STATES)
+    budget = min(DEFAULT_STATE_BUDGET if budget is None else budget, MAX_STATES)
     if estimate > budget:
-        raise BudgetExceeded(estimate, budget, source)
+        raise BudgetExceeded(estimate, budget)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pursuit.cli import main
 from pursuit.constructions import (
@@ -79,6 +81,14 @@ class TestHelly:
         assert code == 2
         assert "line 1" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("command", ["helly", "validate"])
+    def test_non_ascii_file_is_usage_error(self, capsys, tmp_path, command):
+        f = tmp_path / "accent.g6"
+        f.write_bytes(b"C\xc3\xa9\n")
+        code, out, err = run(capsys, [command, str(f)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["message"].startswith(f"cannot read {f}: ")
+
     def test_stdin_corpus(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(cycle(4)) + "\n"))
         code, out, _ = run(capsys, ["helly", "-"])
@@ -131,27 +141,46 @@ class TestExactValues:
         assert all(r["active"] == 1 for r in recs)
         assert recs[0]["cop_number"] == 2
 
-    def test_budget_refusal(self, capsys, corpus, monkeypatch):
-        monkeypatch.setenv("PURSUIT_STATE_CAP", "50000000")
+    def test_budget_refusal(self, capsys, corpus):
         code, _, err = run(
             capsys, ["copnumber", corpus, "--max", "3", "--state-cap", "10"]
         )
         assert code == 3
         assert json.loads(err)["error"]["code"] == 3
 
-    def test_budget_advice_names_the_knob(self, capsys, corpus, monkeypatch):
-        monkeypatch.delenv("PURSUIT_STATE_CAP", raising=False)
+    def test_budget_advice_names_the_knob(self, capsys, corpus, tmp_path):
         code, _, err = run(
             capsys, ["copnumber", corpus, "--max", "3", "--state-cap", "10"]
         )
+        assert code == 3
+        assert json.loads(err)["error"]["message"] == (
+            "estimated 40 states exceeds budget 10; raise --state-cap to proceed"
+        )
+        # the default budget is refused with the same advice
+        f = tmp_path / "p30.g6"
+        f.write_text(to_graph6(path(30)) + "\n")
+        code, _, err = run(capsys, ["guardable", str(f), "--subgraph", "0", "--cops", "6"])
+        assert code == 3
         message = json.loads(err)["error"]["message"]
-        assert code == 3
-        assert "PURSUIT_STATE_CAP" not in message
-        assert "raise --state-cap" in message
-        monkeypatch.setenv("PURSUIT_STATE_CAP", "10")
-        code, _, err = run(capsys, ["copnumber", corpus, "--max", "3"])
-        assert code == 3
-        assert "raise PURSUIT_STATE_CAP" in json.loads(err)["error"]["message"]
+        assert "exceeds budget 50000000; raise --state-cap to proceed" in message
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kmove", "CORPUS", "--max", "3", "--active", "0"],
+            ["guardable", "CORPUS", "--subgraph", "0,1", "--cops", "-1"],
+            ["simulate", "CORPUS", "--turn-cap", "0"],
+            ["play", "CORPUS", "--turn-cap", "0"],
+            ["copnumber", "CORPUS", "--max", "3", "--state-cap", "-5"],
+        ],
+        ids=["active", "cops", "turn-cap", "play-turn-cap", "state-cap"],
+    )
+    def test_count_flag_below_one_is_usage_error(self, capsys, corpus, argv):
+        code, out, err = run(capsys, [corpus if a == "CORPUS" else a for a in argv])
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == 2
+        assert error["message"] == f"{argv[-2]} must be at least 1"
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -419,6 +448,57 @@ class TestSimulateValidateReplay:
         code, out, err = run(capsys, ["validate", str(f)])
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["code"] == 2
+
+
+# Flag templates for the fuzz test; each {name} is filled from one draw.
+FUZZ_COMMANDS = {
+    "copnumber": ["--max", "{max}", "--state-cap", "{state_cap}"],
+    "kmove": ["--active", "{active}", "--max", "{max}", "--state-cap", "{state_cap}"],
+    "shadow": ["--subgraph", "{subgraph}", "--vertex", "{vertex}"],
+    "bypaths": ["--path", "{path}"],
+    "guardable": ["--subgraph", "{subgraph}", "--cops", "{cops}", "--state-cap", "{state_cap}"],
+    "simulate": ["--adversary", "{adversary}", "--turn-cap", "{turn_cap}", "--state-cap", "{state_cap}"],
+}
+
+# Small counts most of the time, any integer sometimes.  --state-cap stays
+# under 10**5 states so that a large --cops or --max is refused, not solved.
+_counts = st.integers(-3, 12) | st.integers()
+_vertex_lists = st.text(alphabet="0123456789,- ", max_size=12) | st.text(max_size=8)
+
+
+class TestThreeOutcomes:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        command=st.sampled_from(sorted(FUZZ_COMMANDS)),
+        fmt=st.sampled_from(["json", "tsv"]),
+        values=st.fixed_dictionaries(
+            {
+                "max": _counts,
+                "active": _counts,
+                "cops": _counts,
+                "turn_cap": _counts,
+                "vertex": _counts,
+                "state_cap": st.integers(max_value=10**5),
+                "subgraph": _vertex_lists,
+                "path": _vertex_lists,
+                "adversary": st.sampled_from(["random", "greedy", "optimal"]),
+            }
+        ),
+    )
+    def test_answer_refuse_or_usage(self, capsys, corpus, command, fmt, values):
+        argv = [command, corpus, "--format", fmt]
+        argv += [a.format(**values) for a in FUZZ_COMMANDS[command]]
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            assert e.code == 2
+        else:
+            assert code in (0, 1, 2, 3)
+        capsys.readouterr()
 
 
 class TestPlay:

@@ -22,6 +22,7 @@ from pursuit.graphs import Graph, domination_number, from_graph6, shortest_path
 from pursuit.helly import is_dismantlable
 from pursuit.solver import (
     COPS,
+    DEFAULT_STATE_BUDGET,
     ROBBER,
     BudgetExceeded,
     GameSpec,
@@ -108,41 +109,24 @@ class TestSpecValidation:
 
 
 class TestBudget:
-    def test_refusal_carries_estimate(self, monkeypatch):
-        monkeypatch.setenv("PURSUIT_STATE_CAP", "1000")
-        with pytest.raises(BudgetExceeded) as exc:
-            solve(GameSpec(petersen(), 3))
-        assert exc.value.estimate == estimate_states(10, 3)
-        assert exc.value.budget == 1000
-        assert "raise PURSUIT_STATE_CAP" in str(exc.value)
-
-    def test_env_override_allows_run(self, monkeypatch):
-        monkeypatch.setenv("PURSUIT_STATE_CAP", str(10**9))
-        won, _ = solve(GameSpec(path(3), 1))
-        assert won
-
-    def test_guard_budget(self, monkeypatch):
-        monkeypatch.setenv("PURSUIT_STATE_CAP", "10")
-        with pytest.raises(BudgetExceeded):
-            is_guardable(cycle(6), (0, 1, 2), 1)
-
-    def test_budget_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("PURSUIT_STATE_CAP", "10")
-        assert solve(GameSpec(path(3), 1), budget=10**6)[0]
-        assert cop_number(cycle(5), 2, budget=10**6) == 2
-        assert k_move_cop_number(cycle(4), 1, 2, budget=10**6) == 2
-        assert is_guardable(cycle(6), (0, 1, 2), 1, budget=10**6)
-        monkeypatch.delenv("PURSUIT_STATE_CAP")
-        for call, budget in (
-            (lambda: solve(GameSpec(petersen(), 3), budget=1000), 1000),
-            (lambda: cop_number(petersen(), 3, budget=1000), 1000),
-            (lambda: k_move_cop_number(petersen(), 1, 3, budget=1000), 1000),
-            (lambda: is_guardable(cycle(6), (0, 1, 2), 1, budget=10), 10),
+    def test_refusal_carries_estimate(self):
+        for call, estimate, budget in (
+            (lambda: solve(GameSpec(petersen(), 3), budget=1000), estimate_states(10, 3), 1000),
+            (lambda: cop_number(petersen(), 3, budget=1000), estimate_states(10, 2), 1000),
+            (lambda: k_move_cop_number(petersen(), 1, 3, budget=1000), estimate_states(10, 2), 1000),
+            (lambda: solve(GameSpec(path(30), 6)), estimate_states(30, 6), DEFAULT_STATE_BUDGET),
         ):
             with pytest.raises(BudgetExceeded) as exc:
                 call()
+            assert exc.value.estimate == estimate
             assert exc.value.budget == budget
-            assert "PURSUIT_STATE_CAP" not in str(exc.value)
+            assert str(exc.value) == f"estimated {estimate} states exceeds budget {budget}"
+
+    def test_guard_budget(self):
+        with pytest.raises(BudgetExceeded) as exc:
+            is_guardable(cycle(6), (0, 1, 2), 1, budget=10)
+        assert exc.value.budget == 10
+        assert is_guardable(cycle(6), (0, 1, 2), 1, budget=10**6)
 
 
 def _digest(items) -> str:
