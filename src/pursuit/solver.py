@@ -9,8 +9,9 @@ in ``combinations_with_replacement`` order over the vertices the cops may
 use.  Each multiset holds two Python ints with one bit per robber vertex:
 C[i] marks the states (i, r, COPS) and R[i] the states (i, r, ROBBER) that
 the attacker has won so far.  Each multiset's cop-move successors are
-computed once, as multiset indices in increasing order, into one CSR table
-(an offsets array and a targets array).  The table is built by index
+computed once, as a row: a list of multiset indices in increasing order,
+all drawn from one shared pool of ints, so the kernel reads a row as it is
+and a row costs one pointer per move.  The table is built by index
 arithmetic: a multiset is its smallest cop plus the index of the other
 cops, and inserting a cop's new vertex into that index is a table lookup,
 so no tuple is sorted or hashed per move.
@@ -22,7 +23,7 @@ Recurrence.  In the capture game, with N[v] the closed neighbourhood of v:
     C_k[j] = C_{k-1}[j] | U{R_{k-1}[i] : i in row j}
 
 A robber state is lost once every step leads into C, and a cop state is won
-once some move leads into R.  Stay-or-step moves are symmetric, so the CSR
+once some move leads into R.  Stay-or-step moves are symmetric, so the
 rows are also the predecessor rows, and a worklist recomputes only the
 multisets whose inputs changed in the previous layer.  A state's rank is
 the layer in which it joins, which is its exact optimal distance to
@@ -44,11 +45,11 @@ the position of its latest cop successor (i, v, COPS), then by the index of
 r in closed[v].  So the first popped successor breaks ties.
 
 Memory.  A solve keeps the 4-byte rank of every state, two masks per
-multiset and the CSR table; its tracemalloc peak is about 24 bytes per
-state on the 4x5 grid with three cops, two moving, while the move table is
-built.  The move pass, when it runs, keeps a queue entry and a move per
-state and a scratch copy of the ranks while it runs: about 13 bytes per
-state at its peak, 8 kept.
+multiset and the move rows (about 9 bytes per state); its tracemalloc peak
+is about 29 bytes per state on the 4x5 grid with three cops, two moving,
+while the layers run.  The move pass, when it runs, keeps a queue entry
+and a move per state and a scratch copy of the ranks while it runs: about
+13 bytes per state at its peak, 8 kept.
 
 Guard mode answers whether c cops can permanently protect an isometric
 subgraph h: a greatest fixed point over cops-on-h states (robber on h at the
@@ -77,7 +78,7 @@ from array import array
 from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate, chain, combinations_with_replacement, compress
+from itertools import chain, combinations_with_replacement, compress
 from math import comb
 from operator import and_, or_
 
@@ -123,6 +124,8 @@ class GameSpec:
     active_cap: int | None = None
 
     def __post_init__(self) -> None:
+        if self.graph.n == 0:
+            raise ValueError("empty graph")
         if self.cops < 1:
             raise ValueError("need at least one cop")
         if self.active_cap is not None and not 1 <= self.active_cap <= self.cops:
@@ -140,19 +143,22 @@ def _multiset_index(cops: tuple[int, ...], m: int) -> int:
     return idx
 
 
-def _move_table(adj: list, c: int, cap: int) -> tuple[array, array]:
-    """CSR cop-move successors of every c-multiset over the m = len(adj) vertices.
+def _move_table(adj: list, c: int, cap: int) -> list[list[int]]:
+    """Cop-move successors of every c-multiset over the m = len(adj) vertices.
 
-    adj[v] lists the vertices a cop on v may step to.  Row i holds, in
-    increasing order, the indices of the multisets reachable from multiset i
-    when at most cap cops step.  Built one size k at a time: a k-multiset is
-    its smallest vertex a plus a (k-1)-multiset j of vertices >= a, with
-    index off[a] + j, and ins[v][j] is the index of (k-1)-multiset j with v
-    added.  Its cop a stays or steps to a neighbour while the others move
-    as in row j of the (k-1)-multisets, with one step fewer if a stepped.
+    adj[v] lists the vertices a cop on v may step to.  Row i is a list of
+    the indices, in increasing order, of the multisets reachable from
+    multiset i when at most cap cops step; every index is drawn from one
+    shared pool of ints, so a row holds pointers only.  Built one size k at
+    a time: a k-multiset is its smallest vertex a plus a (k-1)-multiset j
+    of vertices >= a, with index off[a] + j, and ins[v][j] is the index of
+    (k-1)-multiset j with v added.  Its cop a stays or steps to a neighbour
+    while the others move as in row j of the (k-1)-multisets, with one step
+    fewer if a stepped.
     """
     m = len(adj)
     size = [comb(m + k - 1, k) for k in range(c + 1)]
+    pool = list(range(max(size)))
     first: list[int] = []
     rest: list[int] = []
     ins: list[list[int]] = []
@@ -162,34 +168,38 @@ def _move_table(adj: list, c: int, cap: int) -> tuple[array, array]:
         tails = [comb(m - a + k - 2, k - 1) for a in range(m)]
         off = [size[k] - comb(m - a + k - 1, k) - size[k - 1] + t for a, t in enumerate(tails)]
         if k == 1:
-            ins = [[v] for v in range(m)]
+            ins = [[pool[v]] for v in range(m)]
         else:
             ins = [
-                [off[v] + j if v <= b else off[b] + ins[v][jr] for j, (b, jr) in enumerate(zip(first, rest))]
+                [pool[off[v] + j if v <= b else off[b] + ins[v][jr]] for j, (b, jr) in enumerate(zip(first, rest))]
                 for v in range(m)
             ]
+        get = [row.__getitem__ for row in ins]
+        step_get = [[get[u] for u in adj[a]] for a in range(m)]
         first = [a for a, t in enumerate(tails) for _ in range(t)]
         rest = [j for t in tails for j in range(size[k - 1] - t, size[k - 1])]
         below, rows = rows, {}
         for q in range(min(k, cap) + 1) if k < c else (min(c, cap),):
             if q == 0:
-                rows[q] = [[i] for i in range(size[k])]
+                rows[q] = [[i] for i in pool[: size[k]]]
                 continue
             stay, step = below[min(q, k - 1)], below[q - 1]
-            rows[q] = [
-                sorted(set(map(ins[a].__getitem__, stay[j])).union(
-                    *(map(ins[u].__getitem__, step[j]) for u in adj[a])
-                ))
-                for a, j in zip(first, rest)
-            ]
-    top = rows[min(c, cap)]
-    offsets = array("i", [0])
-    offsets.extend(accumulate(map(len, top)))
-    return offsets, array("i", chain.from_iterable(top))
+            if q == 1:  # the other cops stand still when a steps: row j of step is [j]
+                rows[q] = [sorted({*map(get[a], stay[j]), *[g(j) for g in step_get[a]]}) for a, j in zip(first, rest)]
+            else:
+                rows[q] = [
+                    sorted({*map(get[a], stay[j]), *chain.from_iterable([map(g, step[j]) for g in step_get[a]])})
+                    for a, j in zip(first, rest)
+                ]
+    return rows[min(c, cap)]
 
 
 def _closed(g: Graph) -> list[tuple[int, ...]]:
     return [(v,) + g.neighbors(v) for v in range(g.n)]
+
+
+def _neighbors(g: Graph) -> list[tuple[int, ...]]:
+    return [g.neighbors(v) for v in range(g.n)]
 
 
 def _unions(g: Graph):
@@ -221,7 +231,7 @@ def _cop_masks(n: int, c: int) -> list[int]:
 
 
 def _layers(
-    moves: tuple[array, array],
+    moves: list[list[int]],
     union,
     full: int,
     cop_win: list[int],
@@ -235,7 +245,7 @@ def _layers(
     cop_win[i] and rob_win[i] are the robber vertices r whose state (i, r,
     COPS) and (i, r, ROBBER) the attacker has won; they hold the seeds on
     entry.  Layer k reads layer k-1 only: a cop state joins when one move
-    (attacking) or every move (defending) along its CSR row leads into
+    (attacking) or every move (defending) along its row of moves leads into
     rob_win, and a robber state when one step (attacking) or every step
     (defending) leads into cop_win.  Cop states whose robber is in settled,
     and robber states standing on a cop of cop_masks (robber attacking),
@@ -245,7 +255,6 @@ def _layers(
     states grew.  Yields the new bits of each layer as two dicts from
     multiset to mask, cop side first, after applying them.
     """
-    offsets, targets = moves
     op = or_ if cops_attack else and_
     keep = full & ~settled
     new_c = {i: m for i, m in enumerate(cop_win) if m}
@@ -253,10 +262,10 @@ def _layers(
     while new_c or new_r:
         rows = set()
         for i in new_r:
-            rows.update(targets[offsets[i] : offsets[i + 1]])
+            rows.update(moves[i])
         grown_c = {}
         for j in rows:
-            m = reduce(op, map(rob_win.__getitem__, targets[offsets[j] : offsets[j + 1]])) & keep & ~cop_win[j]
+            m = reduce(op, map(rob_win.__getitem__, moves[j])) & keep & ~cop_win[j]
             if m:
                 grown_c[j] = m
         grown_r = {}
@@ -278,18 +287,22 @@ def _some_row_full(cop_win: list[int], layers, full: int) -> bool:
     return full in cop_win or any(cop_win[j] == full for new_c, _ in layers for j in new_c)
 
 
-def _capture(spec: GameSpec, budget: int | None):
-    """The capture game's move table, seeded win masks and layers."""
+def _capture(spec: GameSpec, adj: list[tuple[int, ...]], union, budget: int | None):
+    """The capture game's move table, seeded win masks and layers.
+
+    adj and union are the graph's neighbour lists and ``_unions``, which a
+    caller solving several games on one graph builds once.
+    """
     g, c = spec.graph, spec.cops
     _check_budget(estimate_states(g.n, c), budget)
-    moves = _move_table([g.neighbors(v) for v in range(g.n)], c, spec.active_cap or c)
+    moves = _move_table(adj, c, spec.active_cap or c)
     cop_win = _cop_masks(g.n, c)
     rob_win = cop_win[:]
-    return moves, cop_win, rob_win, _layers(moves, _unions(g), (1 << g.n) - 1, cop_win, rob_win, True)
+    return moves, cop_win, rob_win, _layers(moves, union, (1 << g.n) - 1, cop_win, rob_win, True)
 
 
 def _replay(
-    n: int, moves: tuple[array, array], closed: list[tuple[int, ...]], multisets: list[tuple[int, ...]], rank: array
+    n: int, moves: list[list[int]], closed: list[tuple[int, ...]], multisets: list[tuple[int, ...]], rank: array
 ) -> tuple[array, array]:
     """The queue order of a one-state-at-a-time FIFO attractor, and its cop moves.
 
@@ -301,7 +314,6 @@ def _replay(
     (i, v) of rank k, v along closed[r], and appends it when its last
     successor of rank k-1 has been popped.
     """
-    offsets, targets = moves
     n2 = 2 * n
     move = array("i", [-1]) * len(rank)
     waiting = array("i", rank)  # a queued cop state is marked -3
@@ -317,7 +329,7 @@ def _replay(
         k = rank[s] + 1
         i, r = divmod(s >> 1, n)
         if s & 1:
-            row = targets[offsets[i] : offsets[i + 1]]
+            row = moves[i]
             r2 = 2 * r
             for j in compress(row, map(k.__eq__, map(cop_waiting[r].__getitem__, row))):
                 p = j * n2 + r2
@@ -399,7 +411,7 @@ class StrategyTable:
         ranked: int,
         initial: tuple[int, ...] | None,
         closed: list[tuple[int, ...]],
-        moves: tuple[array, array],
+        moves: list[list[int]],
     ):
         self.n = n
         self.cops = cops
@@ -475,7 +487,7 @@ class StrategyTable:
 def solve(spec: GameSpec, budget: int | None = None) -> tuple[bool, StrategyTable]:
     g, c = spec.graph, spec.cops
     n = g.n
-    moves, cop_win, rob_win, layers = _capture(spec, budget)
+    moves, cop_win, rob_win, layers = _capture(spec, _neighbors(g), _unions(g), budget)
     multisets = list(combinations_with_replacement(range(n), c))
     full = (1 << n) - 1
     rank = array("i", [-1]) * (2 * n * len(multisets))
@@ -501,9 +513,10 @@ def cop_number(
     g: Graph, max_cops: int, active_cap: int | None = None, budget: int | None = None
 ) -> int | None:
     """Least c <= max_cops winning the game, or None when all of them lose."""
+    adj, union = _neighbors(g), _unions(g)
     for c in range(1, max_cops + 1):
         cap = None if active_cap is None else min(active_cap, c)
-        _, cop_win, _, layers = _capture(GameSpec(g, c, active_cap=cap), budget)
+        _, cop_win, _, layers = _capture(GameSpec(g, c, active_cap=cap), adj, union, budget)
         if _some_row_full(cop_win, layers, (1 << g.n) - 1):
             return c
     return None
@@ -529,7 +542,6 @@ def is_guardable(
     local = {v: k for k, v in enumerate(hv)}
     guard_sets = list(combinations_with_replacement(hv, cops))
     guard_moves = _move_table([[local[u] for u in g.neighbors(v) if u in local] for v in hv], cops, cops)
-    offsets, targets = guard_moves
     union = _unions(g)
     full, on_h = (1 << n) - 1, mask_of(hv)
 
@@ -551,9 +563,9 @@ def is_guardable(
         if not strict:
             # Tolerate the robber on h at the entry instant: some within-h
             # continuation must survive all later play.
-            always_bad = reduce(and_, map(bad_r.__getitem__, targets[offsets[i] : offsets[i + 1]]))
+            always_bad = reduce(and_, map(bad_r.__getitem__, guard_moves[i]))
             safe = safe & ~on_h | on_h & ~always_bad
         win_c[_multiset_index(cset, n)] = safe
-    free_moves = _move_table([g.neighbors(v) for v in range(n)], cops, cops)
+    free_moves = _move_table(_neighbors(g), cops, cops)
     layers = _layers(free_moves, union, full, win_c, [0] * len(win_c), True)
     return _some_row_full(win_c, layers, full)

@@ -141,6 +141,14 @@ class TestExactValues:
         assert all(r["active"] == 1 for r in recs)
         assert recs[0]["cop_number"] == 2
 
+    @pytest.mark.parametrize("argv", [["copnumber", "--max", "2"], ["kmove", "--max", "2", "--active", "1"]])
+    def test_empty_graph_is_refused(self, capsys, tmp_path, argv):
+        f = tmp_path / "empty.g6"
+        f.write_text("?\n")
+        code, out, err = run(capsys, argv[:1] + [str(f)] + argv[1:])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {"code": 1, "command": argv[0], "message": "graph 0: empty graph"}
+
     def test_budget_refusal(self, capsys, corpus):
         code, _, err = run(
             capsys, ["copnumber", corpus, "--max", "3", "--state-cap", "10"]

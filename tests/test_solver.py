@@ -1,6 +1,7 @@
 """Exact-solver tests: frozen cop numbers, replay soundness, guard mode."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -27,6 +28,8 @@ from pursuit.solver import (
     BudgetExceeded,
     GameSpec,
     StrategyTable,
+    _move_table,
+    _multiset_index,
     cop_number,
     estimate_states,
     is_guardable,
@@ -106,6 +109,55 @@ class TestSpecValidation:
             GameSpec(g, 2, active_cap=3)
         with pytest.raises(ValueError):
             GameSpec(g, 2, active_cap=0)
+
+    def test_rejects_empty_graph(self):
+        for call in (
+            lambda: GameSpec(Graph(0), 1),
+            lambda: solve(GameSpec(Graph(0), 1)),
+            lambda: cop_number(Graph(0), 2),
+            lambda: k_move_cop_number(Graph(0), 1, 2),
+        ):
+            with pytest.raises(ValueError, match="^empty graph$"):
+                call()
+
+
+def _restricted_adjacency(g: Graph, hv: tuple[int, ...]) -> list[list[int]]:
+    """The adjacency is_guardable passes: g's edges inside hv, relabelled 0..len(hv)-1."""
+    local = {v: k for k, v in enumerate(hv)}
+    return [[local[u] for u in g.neighbors(v) if u in local] for v in hv]
+
+
+class TestMoveTable:
+    ADJACENCIES = {
+        "P4": [path(4).neighbors(v) for v in range(4)],
+        "C5": [cycle(5).neighbors(v) for v in range(5)],
+        "K4": [complete(4).neighbors(v) for v in range(4)],
+        "K1,3": [Graph(4, [(0, 1), (0, 2), (0, 3)]).neighbors(v) for v in range(4)],
+        "Petersen": [petersen().neighbors(v) for v in range(10)],
+        # a path 0-1-2 with a pendant 4, and 8 cut off inside the 3x3 grid
+        "grid3x3-restricted": _restricted_adjacency(grid(3, 3), (0, 1, 2, 4, 8)),
+    }
+
+    @staticmethod
+    def _brute_rows(adj, c: int, cap: int) -> list[list[int]]:
+        m = len(adj)
+        rows = []
+        for cops in itertools.combinations_with_replacement(range(m), c):
+            reached = set()
+            for moved in itertools.product(*[(v, *adj[v]) for v in cops]):
+                if sum(u != v for u, v in zip(moved, cops)) <= cap:
+                    reached.add(_multiset_index(tuple(sorted(moved)), m))
+            rows.append(sorted(reached))
+        return rows
+
+    @pytest.mark.parametrize("name", sorted(ADJACENCIES))
+    def test_rows_match_brute_force(self, name):
+        adj = self.ADJACENCIES[name]
+        for c in range(1, 4):
+            for cap in range(1, c + 1):
+                rows = _move_table(adj, c, cap)
+                assert rows == self._brute_rows(adj, c, cap), (c, cap)
+                assert all(a < b for row in rows for a, b in zip(row, row[1:]))
 
 
 class TestBudget:
