@@ -168,7 +168,7 @@ def _move_table(adj: list, c: int, cap: int) -> list[list[int]]:
         tails = [comb(m - a + k - 2, k - 1) for a in range(m)]
         off = [size[k] - comb(m - a + k - 1, k) - size[k - 1] + t for a, t in enumerate(tails)]
         if k == 1:
-            ins = [[pool[v]] for v in range(m)]
+            ins = [[v] for v in pool[:m]]
         else:
             ins = [
                 [pool[off[v] + j if v <= b else off[b] + ins[v][jr]] for j, (b, jr) in enumerate(zip(first, rest))]
