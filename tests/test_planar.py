@@ -1,9 +1,12 @@
 """Embedding, region, classification, and bypath-selection tests."""
 
+import hashlib
+
 import pytest
 
 from pursuit.constructions import (
     complete,
+    connected_graphs,
     cycle,
     grid,
     path,
@@ -223,6 +226,33 @@ class TestClassifyVertex:
                             host = within & ~(1 << xb)
                             assert pa.is_isometric_in(g, host)
                             assert is_bypath_free(g, pa, host)
+
+
+class TestPinnedClassification:
+    def test_classifications_are_pinned(self):
+        # sha256 of repr(classify_vertex(e, v, z)), or of the exception's
+        # class name, for every ordered (v, z) on every connected planar
+        # graph with 3 to 6 vertices; recorded from the classifier that
+        # flooded each side of a fan quadrant in its own pass.
+        h = hashlib.sha256()
+        count = 0
+        for n in range(3, 7):
+            for g in connected_graphs(n):
+                e = embed(g)
+                if e is None:
+                    continue
+                for v in range(g.n):
+                    for z in range(g.n):
+                        try:
+                            out = repr(classify_vertex(e, v, z))
+                        except Exception as exc:
+                            out = type(exc).__name__
+                        h.update(out.encode() + b"\n")
+                        count += 1
+        assert (count, h.hexdigest()) == (
+            4178,
+            "cb6b6c0f12573bfb580d444770ca2caacfd74eee046cb3d67a7a7b976d1e64d6",
+        )
 
 
 def _theta_with_two_detours():
