@@ -32,8 +32,6 @@ class ControllerFault(RuntimeError):
 class WideShadowGuard:
     """Cop glued to the robber's wide shadow on a Helly isometric subgraph."""
 
-    kind = "wide-shadow"
-
     def __init__(
         self,
         g: Graph,
@@ -174,7 +172,7 @@ class PathShadowGuard:
     either violation is a ControllerFault.
     """
 
-    kind = "path-shadow"
+    kind = "shadow"
 
     def __init__(self, shadows: PathShadows, cop_at: int, robber: int):
         lo, hi = shadows.interval(robber)
@@ -244,8 +242,6 @@ class LeisurelyGuard(PathShadowGuard):
 
 class ScriptedWalk:
     """Cop replaying a fixed stay-or-step route, one vertex per turn."""
-
-    kind = "scripted"
 
     def __init__(self, g: Graph, route):
         route = tuple(route)

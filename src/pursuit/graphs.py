@@ -321,19 +321,9 @@ class DistanceMatrix:
     def __init__(self, rows: Sequence[Sequence[float]]) -> None:
         self.rows = tuple(tuple(r) for r in rows)
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
     def __getitem__(self, pair: tuple[int, int]) -> float:
         u, v = pair
         return self.rows[u][v]
-
-    def row(self, v: int) -> tuple[float, ...]:
-        return self.rows[v]
-
-    def eccentricity(self, v: int) -> float:
-        return max(self.rows[v]) if self.rows else 0
 
     def diameter(self) -> float:
         return max((max(r) for r in self.rows), default=0)
@@ -405,9 +395,6 @@ class Path:
         if i > j:
             raise ValueError("segment indices out of order")
         return Path(self.vertices[i : j + 1])
-
-    def reversed(self) -> Path:
-        return Path(tuple(reversed(self.vertices)))
 
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)

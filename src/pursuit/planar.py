@@ -4,9 +4,11 @@ vertex classification and bypath selection the capture strategy leans on.
 An embedding is a rotation system: every present vertex carries a cyclic
 order of its present neighbors.  Faces come from dart tracing, the Euler
 count is validated at construction, and all topology below (regions,
-fan quadrants, strips) is computed from face floods; no coordinates exist
-anywhere.  Embeddings can be masked to a connected sub-host while keeping
-the original vertex labels, which is how the strategy engine scopes its
+fan quadrants, strips) comes from one split: a single flood of the faces,
+from seed faces and never across a two-path cycle, puts each off-cycle
+vertex on one side of that cycle; no coordinates exist anywhere.
+Embeddings can be masked to a connected sub-host while keeping the
+original vertex labels, which is how the strategy engine scopes its
 shrinking worlds.
 """
 
@@ -108,17 +110,7 @@ class PlanarEmbedding:
             v: tuple(u for u in self.rotation[v] if keep >> u & 1)
             for v in bits(keep)
         }
-        return PlanarEmbedding(self.graph, _RowView(rot), keep)
-
-
-class _RowView:
-    """Adapter so restrict() can feed a dict where a list is indexed."""
-
-    def __init__(self, rows: dict):
-        self.rows = rows
-
-    def __getitem__(self, v: int):
-        return self.rows[v]
+        return PlanarEmbedding(self.graph, rot, keep)
 
 
 def embed(g: Graph) -> PlanarEmbedding | None:
@@ -147,7 +139,8 @@ class Region:
     pivot: int
 
 
-def _cycle_edges(p: Path, q: Path) -> set[frozenset[int]]:
+def _cycle_edges(p: Path, q: Path) -> set[tuple[int, int]]:
+    """Both darts of every edge of the cycle p ∪ q."""
     if (
         {p.vertices[0], p.vertices[-1]} != {q.vertices[0], q.vertices[-1]}
         or p.vertex_set() & q.vertex_set()
@@ -155,52 +148,47 @@ def _cycle_edges(p: Path, q: Path) -> set[frozenset[int]]:
         or p.length + q.length < 3
     ):
         raise ValueError("paths must bound a cycle: same ends, disjoint interiors")
-    edges: set[frozenset[int]] = set()
-    for path in (p, q):
-        for a, b in zip(path.vertices, path.vertices[1:]):
-            edges.add(frozenset((a, b)))
-    return edges
+    return {
+        dart
+        for path in (p, q)
+        for a, b in zip(path.vertices, path.vertices[1:])
+        for dart in ((a, b), (b, a))
+    }
 
 
-def _flood(e: PlanarEmbedding, seeds, blocked: set[frozenset[int]]) -> set[int]:
-    """Face ids reachable from the seeds without crossing a blocked edge."""
+def _split(e: PlanarEmbedding, p: Path, q: Path, seeds) -> tuple[frozenset[int], frozenset[int]]:
+    """Off-cycle vertices on the seed faces' side of the cycle p ∪ q, and
+    those on the far side: one flood over the faces that never crosses a
+    cycle edge."""
+    blocked = _cycle_edges(p, q)
     faces = e.faces()
     seen = set(seeds)
-    todo = list(seeds)
+    todo = list(seen)
     while todo:
-        f = todo.pop()
-        for u, v in faces[f]:
-            if frozenset((u, v)) in blocked:
+        for u, v in faces[todo.pop()]:
+            if (u, v) in blocked:
                 continue
-            g = e.face_of(v, u)
-            if g not in seen:
-                seen.add(g)
-                todo.append(g)
-    return seen
-
-
-def _face_vertices(e: PlanarEmbedding, face_ids) -> set[int]:
-    faces = e.faces()
-    out: set[int] = set()
-    for f in face_ids:
-        for u, _ in faces[f]:
-            out.add(u)
-    return out
+            f = e.face_of(v, u)
+            if f not in seen:
+                seen.add(f)
+                todo.append(f)
+    near: set[int] = set()
+    far: set[int] = set()
+    for f, face in enumerate(faces):
+        (near if f in seen else far).update(u for u, _ in face)
+    boundary = p.vertex_set() | q.vertex_set()
+    return frozenset(near - boundary), frozenset(far - boundary)
 
 
 def region(e: PlanarEmbedding, p: Path, q: Path, pivot: int) -> Region:
     """Vertices strictly inside the disk bounded by p and q on pivot's side."""
-    blocked = _cycle_edges(p, q)
-    boundary = p.vertex_set() | q.vertex_set()
     if not e.mask >> pivot & 1:
         raise ValueError("pivot is outside the embedded host")
-    if pivot in boundary:
+    if pivot in p.vertex_set() | q.vertex_set():
         raise ValueError("pivot lies on the boundary cycle")
     if not e.rotation[pivot]:
         raise ValueError("pivot has no incident darts in the host")
-    seeds = {e.face_of(pivot, w) for w in e.rotation[pivot]}
-    side = _flood(e, seeds, blocked)
-    interior = frozenset(_face_vertices(e, side) - boundary)
+    interior, _ = _split(e, p, q, {e.face_of(pivot, w) for w in e.rotation[pivot]})
     return Region(p, q, interior, pivot)
 
 
@@ -255,17 +243,16 @@ def classify_vertex(e: PlanarEmbedding, v: int, z: int) -> Classification:
         p1 = Path((v, x1, u))
         p2 = Path((v, x2, u))
         rest = set(fan) - {x1, x2}
-        if z in (v, u, x1, x2):
-            inner = region(e, p1, p2, min(rest)) if rest else None
-            interior = (
-                frozenset(_other_side(e, p1, p2, inner))
-                if inner is not None
-                else _either_side(e, p1, p2)
-            )
-        else:
+        if z not in (v, u, x1, x2):
             interior = region(e, p1, p2, z).interior
             if z not in interior:
                 continue
+        elif rest:  # z on the boundary: take the side away from the other fan vertices
+            x = min(rest)
+            _, interior = _split(e, p1, p2, {e.face_of(x, w) for w in e.rotation[x]})
+        else:  # k = 2: the smaller side, ties to the side at dart v -> x1
+            sides = _split(e, p1, p2, {e.face_of(v, x1)})
+            interior = min(sides, key=lambda s: (len(s), sorted(s)))
         if interior & rest:
             continue
         chosen = (x1, x2, p1, p2, interior)
@@ -280,30 +267,6 @@ def classify_vertex(e: PlanarEmbedding, v: int, z: int) -> Classification:
     return Classification(
         "poles", p1=p1, p2=p2, u=u, x1=x1, x2=x2, region_vertices=rvs
     )
-
-
-def _other_side(e: PlanarEmbedding, p1: Path, p2: Path, inner: Region) -> set[int]:
-    blocked = _cycle_edges(p1, p2)
-    boundary = p1.vertex_set() | p2.vertex_set()
-    all_faces = set(range(len(e.faces())))
-    pivot_faces = {
-        e.face_of(inner.pivot, u) for u in e.rotation[inner.pivot]
-    }
-    side = _flood(e, pivot_faces, blocked)
-    return _face_vertices(e, all_faces - side) - boundary
-
-
-def _either_side(e: PlanarEmbedding, p1: Path, p2: Path) -> frozenset[int]:
-    # k = 2 with z on the boundary: prefer the smaller side, then the one
-    # reached first from the lowest dart, for determinism.
-    blocked = _cycle_edges(p1, p2)
-    boundary = p1.vertex_set() | p2.vertex_set()
-    a = p1.vertices[0], p1.vertices[1]
-    side = _flood(e, {e.face_of(*a)}, blocked)
-    rest = set(range(len(e.faces()))) - side
-    va = _face_vertices(e, side) - boundary
-    vb = _face_vertices(e, rest) - boundary if rest else set()
-    return frozenset(min((va, vb), key=lambda s: (len(s), sorted(s))))
 
 
 # -- bypath selection -------------------------------------------------------------
@@ -323,19 +286,13 @@ def _composite(q: Path, b: Path) -> Path:
     return Path(q.vertices[:i] + b.vertices + q.vertices[j + 1 :])
 
 
-def _strip_interior(
-    e: PlanarEmbedding, p: Path, q: Path, b: Path
-) -> frozenset[int]:
+def _strip_interior(e: PlanarEmbedding, p: Path, q: Path, b: Path) -> frozenset[int]:
     """Interior of the pocket between q's spanned part and the detour b,
     identified as the side away from p (p's first edge is never on the
-    pocket cycle, so its face seeds the far side)."""
+    pocket cycle, so its face seeds p's side)."""
     i = q.index_of(b.vertices[0])
     j = q.index_of(b.vertices[-1])
-    blocked = _cycle_edges(q.segment(i, j), b)
-    p_side = _flood(e, {e.face_of(p.vertices[0], p.vertices[1])}, blocked)
-    rest = set(range(len(e.faces()))) - p_side
-    boundary = q.vertex_set() | b.vertex_set()
-    return frozenset(_face_vertices(e, rest) - boundary)
+    return _split(e, q.segment(i, j), b, {e.face_of(p.vertices[0], p.vertices[1])})[1]
 
 
 def select_bypath(e: PlanarEmbedding, p: Path, q: Path) -> BypathChoice:

@@ -70,7 +70,7 @@ class PathShadows:
     """Shadow queries against one isometric path in a fixed host.
 
     dists[p] holds the host distances from the path's p-th vertex: the rows
-    of the isometry check, or plain BFS rows when verify is False. Each query
+    of the isometry check, which refuses a non-isometric path. Each query
     is then a single min/max scan over positions. Distances along the path
     equal position differences by isometry, so the shadow is always the
     interval [max_p(p - d_p), min_p(p + d_p)] clamped to the path.
@@ -78,18 +78,13 @@ class PathShadows:
 
     __slots__ = ("g", "path", "within", "dists")
 
-    def __init__(
-        self, g: Graph, path: Path, within: int | None = None, verify: bool = True
-    ) -> None:
+    def __init__(self, g: Graph, path: Path, within: int | None = None) -> None:
         self.g = g
         self.path = path
         self.within = g.vertex_mask() if within is None else within
-        if verify:
-            dists = path.geodesic_rows(g, self.within)
-            if dists is None:
-                raise ValueError("path is not isometric in the host")
-        else:
-            dists = [g.bfs_levels(x, self.within) for x in path.vertices]
+        dists = path.geodesic_rows(g, self.within)
+        if dists is None:
+            raise ValueError("path is not isometric in the host")
         self.dists = dists
 
     def interval(self, v: int) -> tuple[int, int]:

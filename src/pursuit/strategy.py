@@ -170,14 +170,18 @@ class _ShadowChase:
 class _Guard:
     """One cop bound to one path, with the controller that keeps it honest."""
 
-    __slots__ = ("cop", "kind", "path", "ctl", "rows")
+    __slots__ = ("cop", "path", "ctl", "rows")
 
-    def __init__(self, cop: int, kind: str, path: Path, ctl=None):
+    def __init__(self, cop: int, path: Path, ctl=None):
         self.cop = cop
-        self.kind = kind  # "park" | "shadow" | "leisurely"
         self.path = path
         self.ctl = ctl  # a pinned or leisurely guard's host is ctl.shadows.within
         self.rows: PathShadows | None = None  # the path's rows last built in another host
+
+    @property
+    def kind(self) -> str:
+        """Milestone kind: "park" without a controller, else the controller's."""
+        return "park" if self.ctl is None else self.ctl.kind
 
 
 class _Mission:
@@ -309,7 +313,6 @@ class _Engine:
             if not shadows.is_bypath_free():
                 continue
             gd.ctl = LeisurelyGuard(shadows, self.cops[gd.cop])
-            gd.kind = "leisurely"
             changed = True
         return changed
 
@@ -594,10 +597,10 @@ class _Engine:
             for v in m.park_path.vertices:
                 if v != pos and not self.g.has_edge(pos, v):
                     raise PlanarityFault("parked cop does not cover its path")
-            new = _Guard(m.cop, "park", m.park_path)
+            new = _Guard(m.cop, m.park_path)
         else:
             ctl = PathShadowGuard(m.chase.shadows, pos, self.robber)
-            new = _Guard(m.cop, "shadow", ctl.path, ctl)
+            new = _Guard(m.cop, ctl.path, ctl)
         self.guards.append(new)
         dead = {id(gd) for gd in drop}
         self.guards = [gd for gd in self.guards if id(gd) not in dead]
@@ -615,7 +618,7 @@ class _Engine:
         g = self.g
         v0 = self._start_vertex()
         self.cops = [v0, v0, v0]
-        self.guards = [_Guard(0, "park", Path((v0,)))]
+        self.guards = [_Guard(0, Path((v0,)))]
         self._record(0, "place-cops", (True, True, True), {"start": v0})
         r = self.adversary.place(tuple(self.cops))
         if not 0 <= r < g.n:

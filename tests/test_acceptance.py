@@ -178,7 +178,7 @@ def test_02_singleton_path_shadows_mark_bypaths(corpus7):
     pairs = singletons = 0
     for g in corpus7:
         for p in isometric_paths(g):
-            ps = PathShadows(g, p, verify=False)
+            ps = PathShadows(g, p)
             marked = bypath_vertices(g, p)
             on_path = set(p.vertices)
             for v in range(g.n):

@@ -97,13 +97,6 @@ class TestFrozenShadows:
         with pytest.raises(ValueError):
             PathShadows(g, Path((0, 1, 2, 3, 4)))
 
-    def test_empty_shadow_raises(self):
-        # Unverified on a non-isometric path, vertex 5 of C6 meets a lower
-        # bound 3 (from position 4) above an upper bound 1 (from position 0).
-        oracle = PathShadows(cycle(6), Path((0, 1, 2, 3, 4)), verify=False)
-        with pytest.raises(AssertionError, match="empty shadow"):
-            oracle.interval(5)
-
     def test_query_outside_host(self):
         g = cycle(6)
         oracle = PathShadows(g, Path((0, 1, 2)), mask_of([0, 1, 2, 3]))
@@ -194,7 +187,7 @@ class TestBypathStructure:
                 if len(seq) < 2:
                     continue
                 p = Path(seq)
-                oracle = PathShadows(g, p, verify=False)
+                oracle = PathShadows(g, p)
                 on_bypath = bypath_vertices(g, p)
                 for v in range(g.n):
                     if v in seq:
@@ -210,7 +203,7 @@ class TestBypathStructure:
             g = random_connected(rng, rng.randint(3, 9))
             for seq in isometric_paths(g, 5):
                 p = Path(seq)
-                oracle = PathShadows(g, p, verify=False)
+                oracle = PathShadows(g, p)
                 for u, v in g.edges():
                     lo_u, hi_u = oracle.interval(u)
                     lo_v, hi_v = oracle.interval(v)

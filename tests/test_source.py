@@ -1,12 +1,14 @@
 """Source checks that hold for every module of the package."""
 
 import ast
+import importlib
 import pathlib
 import sys
 
 import pursuit
 
 SOURCE = pathlib.Path(pursuit.__file__).parent
+SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
 def test_no_assert_statements():
@@ -34,3 +36,25 @@ def test_imports_are_stdlib_networkx_or_pursuit():
                 continue  # a relative import stays inside pursuit
             found += [f"{module.relative_to(SOURCE)}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
     assert found == []
+
+
+def test_benchmark_span_targets_resolve():
+    # The benchmark's tracer wraps each TARGETS name through its owner's
+    # __dict__, so deleting or moving one breaks a traced run.
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"), filename=str(SPANS))
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    ]
+    missing = []
+    for layer, qualnames in targets.items():
+        module = importlib.import_module(f"pursuit.{layer}")
+        for qual in qualnames:
+            *owner_path, attr = qual.split(".")
+            owner = module
+            for part in owner_path:
+                owner = getattr(owner, part, None)
+            if attr not in getattr(owner, "__dict__", {}):
+                missing.append(f"{layer}.{qual}")
+    assert missing == []
