@@ -131,6 +131,33 @@ class TestPinnedTraces:
             "c66192fa078395db6e66115391627e900de9f9d9db42f316d6663be8769fe017",
         )
 
+    def test_pair_builders_are_pinned(self):
+        # Games that reach the pair planner's cut-vertex park, its
+        # two-attachment chase and its two-adjacent-doors park, which the
+        # campaign above never plays; recorded from the engine with a
+        # separate shadow-chase class and one bridge helper per call site.
+        games = [
+            (16, 70, "greedy"), (35, 86, "greedy"), (39, 59, "random"),
+            (32, 174, "greedy"), (29, 171, "greedy"), (28, 50, "greedy"),
+            (26, 49, "greedy"), (24, 47, "greedy"), (8, 34, "optimal"),
+        ]
+        h = hashlib.sha256()
+        for n, seed, kind in games:
+            g = sparse_planar(n, seed)
+            if kind == "optimal":
+                solved, table = solve(GameSpec(g, 3, active_cap=2))
+                assert solved
+                adversary = OptimalAdversary(g, table)
+            elif kind == "greedy":
+                adversary = GreedyAdversary(g, seed=seed)
+            else:
+                adversary = RandomAdversary(g, seed=seed)
+            tr = assert_clean_capture(g, adversary)
+            h.update(tr.to_json().encode())
+        assert h.hexdigest() == (
+            "6b3d9e82e6f2ca0256a269837de71ee0ced39c5cee22237de3b96e28cc3452ec"
+        )
+
 
 class TestTraceSerialization:
     def test_json_round_trip(self):
