@@ -358,16 +358,14 @@ class AdversaryGadget:
     certificate: EscapeCertificate
 
 
-def build_guard_adversary(
-    h: Graph, descriptor: HtsDescriptor, k: int, explicit_budget: int = 4096
-) -> AdversaryGadget:
+def build_guard_adversary(h: Graph, descriptor: HtsDescriptor, k: int) -> AdversaryGadget:
     if k < 1:
         raise ValueError("k must be positive")
     if descriptor.m <= k or descriptor.s <= k:
         raise ValueError("needs m > k and s > k")
     certificate = EscapeCertificate(descriptor, k)
     count = descriptor.s ** len(descriptor.subsets)
-    if count > explicit_budget:
+    if count > 4096:
         return AdversaryGadget(
             explicit=False, graph=None, apex_base=h.n, transversals=None,
             certificate=certificate,

@@ -525,17 +525,17 @@ def is_dominating(g: Graph, vertices: Iterable[int]) -> bool:
     return covered == g.vertex_mask()
 
 
-def domination_number(g: Graph, limit: int = 24) -> int:
+def domination_number(g: Graph) -> int:
     """Exact minimum dominating set size, by subset search over closed stars.
 
-    Guarded to small graphs: raises for n > limit since the search is
+    Guarded to small graphs: raises for n > 24 since the search is
     exponential.
     """
     n = g.n
     if n == 0:
         return 0
-    if n > limit:
-        raise ValueError(f"domination_number is exact-only, n={n} exceeds {limit}")
+    if n > 24:
+        raise ValueError(f"domination_number is exact-only, n={n} exceeds 24")
     stars = [g.adj_mask(v) | 1 << v for v in range(n)]
     full = g.vertex_mask()
     from itertools import combinations

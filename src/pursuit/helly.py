@@ -150,7 +150,7 @@ def is_helly(g: Graph) -> bool:
     return _triple_test(*_ball_table(g))
 
 
-def is_helly_oracle(g: Graph, limit: int = 8) -> bool:
+def is_helly_oracle(g: Graph) -> bool:
     """Exhaustive search for a pairwise-intersecting family with empty core.
 
     Independent of the triple test.  Without loss of generality a violating
@@ -161,8 +161,8 @@ def is_helly_oracle(g: Graph, limit: int = 8) -> bool:
     running intersection and branches over compatible balls that exclude
     it, so every branch makes progress.
     """
-    if g.n > limit:
-        raise ValueError(f"oracle limited to n <= {limit}, got {g.n}")
+    if g.n > 8:
+        raise ValueError(f"oracle limited to n <= 8, got {g.n}")
     n = g.n
     if n <= 2:
         return True

@@ -131,14 +131,6 @@ def embed(g: Graph) -> PlanarEmbedding | None:
 # -- regions --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Region:
-    boundary_p: Path
-    boundary_q: Path
-    interior: frozenset[int]
-    pivot: int
-
-
 def _cycle_edges(p: Path, q: Path) -> set[tuple[int, int]]:
     """Both darts of every edge of the cycle p ∪ q."""
     if (
@@ -180,7 +172,7 @@ def _split(e: PlanarEmbedding, p: Path, q: Path, seeds) -> tuple[frozenset[int],
     return frozenset(near - boundary), frozenset(far - boundary)
 
 
-def region(e: PlanarEmbedding, p: Path, q: Path, pivot: int) -> Region:
+def region(e: PlanarEmbedding, p: Path, q: Path, pivot: int) -> frozenset[int]:
     """Vertices strictly inside the disk bounded by p and q on pivot's side."""
     if not e.mask >> pivot & 1:
         raise ValueError("pivot is outside the embedded host")
@@ -189,7 +181,7 @@ def region(e: PlanarEmbedding, p: Path, q: Path, pivot: int) -> Region:
     if not e.rotation[pivot]:
         raise ValueError("pivot has no incident darts in the host")
     interior, _ = _split(e, p, q, {e.face_of(pivot, w) for w in e.rotation[pivot]})
-    return Region(p, q, interior, pivot)
+    return interior
 
 
 # -- vertex classification -------------------------------------------------------
@@ -244,7 +236,7 @@ def classify_vertex(e: PlanarEmbedding, v: int, z: int) -> Classification:
         p2 = Path((v, x2, u))
         rest = set(fan) - {x1, x2}
         if z not in (v, u, x1, x2):
-            interior = region(e, p1, p2, z).interior
+            interior = region(e, p1, p2, z)
             if z not in interior:
                 continue
         elif rest:  # z on the boundary: take the side away from the other fan vertices

@@ -405,7 +405,6 @@ class StrategyTable:
         self,
         n: int,
         cops: int,
-        active_cap: int | None,
         multisets: list[tuple[int, ...]],
         rank: array,
         ranked: int,
@@ -415,7 +414,6 @@ class StrategyTable:
     ):
         self.n = n
         self.cops = cops
-        self.active_cap = active_cap
         self.initial = initial
         self._multisets = multisets
         self._rank = rank
@@ -505,7 +503,7 @@ def solve(spec: GameSpec, budget: int | None = None) -> tuple[bool, StrategyTabl
     # The first multiset to win every robber vertex wins soonest against the best one.
     initial = multisets[min(done)] if done else None
     ranked = sum(m.bit_count() for m in chain(cop_win, rob_win))
-    table = StrategyTable(n, c, spec.active_cap, multisets, rank, ranked, initial, _closed(g), moves)
+    table = StrategyTable(n, c, multisets, rank, ranked, initial, _closed(g), moves)
     return initial is not None, table
 
 

@@ -5,10 +5,10 @@ the unguarded part of the graph he occupies.  At most two cops guard at any
 time, each responsible for one path.  A guard is parked (its closed
 neighborhood covers the whole path), pinned to the robber's wide shadow on
 the path, or patrolling leisurely on a bypath-free path.  The remaining cop
-is free and runs one mission at a time: walk somewhere and park, or capture
-the wide shadow of a freshly chosen path.  An arbiter grants the mission
-cop a move only on turns when at most one guard moved, which keeps every
-cops' turn at or below two movers.
+is free and runs one mission at a time: a walk that ends in a park, or in a
+chase that captures the wide shadow of a freshly chosen path.  An arbiter
+grants the mission cop a move only on turns when at most one guard moved,
+which keeps every cops' turn at or below two movers.
 
 Replanning fires whenever no mission is active.  It recomputes the
 territory, discards guards the territory no longer touches, upgrades
@@ -18,15 +18,16 @@ contact pattern: a path touched on one vertex becomes a parked block or a
 classified fan park, a path touched on two adjacent vertices is bridged
 through the territory, a wider contact span is rerouted through the
 territory and the old guard released, and two single-contact guards are
-bridged contact to contact.  Milestones annotate the trace with the case
-label, the guard set, and the territory size; sizes never increase and
-strictly decrease whenever the label changes.
+bridged contact to contact.  A walk glued through the territory is parked
+on when it has at most two edges and chased otherwise.  Milestones annotate
+the trace with the case label, the guard set, and the territory size; sizes
+never increase and strictly decrease whenever the label changes.
 
 A guarded path has one row set, its `PathShadows` in its host, from chase
 to release: the shadow chase builds it, the pinned guard steps by its
 intervals, and the leisurely upgrade and the bypath reroute reuse it while
-the host is unchanged.  The chase reads its entry and its route off the
-free cop's whole-graph BFS row.  A territory bridge is one
+the host is unchanged.  A chase reads its entry and its route off the free
+cop's whole-graph BFS row.  A territory bridge is one
 `shortest_path_between` call.
 
 validate_trace re-checks a finished trace against the graph alone, using
@@ -114,59 +115,6 @@ class Trace:
 # -- the free cop's missions -----------------------------------------------------
 
 
-class _ShadowChase:
-    """Intermittent pursuit of the robber's wide shadow on an isometric path.
-
-    The shadow is a position interval that drifts by at most one per robber
-    move and cannot leave the path, so a cop that walks to the path and then
-    steps toward the current interval ends up inside it no matter how its
-    granted turns interleave with robber moves: the interval must cross the
-    cop's position to get past it, and the crossing is observed.
-    """
-
-    def __init__(self, g: Graph, path: Path, cop_at: int, within: int):
-        self.path = path
-        self.shadows = PathShadows(g, path, within)  # verifies isometry; kept by the guard
-        dist = g.bfs_levels(cop_at)
-        entry = min(
-            range(len(path.vertices)),
-            key=lambda i: (dist[path.vertices[i]], i),
-        )
-        if dist[path.vertices[entry]] < 0:
-            raise PlanarityFault("chase target unreachable by the free cop")
-        self.route = shortest_path_in_row(g, dist, cop_at, path.vertices[entry]).vertices
-        self.leg = 0
-        self.at = entry  # path position once the route is walked
-        self.steps = 0
-        self.cap = len(self.route) + (path.length + 2) * (g.n + 2)
-
-    @property
-    def pos(self) -> int:
-        if self.leg < len(self.route) - 1:
-            return self.route[self.leg]
-        return self.path.vertices[self.at]
-
-    def done(self, robber: int) -> bool:
-        if self.leg < len(self.route) - 1:
-            return False  # the route meets the path only at its end
-        lo, hi = self.shadows.interval(robber)
-        return lo <= self.at <= hi
-
-    def step(self, robber: int) -> int:
-        self.steps += 1
-        if self.steps > self.cap:
-            raise PlanarityFault("shadow chase exceeded its turn bound")
-        if self.leg < len(self.route) - 1:
-            self.leg += 1
-            return self.pos
-        lo, hi = self.shadows.interval(robber)
-        if self.at < lo:
-            self.at += 1
-        elif self.at > hi:
-            self.at -= 1
-        return self.pos
-
-
 class _Guard:
     """One cop bound to one path, with the controller that keeps it honest."""
 
@@ -185,35 +133,51 @@ class _Guard:
 
 
 class _Mission:
-    """Free-cop assignment: a walk ending in a park, or a shadow chase.
+    """Free-cop assignment: a walk that ends in a park or a chase.
+
+    The cop replays route.  Without shadows it then parks, covering
+    park_path.  With shadows, the rows of an isometric path that route ends
+    on, it then steps toward the robber's wide shadow on that path.  The
+    shadow is a position interval that drifts by at most one per robber move
+    and cannot leave the path, so the cop ends up inside it no matter how
+    its granted turns interleave with robber moves: the interval must cross
+    the cop's position to get past it, and the crossing is observed.
 
     release lists guards to drop once the mission lands; any further guard
     whose doors end up covered is released by the coverage sweep then.
     """
 
-    def __init__(
-        self,
-        cop: int,
-        walk: ScriptedWalk | None = None,
-        chase: _ShadowChase | None = None,
-        park_path: Path | None = None,
-        release=(),
-    ):
+    def __init__(self, g: Graph, cop: int, route, release, park_path=None, shadows=None):
         self.cop = cop
-        self.walk = walk
-        self.chase = chase
-        self.park_path = park_path
+        self.walk = ScriptedWalk(g, route)
         self.release = tuple(release)
+        self.park_path = park_path
+        self.shadows = shadows
+        if shadows is not None:
+            self.at = shadows.path.index_of(route[-1])  # path position once walked
+            self.steps = 0
+            self.cap = len(route) + (shadows.path.length + 2) * (g.n + 2)
 
     def done(self, robber: int) -> bool:
-        if self.walk is not None:
+        if self.shadows is None or not self.walk.done:
             return self.walk.done
-        return self.chase.done(robber)
+        lo, hi = self.shadows.interval(robber)
+        return lo <= self.at <= hi
 
     def step(self, robber: int) -> int:
-        if self.walk is not None:
+        if self.shadows is None:
             return self.walk.step()
-        return self.chase.step(robber)
+        self.steps += 1
+        if self.steps > self.cap:
+            raise PlanarityFault("shadow chase exceeded its turn bound")
+        if not self.walk.done:
+            return self.walk.step()
+        lo, hi = self.shadows.interval(robber)
+        if self.at < lo:
+            self.at += 1
+        elif self.at > hi:
+            self.at -= 1
+        return self.shadows.path.vertices[self.at]
 
 
 # -- the engine ------------------------------------------------------------------
@@ -369,39 +333,47 @@ class _Engine:
         route = shortest_path(self.g, self.cops[cop], target)
         if route is None:
             raise PlanarityFault("park target unreachable by the free cop")
-        return _Mission(
-            cop,
-            walk=ScriptedWalk(self.g, route.vertices),
-            park_path=covered,
-            release=release,
-        )
+        return _Mission(self.g, cop, route.vertices, release, park_path=covered)
 
     def _attach(self, path: Path, host: int, release) -> _Mission:
+        """Chase the robber's shadow on path, entering it at the vertex
+        nearest the free cop, the lowest position among ties."""
         cop = self._free_cop()
-        chase = _ShadowChase(self.g, path, self.cops[cop], host)
-        return _Mission(cop, chase=chase, release=release)
+        shadows = PathShadows(self.g, path, host)  # verifies isometry; kept by the guard
+        at = self.cops[cop]
+        dist = self.g.bfs_levels(at)
+        entry = min(range(len(path.vertices)), key=lambda i: (dist[path.vertices[i]], i))
+        if dist[path.vertices[entry]] < 0:
+            raise PlanarityFault("chase target unreachable by the free cop")
+        route = shortest_path_in_row(self.g, dist, at, path.vertices[entry])
+        return _Mission(self.g, cop, route.vertices, release, shadows=shadows)
 
-    def _swap_span(self, gd: _Guard, ymask: int, i: int, j: int, detour: Path) -> _Mission:
-        """Replace gd's span [i..j] by a reroute sharing its end vertices.
+    def _guard_walk(self, walk: Path, ymask: int, release) -> _Mission:
+        """Guard a walk glued through the territory: park on its middle
+        vertex when it has at most two edges, else chase it in territory
+        plus walk."""
+        if not walk.is_path_in(self.g):
+            raise PlanarityFault("glued guard walk is not a path")
+        if walk.length <= 2:
+            return self._park(walk.vertices[len(walk.vertices) // 2], walk, release)
+        return self._attach(walk, ymask | walk.mask(), release)
+
+    def _movepath(self, gd: _Guard, ymask: int) -> _Mission:
+        """Replace gd's span between a bypath's ends, i < j, by the bypath.
 
         The tails outside the span have no territory neighbors, so the glued
         walk is isometric in territory plus walk and chaseable there.
         """
+        detour = first_bypath(self._rows_in(gd, ymask))
+        if detour is None:
+            raise PlanarityFault("pinned guard has no bypath to reroute")
         verts = gd.path.vertices
+        i = gd.path.index_of(detour.vertices[0])
+        j = gd.path.index_of(detour.vertices[-1])
         walk = Path(verts[: i + 1] + detour.vertices[1:-1] + verts[j:])
         if not walk.is_path_in(self.g):
             raise PlanarityFault("glued guard walk is not a path")
         return self._attach(walk, ymask | walk.mask(), ())
-
-    def _movepath(self, gd: _Guard, ymask: int) -> _Mission:
-        detour = first_bypath(self._rows_in(gd, ymask))
-        if detour is None:
-            raise PlanarityFault("pinned guard has no bypath to reroute")
-        i = gd.path.index_of(detour.vertices[0])
-        j = gd.path.index_of(detour.vertices[-1])
-        if i > j:
-            i, j = j, i
-        return self._swap_span(gd, ymask, i, j, detour)
 
     def _span_flow(self, gd: _Guard, ymask: int, i: int, j: int) -> _Mission:
         """Cut the territory away from gd's contact span [i..j].
@@ -416,12 +388,7 @@ class _Engine:
         vi, vj = verts[i], verts[j]
         inner = self._inner_bridge(ymask, vi, vj)
         if not self.g.has_edge(vi, vj):
-            walk = Path(verts[: i + 1] + inner.vertices + verts[j:])
-            if not walk.is_path_in(self.g):
-                raise PlanarityFault("glued guard walk is not a path")
-            if len(walk.vertices) == 3:
-                return self._park(walk.vertices[1], walk, ())
-            return self._attach(walk, ymask | walk.mask(), ())
+            return self._guard_walk(Path(verts[: i + 1] + inner.vertices + verts[j:]), ymask, ())
         if j == i + 1:
             # consecutive doors; only the bridge itself needs covering
             if inner.length == 0:
@@ -477,9 +444,7 @@ class _Engine:
             s = shortest_path(self.g, points[0], points[1], ymask)
             if s is None:
                 raise PlanarityFault("territory attachments are separated")
-            if s.length <= 2:
-                return self._park(s.vertices[len(s.vertices) // 2], s, (first, second))
-            return self._attach(s, ymask, (first, second))
+            return self._guard_walk(s, ymask, (first, second))
         for gd, other in ((first, second), (second, first)):
             # a guard with one door of its own folds into a walk joining
             # that door to a far partner door; its other doors stay covered
@@ -547,7 +512,7 @@ class _Engine:
                         good = False
                         break
                 if good:
-                    return self._bridge(ymask, a, inner, b)
+                    return self._guard_walk(Path((a,) + inner.vertices + (b,)), ymask, ())
         return None
 
     def _own_doors(self, gd: _Guard, other: _Guard, ymask: int) -> list[int]:
@@ -558,27 +523,24 @@ class _Engine:
 
     def _cross(self, ymask: int, a: int, b: int) -> _Mission:
         """Guard a door-to-door route bridged through the territory."""
-        return self._bridge(ymask, a, self._inner_bridge(ymask, a, b), b)
+        inner = self._inner_bridge(ymask, a, b)
+        return self._guard_walk(Path((a,) + inner.vertices + (b,)), ymask, ())
 
-    def _bridge(self, ymask: int, a: int, inner: Path, b: int) -> _Mission:
-        """Guard the walk from door a through the territory route inner to b."""
-        if inner.length == 0:
-            return self._park(inner.vertices[0], Path((a, inner.vertices[0], b)), ())
-        walk = Path((a,) + inner.vertices + (b,))
-        if not walk.is_path_in(self.g):
-            raise PlanarityFault("door-to-door walk is not a path")
-        return self._attach(walk, ymask | walk.mask(), ())
-
-    def _replan(self) -> tuple[_Mission, dict | None]:
+    def _settle(self, keep: "_Guard | None" = None) -> tuple[int, bool]:
+        """Recompute the territory and re-settle the guard set on it: drop
+        guards it no longer touches, release covered ones, upgrade pinned
+        ones.  Returns the territory and whether the guard set changed."""
         ymask = self._territory()
         changed = self._prune(ymask)
         if not self.guards:
             raise PlanarityFault("guard set emptied while the robber is free")
-        changed |= self._release_covered(ymask)
+        changed |= self._release_covered(ymask, keep)
         changed |= self._convert(ymask)
-        note = None
-        if changed or self.last_territory is None:
-            note = self._note(ymask)
+        return ymask, changed
+
+    def _replan(self) -> tuple[_Mission, dict | None]:
+        ymask, changed = self._settle()
+        note = self._note(ymask) if changed or self.last_territory is None else None
         pinned = [gd for gd in self.guards if gd.kind == "shadow"]
         if pinned:
             mission = self._movepath(pinned[0], ymask)
@@ -592,24 +554,18 @@ class _Engine:
 
     def _finish(self, m: _Mission) -> dict:
         pos = self.cops[m.cop]
-        drop = list(m.release)
-        if m.walk is not None:
+        if m.shadows is None:
             for v in m.park_path.vertices:
                 if v != pos and not self.g.has_edge(pos, v):
                     raise PlanarityFault("parked cop does not cover its path")
             new = _Guard(m.cop, m.park_path)
         else:
-            ctl = PathShadowGuard(m.chase.shadows, pos, self.robber)
+            ctl = PathShadowGuard(m.shadows, pos, self.robber)
             new = _Guard(m.cop, ctl.path, ctl)
         self.guards.append(new)
-        dead = {id(gd) for gd in drop}
+        dead = {id(gd) for gd in m.release}
         self.guards = [gd for gd in self.guards if id(gd) not in dead]
-        ymask = self._territory()
-        self._prune(ymask)
-        if not self.guards:
-            raise PlanarityFault("guard set emptied while the robber is free")
-        self._release_covered(ymask, keep=new)
-        self._convert(ymask)
+        ymask, _ = self._settle(keep=new)
         return self._note(ymask)
 
     # -- the game loop ------------------------------------------------------
@@ -699,7 +655,7 @@ def run_two_move_strategy(g: Graph, e=None, adversary=None, turn_cap=None) -> Tr
         e = embed(g)
         if e is None:
             raise ValueError("graph is not planar")
-    elif e.mask != g.vertex_mask() or e.graph.n != g.n:
+    elif e.graph != g or e.mask != g.vertex_mask():
         raise ValueError("embedding does not cover this graph")
     if adversary is None:
         adversary = RandomAdversary(g)

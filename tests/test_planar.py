@@ -105,10 +105,10 @@ def _sides_partition(g: Graph, e: PlanarEmbedding, p: Path, q: Path) -> None:
     rest = [v for v in range(g.n) if v not in boundary]
     if not rest:
         return
-    first = region(e, p, q, rest[0]).interior
+    first = region(e, p, q, rest[0])
     other = frozenset(v for v in rest if v not in first)
     for v in rest:
-        got = region(e, p, q, v).interior
+        got = region(e, p, q, v)
         assert got in (first, other)
         assert v in got
         assert not got & boundary
@@ -121,20 +121,19 @@ class TestRegion:
     def test_hub_inside_split_cycle(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)])
         e = embed(g)
-        r = region(e, Path((0, 1, 2)), Path((0, 3, 2)), 4)
-        assert r.interior == frozenset({4})
+        assert region(e, Path((0, 1, 2)), Path((0, 3, 2)), 4) == frozenset({4})
 
     def test_grid_center_between_halves(self):
         e = embed(grid(3, 3))
         p = Path((0, 1, 2, 5, 8))
         q = Path((0, 3, 6, 7, 8))
-        assert region(e, p, q, 4).interior == frozenset({4})
+        assert region(e, p, q, 4) == frozenset({4})
 
     def test_grid_outer_side(self):
         e = embed(grid(3, 3))
         p = Path((0, 1, 2))
         q = Path((0, 3, 4, 5, 2))
-        assert region(e, p, q, 7).interior == frozenset({6, 7, 8})
+        assert region(e, p, q, 7) == frozenset({6, 7, 8})
 
     def test_pivot_on_boundary_rejected(self):
         e = embed(grid(3, 3))

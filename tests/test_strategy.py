@@ -28,7 +28,7 @@ from pursuit import strategy
 from pursuit.strategy import (
     Trace,
     _Engine,
-    _ShadowChase,
+    _Mission,
     run_two_move_strategy,
     validate_trace,
 )
@@ -242,9 +242,7 @@ class TestAbortAndInput:
     def test_pinned_guard_start_fault_aborts(self, monkeypatch):
         # A chase that reports done as soon as its cop reaches the path
         # hands the pinned guard a cop outside the robber's shadow.
-        monkeypatch.setattr(
-            _ShadowChase, "done", lambda chase, robber: chase.pos in chase.path.vertex_set()
-        )
+        monkeypatch.setattr(_Mission, "done", lambda m, robber: m.walk.done)
         g = grid(6, 6)
         tr = run_two_move_strategy(g, adversary=GreedyAdversary(g))
         assert tr.verdict == {
@@ -295,6 +293,8 @@ class TestAbortAndInput:
     def test_foreign_embedding_rejected(self):
         with pytest.raises(ValueError):
             run_two_move_strategy(path(4), e=embed(path(3)))
+        with pytest.raises(ValueError):
+            run_two_move_strategy(cycle(6), e=embed(path(6)))
 
 
 def synthetic(g, turns, verdict):
