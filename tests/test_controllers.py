@@ -1,10 +1,12 @@
 """Controller tests: shadow guarding, the dismantling chase, leisurely rests."""
 
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
-from pursuit.constructions import cycle, grid, path, random_connected
+from pursuit.constructions import connected_graphs, cycle, grid, path, random_connected
 from pursuit.controllers import (
     ControllerFault,
     GreedyAdversary,
@@ -142,6 +144,89 @@ class TestCaptureShadow:
     def test_rejects_empty_stream(self):
         with pytest.raises(ValueError):
             capture_shadow(path(3), (0, 1), 2, iter([]))
+
+
+def _controller_cases():
+    """(graph, target) pairs: every nonempty target of every connected graph
+    on at most 5 vertices, then sampled targets on seeded 9- to 14-vertex
+    hosts (shortest paths, a random set, the whole vertex set), then rows,
+    columns and blocks of a 4x5 grid."""
+    for n in range(1, 6):
+        for g in connected_graphs(n):
+            for size in range(1, n + 1):
+                yield from ((g, h) for h in combinations(range(n), size))
+    for seed in range(12):
+        g = random_connected(9 + seed % 6, 0.3, seed)
+        rng = random.Random(seed)
+        for _ in range(4):
+            a, b = rng.sample(range(g.n), 2)
+            yield g, shortest_path(g, a, b).vertices
+        yield g, tuple(sorted(rng.sample(range(g.n), 4)))
+        yield g, tuple(range(g.n))
+    g = grid(4, 5)
+    for h in (
+        (0, 1, 2, 3, 4),
+        (10, 11, 12, 13, 14),
+        (0, 5, 10, 15),
+        (2, 7, 12, 17),
+        (0, 1, 5, 6),
+        (6, 7, 8, 11, 12, 13),
+        tuple(range(20)),
+    ):
+        yield g, h
+
+
+def _robber_walks(g: Graph, rng: random.Random):
+    """A lazy random walk of 3n steps; a robber that jumps to a random
+    vertex n times, which the guard may not survive; a robber that never
+    moves, so the chase reads past the end of its stream."""
+    lazy = [rng.randrange(g.n)]
+    for _ in range(3 * g.n):
+        r = lazy[-1]
+        lazy.append(r if rng.random() < 0.5 else rng.choice(g.neighbors(r) or (r,)))
+    jumps = [rng.randrange(g.n) for _ in range(g.n + 1)]
+    return lazy, jumps, lazy[:1]
+
+
+def _controller_answers(g: Graph, h, cop: int, walk):
+    """capture_shadow's (turns, vertex), then the steps of a WideShadowGuard
+    started where the chase landed and following the rest of the walk; an
+    exception is recorded as its class and message."""
+    try:
+        turns, at = capture_shadow(g, h, cop, iter(walk))
+        chase = (turns, at)
+        k = min(max(turns - 1, 0), len(walk) - 1)
+    except (ValueError, ControllerFault) as e:
+        chase = (type(e).__name__, str(e))
+        at, k = cop, 0
+    steps: list = []
+    try:
+        guard = WideShadowGuard(g, h, at, walk[k])
+        for r in walk[k + 1 :]:
+            steps.append(guard.step(r))
+    except (ValueError, ControllerFault) as e:
+        steps.append((type(e).__name__, str(e)))
+    return chase, steps
+
+
+class TestPinnedControllers:
+    def test_chase_and_guard_moves_are_pinned(self):
+        # sha256 of repr of every case and its answers, in case order;
+        # recorded from the controllers that each kept their own target
+        # check, one-step rule and route counter.  The walks are seeded per
+        # (graph, target).
+        h = hashlib.sha256()
+        count = 0
+        for i, (g, target) in enumerate(_controller_cases()):
+            for walk in _robber_walks(g, random.Random(i)):
+                for cop in range(g.n):
+                    answers = _controller_answers(g, target, cop, walk)
+                    h.update(repr((g.edges(), target, cop, walk, answers)).encode())
+                    count += 1
+        assert (count, h.hexdigest()) == (
+            13896,
+            "499e18d4a9d076fb336cb13b316e9c69cb26f1a2f465232481da0387c9e7f5ce",
+        )
 
 
 class TestPathShadowGuard:
