@@ -245,7 +245,6 @@ class HtsDescriptor:
     t: int
     s: int
     m: int
-    core: tuple[int, ...]
     subsets: tuple[tuple[int, ...], ...]
     privates: tuple[tuple[int, ...], ...]
 
@@ -299,8 +298,7 @@ def build_hts(t: int, s: int) -> tuple[Graph, HtsDescriptor]:
     if not is_dismantlable(g):
         raise AssertionError("chordal graphs dismantle")
     desc = HtsDescriptor(
-        t=t, s=s, m=m, core=tuple(range(t)), subsets=subsets,
-        privates=tuple(privates),
+        t=t, s=s, m=m, subsets=subsets, privates=tuple(privates),
     )
     return g, desc
 

@@ -29,53 +29,49 @@ class ControllerFault(RuntimeError):
     """An invariant the theory guarantees failed at run time."""
 
 
+def _helly_target(g: Graph, h) -> tuple[tuple[int, ...], Graph, list[int]]:
+    """(sorted h, induced subgraph, its vertex labels in g); ValueError
+    unless h is isometric in g and Helly."""
+    hv = tuple(sorted(set(h)))
+    if not is_isometric_subgraph(g, hv):
+        raise ValueError("guarded subgraph must be isometric in its host")
+    sub, keep = g.induced(hv)
+    if not is_helly(sub):
+        raise ValueError("guarded subgraph must be Helly")
+    return hv, sub, keep
+
+
+def _step_into(g: Graph, shadow, x: int) -> int | None:
+    """The least shadow vertex that is x or adjacent to x, or None."""
+    return min((y for y in shadow if y == x or g.has_edge(y, x)), default=None)
+
+
 class WideShadowGuard:
     """Cop glued to the robber's wide shadow on a Helly isometric subgraph."""
 
-    def __init__(
-        self,
-        g: Graph,
-        guarded,
-        cop_at: int,
-        robber: int,
-        within: int | None = None,
-    ):
+    def __init__(self, g: Graph, guarded, cop_at: int, robber: int):
         self.graph = g
-        self.guarded = tuple(sorted(set(guarded)))
-        self.within = g.vertex_mask() if within is None else within
-        if not is_isometric_subgraph(g, self.guarded, self.within):
-            raise ValueError("guarded subgraph must be isometric in its host")
-        sub, _ = g.induced(self.guarded)
-        if not is_helly(sub):
-            raise ValueError("guarded subgraph must be Helly")
+        self.guarded = _helly_target(g, guarded)[0]
         self.cop_at = cop_at
-        self.shadow = wide_shadow(g, self.guarded, robber, self.within)
+        self.shadow = wide_shadow(g, self.guarded, robber)
         if cop_at not in self.shadow:
             raise ValueError("cop must start inside the robber's shadow")
 
     def step(self, robber: int) -> int:
         """Stay or make the single step that re-enters the shadow."""
-        nxt = wide_shadow(self.graph, self.guarded, robber, self.within)
+        nxt = wide_shadow(self.graph, self.guarded, robber)
         if self.cop_at not in nxt:
-            reachable = sorted(
-                y for y in nxt if self.graph.has_edge(self.cop_at, y)
-            )
-            if not reachable:
+            at = _step_into(self.graph, nxt, self.cop_at)
+            if at is None:
                 raise ControllerFault(
                     f"shadow drifted out of reach of cop at {self.cop_at}"
                 )
-            self.cop_at = reachable[0]
+            self.cop_at = at
         self.shadow = nxt
         return self.cop_at
 
 
-def capture_shadow(
-    g: Graph,
-    h,
-    cop_at: int,
-    robber_stream,
-    within: int | None = None,
-) -> tuple[int, int]:
+def capture_shadow(g: Graph, h, cop_at: int, robber_stream) -> tuple[int, int]:
     """Walk a cop into the robber's wide shadow on h.
 
     The stream yields the robber's position before the first cop move and
@@ -90,13 +86,7 @@ def capture_shadow(
     route length plus |V(h)| squared; exceeding it is a ControllerFault,
     since the theory bounds the chase well under that.
     """
-    hv = tuple(sorted(set(h)))
-    w = g.vertex_mask() if within is None else within
-    if not is_isometric_subgraph(g, hv, w):
-        raise ValueError("guarded subgraph must be isometric in its host")
-    sub, keep = g.induced(hv)
-    if not is_helly(sub):
-        raise ValueError("guarded subgraph must be Helly")
+    hv, sub, keep = _helly_target(g, h)
     order = dismantling_order(sub)
     if order is None:
         raise ValueError("guarded subgraph must be dismantlable")
@@ -117,13 +107,12 @@ def capture_shadow(
         raise ValueError("robber stream yielded no placement") from None
 
     pos = cop_at
-    shadow = wide_shadow(g, hv, r, w)  # one per robber position
+    shadow = wide_shadow(g, hv, r)  # one per robber position
     if pos in shadow:
         return 0, pos
 
-    route = shortest_path(g, pos, keep[last]).vertices
-    leg = 0
-    cap = len(route) - 1 + len(hv) ** 2
+    walk = ScriptedWalk(g, shortest_path(g, pos, keep[last]).vertices)
+    cap = len(walk.route) - 1 + len(hv) ** 2
     stage = len(stages) - 1
     anchor: int | None = None  # tracking point, a shadow member in g labels
     turns = 0
@@ -131,10 +120,9 @@ def capture_shadow(
         turns += 1
         if turns > cap:
             raise ControllerFault("shadow chase exceeded its turn bound")
-        if leg < len(route) - 1:
-            leg += 1
-            pos = route[leg]
-            if leg == len(route) - 1:
+        if not walk.done:
+            pos = walk.step()
+            if walk.done:
                 anchor = min(shadow)
         else:
             if anchor is None:
@@ -155,12 +143,11 @@ def capture_shadow(
             r = next(stream)
         except StopIteration:
             continue
-        shadow = wide_shadow(g, hv, r, w)
+        shadow = wide_shadow(g, hv, r)
         if anchor is not None:
-            step = [y for y in shadow if y == anchor or g.has_edge(y, anchor)]
-            if not step:
+            anchor = _step_into(g, shadow, anchor)
+            if anchor is None:
                 raise ControllerFault("shadow drifted more than one step")
-            anchor = min(step)
 
 
 class PathShadowGuard:

@@ -148,8 +148,8 @@ class Graph:
                 nxt ^= low
         return dist
 
-    def distances_from(self, src: int, within: int | None = None) -> list[float]:
-        return [UNREACHABLE if d < 0 else d for d in self.bfs_levels(src, within)]
+    def distances_from(self, src: int) -> list[float]:
+        return [UNREACHABLE if d < 0 else d for d in self.bfs_levels(src)]
 
     def is_connected(self) -> bool:
         return self.n == 0 or self.component_of(0) == self.vertex_mask()
@@ -329,12 +329,8 @@ class DistanceMatrix:
         return max((max(r) for r in self.rows), default=0)
 
 
-def distance_matrix(g: Graph, within: int | None = None) -> DistanceMatrix:
-    verts = range(g.n) if within is None else list(bits(within))
-    rows: list[list[float]] = [[UNREACHABLE] * g.n for _ in range(g.n)]
-    for v in verts:
-        rows[v] = g.distances_from(v, within)
-    return DistanceMatrix(rows)
+def distance_matrix(g: Graph) -> DistanceMatrix:
+    return DistanceMatrix([g.distances_from(v) for v in range(g.n)])
 
 
 def ball(g: Graph, center: int, radius: int) -> frozenset[int]:
@@ -345,22 +341,17 @@ def ball(g: Graph, center: int, radius: int) -> frozenset[int]:
     return frozenset(v for v in range(g.n) if 0 <= lev[v] <= radius)
 
 
-def is_isometric_subgraph(
-    g: Graph, vertices: Iterable[int], within: int | None = None
-) -> bool:
+def is_isometric_subgraph(g: Graph, vertices: Iterable[int]) -> bool:
     """True iff the induced subgraph preserves all host distances.
 
-    within restricts the host to a vertex mask that must contain the
-    subgraph. An empty vertex set is not an isometric subgraph.
+    An empty vertex set is not an isometric subgraph.
     """
     keep = sorted(set(vertices))
     if not keep:
         return False
     sub_mask = mask_of(keep)
-    if within is not None and within & sub_mask != sub_mask:
-        return False
     for v in keep:
-        host = g.bfs_levels(v, within)
+        host = g.bfs_levels(v)
         inner = g.bfs_levels(v, sub_mask)
         for u in keep:
             if host[u] != inner[u]:

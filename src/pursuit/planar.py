@@ -44,7 +44,7 @@ class PlanarEmbedding:
             rot[v] = row
         self.rotation = rot
         self._faces: tuple[tuple[tuple[int, int], ...], ...] | None = None
-        self._face_of: dict[tuple[int, int], int] | None = None
+        self._face_of: dict[tuple[int, int], int] = {}  # filled by faces()
         self._check_euler()
 
     # -- faces -------------------------------------------------------------
@@ -77,8 +77,6 @@ class PlanarEmbedding:
 
     def face_of(self, u: int, v: int) -> int:
         self.faces()
-        if self._face_of is None:
-            raise PlanarityFault("faces traced without a dart index")
         return self._face_of[(u, v)]
 
     def face_count(self) -> int:

@@ -38,25 +38,21 @@ __all__ = [
 ]
 
 
-def gamma(
-    g: Graph, target: frozenset[int] | set[int], x: int, v: int, within: int | None = None
-) -> frozenset[int]:
+def gamma(g: Graph, target: frozenset[int] | set[int], x: int, v: int) -> frozenset[int]:
     """Target vertices no farther from x than v is (one shadow constraint)."""
-    dist = g.bfs_levels(x, within)
+    dist = g.bfs_levels(x)
     dv = dist[v]
     if dv < 0:
         return frozenset(target)
     return frozenset(y for y in target if 0 <= dist[y] <= dv)
 
 
-def wide_shadow(
-    g: Graph, target, v: int, within: int | None = None
-) -> frozenset[int]:
+def wide_shadow(g: Graph, target, v: int) -> frozenset[int]:
     """Intersection of gamma over all target vertices."""
     tv = sorted(set(target))
     result = set(tv)
     for x in tv:
-        dist = g.bfs_levels(x, within)
+        dist = g.bfs_levels(x)
         dv = dist[v]
         if dv < 0:
             continue
@@ -191,15 +187,12 @@ def first_bypath(shadows: PathShadows) -> Path | None:
     return None
 
 
-def bypaths(
-    g: Graph, path: Path, within: int | None = None, limit: int | None = None
-) -> list[Path]:
+def bypaths(g: Graph, path: Path, within: int | None = None) -> list[Path]:
     """All bypaths of the path in the host, in deterministic order.
 
     A bypath replaces the stretch between two positions i < j (at least two
     apart) by an equally long detour that avoids the path internally; the
-    rerouted walk is then itself a geodesic, hence isometric. The count can
-    grow quickly, so pass limit when only existence or a sample matters.
+    rerouted walk is then itself a geodesic, hence isometric.
     """
     out: list[Path] = []
     for i, j, levels in _detours(PathShadows(g, path, within)):
@@ -211,8 +204,6 @@ def bypaths(
             if k == len(levels):
                 if g.has_edge(seq[-1], vj):
                     out.append(Path(tuple(seq) + (vj,)))
-                    if limit is not None and len(out) >= limit:
-                        return out
                 continue
             for nxt in sorted(
                 (x for x in levels[k] if g.has_edge(seq[-1], x)), reverse=True

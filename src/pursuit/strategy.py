@@ -842,6 +842,7 @@ def validate_trace(g: Graph, trace: Trace) -> list[str]:
         if idx < final and robber in cops:
             out.append(f"legality: play continued with the robber caught at turn {idx}")
         note = rec.get("note")
+        newguards = None
         if isinstance(note, dict) and "case" in note:
             if rec["mover"] != "cops":
                 out.append(f"milestone: note outside a cops' turn at {idx}")
@@ -888,7 +889,8 @@ def validate_trace(g: Graph, trace: Trace) -> list[str]:
                     out.append(f"park: cop {c} left its post on turn {idx}")
                 continue
             if cops[c] not in p:
-                out.append(f"shadow: cop {c} is off its path on turn {idx}")
+                if guards is not newguards:  # else the milestone reported it
+                    out.append(f"shadow: cop {c} is off its path on turn {idx}")
                 continue
             host = mask_of(gd["host"])
             if not host >> robber & 1:

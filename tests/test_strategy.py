@@ -363,6 +363,26 @@ class TestValidatorFaults:
         out = validate_trace(g, tr)
         assert out == ["park: cop 0 left its post on turn 4"]
 
+    def test_off_path_milestone_flagged_once(self):
+        # The milestone that attaches the guard already reports the cop off
+        # its path; the discipline check on the same turn must not repeat it.
+        g = path(6)
+        note = {
+            "case": "a",
+            "guards": [{"cop": 0, "kind": "shadow", "path": [0, 1, 2], "host": [0, 1, 2, 3, 4, 5]}],
+            "territory": 3,
+        }
+        tr = synthetic(
+            g,
+            [
+                rec(0, "place-cops", (3, 0, 0), None, (True, True, True)),
+                rec(1, "place-robber", (3, 0, 0), 5, (False, False, False)),
+                rec(2, "cops", (3, 0, 0), 5, (False, False, False), note),
+            ],
+            {"outcome": "aborted", "reason": "stopped for the test"},
+        )
+        assert validate_trace(g, tr) == ["shadow: cop 0 is off its path at turn 2"]
+
     def test_restless_leisurely_guard_flagged(self):
         g = path(6)
         note = {
