@@ -382,10 +382,10 @@ def _render_turn(rec: dict) -> str:
     cops, robber, note = rec.get("cops"), rec.get("robber"), rec.get("note")
     milestone = isinstance(note, dict) and "case" in note
     if not (
-        isinstance(rec.get("t"), int)
+        type(rec.get("t")) is int
         and isinstance(rec.get("mover"), str)
         and isinstance(cops, list)
-        and (robber is None or isinstance(robber, int))
+        and (robber is None or type(robber) is int)
         and (not milestone or ("territory" in note and isinstance(note.get("guards"), list)))
     ):
         raise ValueError("fields t, mover, cops, robber or note are missing or malformed")

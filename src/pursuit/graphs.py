@@ -4,8 +4,12 @@ Simple undirected graphs on dense vertex ids 0..n-1. Adjacency is kept as one
 Python int bitmask per vertex, which makes BFS and set algebra cheap enough for
 the exhaustive corpora and the n=200 strategy campaigns without numpy.
 
-Distances use a dedicated UNREACHABLE sentinel (IEEE infinity), never a large
-magic number, so metric checks fail loudly instead of silently passing.
+Each layer picks its unreachable value.  The metric API (`distances_from`,
+`distance_matrix`) uses UNREACHABLE, IEEE infinity, so a metric check on a
+disconnected graph fails loudly instead of passing on a magic number.
+`bfs_levels` rows are ints with -1 for unreachable.  The Helly rows and
+`GreedyAdversary` map -1 to n on purpose: n exceeds every finite distance,
+so `max` ranks an unreachable vertex farthest and the row stays all ints.
 
 A graph answers each whole-graph distance question once.  `bfs_levels` keeps
 a row per source for BFS over the whole graph (no mask, or the full vertex
@@ -467,42 +471,12 @@ def shortest_path_between(
             return None
         seen |= frontier
         levels.append(frontier)
-    return _least_walk(g, reversed(levels), sources)
-
-
-def shortest_path_in_row(g: Graph, row: Sequence[int], src: int, dst: int) -> Path:
-    """`shortest_path(g, src, dst)` read off src's whole-graph row.
-
-    row is `g.bfs_levels(src)` and must reach dst.  Its levels are pruned
-    back from dst to the vertices that lie on a shortest path, then walked
-    forward by the least vertex, so no second BFS runs from dst.
-    """
-    d = row[dst]
-    levels = [0] * (d + 1)
-    for v, dv in enumerate(row):
-        if 0 <= dv < d:
-            levels[dv] |= 1 << v
-    levels[d] = 1 << dst
-    adj = g._adj
-    for k in range(d, 0, -1):
-        reach = 0
-        level = levels[k]
-        while level:
-            low = level & -level
-            reach |= adj[low.bit_length() - 1]
-            level ^= low
-        levels[k - 1] &= reach
-    return _least_walk(g, levels, 1 << src)
-
-
-def _least_walk(g: Graph, levels: Iterable[int], pick: int) -> Path:
-    """Walk level masks in order, taking the least vertex of each level
-    that continues the walk; pick holds the candidates for the first."""
     seq: list[int] = []
-    for level in levels:
+    pick = sources
+    for level in reversed(levels):
         step = level & pick
         seq.append((step & -step).bit_length() - 1)
-        pick = g.adj_mask(seq[-1])
+        pick = adj[seq[-1]]
     return Path(tuple(seq))
 
 

@@ -35,9 +35,11 @@ from itertools import combinations
 from .graphs import Graph, bits
 
 
-def _dist_row(g: Graph, v: int, infinity: int) -> list[int]:
-    """v's whole-graph distance row, infinity where v does not reach."""
-    return [d if d >= 0 else infinity for d in g.bfs_levels(v)]
+def _dist_row(g: Graph, v: int) -> list[int]:
+    """v's whole-graph distance row, g.n where v does not reach: above every
+    finite distance, so `max` and radius tests rank it farthest."""
+    n = g.n
+    return [d if d >= 0 else n for d in g.bfs_levels(v)]
 
 
 def find_corner(g: Graph, alive: int | None = None) -> tuple[int, int] | None:
@@ -90,7 +92,7 @@ def _ball_table(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
     component, so any finite radius of at least ecc(u) reads it.
     """
     n = g.n
-    rows = [_dist_row(g, v, n) for v in range(n)]
+    rows = [_dist_row(g, v) for v in range(n)]
     balls = []
     for row in rows:
         masks = [0] * (max(d for d in row if d < n) + 1)
@@ -166,11 +168,10 @@ def is_helly_oracle(g: Graph) -> bool:
     n = g.n
     if n <= 2:
         return True
-    inf = n
-    rows = [_dist_row(g, v, inf) for v in range(n)]
+    rows = [_dist_row(g, v) for v in range(n)]
     balls: list[tuple[int, int, int]] = []
     for v in range(n):
-        ecc = max(d for d in rows[v] if d < inf)
+        ecc = max(d for d in rows[v] if d < n)
         for r in range(1, ecc):
             mask = 0
             for u in range(n):
@@ -221,8 +222,7 @@ def is_valid_hole(g: Graph, hole: Hole) -> bool:
     n = g.n
     if any(not 0 <= v < n for v in hole.centers):
         return False
-    inf = n
-    rows = {v: _dist_row(g, v, inf) for v in set(hole.centers)}
+    rows = {v: _dist_row(g, v) for v in set(hole.centers)}
     k = len(hole.centers)
     for i in range(k):
         for j in range(i + 1, k):

@@ -75,7 +75,7 @@ with ``BudgetExceeded`` rather than thrash.
 from __future__ import annotations
 
 from array import array
-from collections.abc import ItemsView, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, combinations_with_replacement, compress
@@ -377,20 +377,6 @@ class _StateMap(Mapping):
         if self._len is None:
             self._len = sum(1 for _ in self)
         return self._len
-
-    def items(self):
-        return _StateItems(self)
-
-
-class _StateItems(ItemsView):
-    """Items in the state order, without a key lookup per item."""
-
-    def __iter__(self):
-        view = self._mapping
-        for s in view._table._order:
-            value = view._value(s)
-            if value is not None:
-                yield view._table._key(s), value
 
 
 class StrategyTable:

@@ -26,9 +26,9 @@ never increase and strictly decrease whenever the label changes.
 A guarded path has one row set, its `PathShadows` in its host, from chase
 to release: the shadow chase builds it, the pinned guard steps by its
 intervals, and the leisurely upgrade and the bypath reroute reuse it while
-the host is unchanged.  A chase reads its entry and its route off the free
-cop's whole-graph BFS row.  A territory bridge is one
-`shortest_path_between` call.
+the host is unchanged.  A chase reads its entry off the free cop's
+whole-graph BFS row and walks the route `shortest_path` gives to it.  A
+territory bridge is one `shortest_path_between` call.
 
 validate_trace re-checks a finished trace against the graph alone, using
 only the core graph primitives: move legality, the two-mover cap, park
@@ -55,7 +55,6 @@ from pursuit.graphs import (
     mask_of,
     shortest_path,
     shortest_path_between,
-    shortest_path_in_row,
     to_graph6,
 )
 from pursuit.planar import PlanarityFault, classify_vertex, embed
@@ -345,7 +344,7 @@ class _Engine:
         entry = min(range(len(path.vertices)), key=lambda i: (dist[path.vertices[i]], i))
         if dist[path.vertices[entry]] < 0:
             raise PlanarityFault("chase target unreachable by the free cop")
-        route = shortest_path_in_row(self.g, dist, at, path.vertices[entry])
+        route = shortest_path(self.g, at, path.vertices[entry])
         return _Mission(self.g, cop, route.vertices, release, shadows=shadows)
 
     def _guard_walk(self, walk: Path, ymask: int, release) -> _Mission:
@@ -608,8 +607,7 @@ class _Engine:
                     movers += 1
             if movers <= 1 and not mission.done(self.robber):
                 self.cops[mission.cop] = mission.step(self.robber)
-            grab = self.robber in self.cops
-            if not grab and mission.done(self.robber):
+            if mission.done(self.robber):
                 # deferred while a pounce is pending: the robber may stand on
                 # a vertex the new park is about to cover
                 if not any(g.has_edge(self.cops[c], self.robber) for c in range(3)):
@@ -619,8 +617,6 @@ class _Engine:
             if sum(moved) > 2:
                 raise PlanarityFault("three cops moved on one turn")
             self._record(t, "cops", moved, note)
-            if grab:
-                return self._trace({"outcome": "captured", "turn": t})
             t += 1
             nxt = self.adversary.move(tuple(self.cops), self.robber)
             if nxt != self.robber and not g.has_edge(self.robber, nxt):
@@ -687,7 +683,7 @@ def _shape_errors(g: Graph, turns: list) -> list[str]:
             if idx % 2 == 0
             else "robber"
         )
-        if rec.get("t") != idx:
+        if type(rec.get("t")) is not int or rec["t"] != idx:
             out.append(f"turn: record {idx} carries t={rec.get('t')!r}")
         if rec.get("mover") != wanted:
             out.append(
@@ -697,7 +693,7 @@ def _shape_errors(g: Graph, turns: list) -> list[str]:
         if not (
             isinstance(cops, list)
             and len(cops) == 3
-            and all(isinstance(c, int) and 0 <= c < g.n for c in cops)
+            and all(type(c) is int and 0 <= c < g.n for c in cops)
         ):
             return out + [f"schema: record {idx} cop positions are malformed"]
         moved = rec.get("moved")
@@ -711,7 +707,7 @@ def _shape_errors(g: Graph, turns: list) -> list[str]:
         if robber is None:
             if idx > 0:
                 return out + [f"schema: record {idx} has no robber position"]
-        elif not (isinstance(robber, int) and 0 <= robber < g.n):
+        elif not (type(robber) is int and 0 <= robber < g.n):
             return out + [f"schema: record {idx} robber position is malformed"]
     return out
 
@@ -737,7 +733,7 @@ def _milestone_errors(g: Graph, note: dict, cops: list, robber: int, idx: int):
         kind = gd.get("kind")
         p = gd.get("path")
         host = gd.get("host")
-        if not (isinstance(c, int) and 0 <= c < 3 and c not in seen_cops):
+        if not (type(c) is int and 0 <= c < 3 and c not in seen_cops):
             out.append(f"milestone: bad guard cop index at turn {idx}")
             return out, None, None
         seen_cops.add(c)
@@ -747,7 +743,7 @@ def _milestone_errors(g: Graph, note: dict, cops: list, robber: int, idx: int):
         if not (
             isinstance(p, list)
             and p
-            and all(isinstance(v, int) and 0 <= v < g.n for v in p)
+            and all(type(v) is int and 0 <= v < g.n for v in p)
             and len(set(p)) == len(p)
             and all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
         ):
@@ -764,7 +760,7 @@ def _milestone_errors(g: Graph, note: dict, cops: list, robber: int, idx: int):
         else:
             if not (
                 isinstance(host, list)
-                and all(isinstance(v, int) and 0 <= v < g.n for v in host)
+                and all(type(v) is int and 0 <= v < g.n for v in host)
                 and mask_of(host) & mask_of(p) == mask_of(p)
             ):
                 out.append(f"milestone: guard host malformed at turn {idx}")
@@ -775,7 +771,7 @@ def _milestone_errors(g: Graph, note: dict, cops: list, robber: int, idx: int):
         out.append(f"milestone: robber stands on a guarded path at turn {idx}")
         return out, None, guards
     terr = bin(g.component_of(robber, g.vertex_mask() & ~blocked)).count("1")
-    if terr != note.get("territory"):
+    if type(note.get("territory")) is not int or terr != note["territory"]:
         out.append(
             f"milestone: territory recorded as {note.get('territory')!r}, "
             f"recomputed {terr} at turn {idx}"
@@ -924,7 +920,7 @@ def validate_trace(g: Graph, trace: Trace) -> list[str]:
     outcome = verdict.get("outcome")
     last = turns[-1]
     if outcome == "captured":
-        if verdict.get("turn") != last["t"]:
+        if type(verdict.get("turn")) is not int or verdict["turn"] != last["t"]:
             out.append("verdict: capture turn disagrees with the last record")
         if last["robber"] not in last["cops"]:
             out.append("verdict: captured without a cop on the robber")

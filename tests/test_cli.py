@@ -430,6 +430,8 @@ class TestSimulateValidateReplay:
             '{"graph": "A_", "turns": [{"t": 0, "mover": "place-cops", "cops": 0, "robber": null}], "verdict": {}}',
             '{"graph": "A_", "turns": [{"t": "0", "mover": "place-cops", "cops": [0], "robber": null}], "verdict": {}}',
             '{"graph": "A_", "turns": [{"t": 2, "mover": "cops", "cops": [0], "robber": 1, "note": {"case": "a"}}], "verdict": {}}',
+            '{"graph": "A_", "turns": [{"t": false, "mover": "place-cops", "cops": [0], "robber": null}], "verdict": {}}',
+            '{"graph": "A_", "turns": [{"t": 0, "mover": "place-cops", "cops": [0], "robber": true}], "verdict": {}}',
         ],
     )
     def test_replay_malformed_turn_is_usage_error(self, capsys, tmp_path, line):

@@ -30,7 +30,6 @@ from pursuit.graphs import (
     mask_of,
     shortest_path,
     shortest_path_between,
-    shortest_path_in_row,
     to_edge_list,
     to_graph6,
 )
@@ -383,17 +382,6 @@ class TestShortestPath:
             assert (None if got is None else (got.length, got.vertices)) == best
             hits += best is not None
         assert hits > 200
-
-    def test_in_row_matches_shortest_path(self):
-        graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
-        graphs += [random_connected(20 + s, 0.08, s) for s in range(20)]
-        graphs.append(grid(6, 7))
-        for g in graphs:
-            for u in range(g.n):
-                row = g.bfs_levels(u)
-                for v in range(g.n):
-                    got = shortest_path_in_row(g, row, u, v)
-                    assert got == shortest_path(g, u, v)
 
     def test_between_masks_edge_cases(self):
         g = cycle_graph(6)

@@ -58,3 +58,25 @@ def test_benchmark_span_targets_resolve():
             if attr not in getattr(owner, "__dict__", {}):
                 missing.append(f"{layer}.{qual}")
     assert missing == []
+
+
+def test_private_names_are_used():
+    # A private function or class that nothing else in the package names is
+    # dead code: the public surface cannot reach it.
+    trees = {m.relative_to(SOURCE): ast.parse(m.read_text(encoding="utf-8"), filename=str(m)) for m in sorted(SOURCE.rglob("*.py"))}
+    refs: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name is not None:
+                refs.setdefault(name, []).append(node)
+    orphans = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            defines = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if not defines or not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            own = set(map(id, ast.walk(node)))
+            if not any(id(r) not in own for r in refs.get(node.name, ())):
+                orphans.append(f"{module}:{node.lineno} {node.name}")
+    assert orphans == []

@@ -312,6 +312,243 @@ def rec(t, mover, cops, robber, moved, note=None):
     }
 
 
+STILL, ALL = (False, False, False), (True, True, True)
+STOPPED = {"outcome": "aborted", "reason": "stopped for the test"}
+
+
+def opening(cops=(0, 0, 0), robber=5):
+    return [rec(0, "place-cops", cops, None, ALL), rec(1, "place-robber", cops, robber, STILL)]
+
+
+def one_turn(note=None):
+    """The opening and one cops' turn, no cop moving, that carries note."""
+    return opening() + [rec(2, "cops", (0, 0, 0), 5, STILL, note)]
+
+
+def milestone(*guards, case="a", territory=4):
+    return {"case": case, "guards": list(guards), "territory": territory}
+
+
+def guard(cop, kind, path, host=None):
+    return {"cop": cop, "kind": kind, "path": list(path), "host": host}
+
+
+PARK = guard(0, "park", [0, 1])  # cop 0 on 0 covers 0-1; the robber's side 2..5 has 4 vertices
+HOST = list(range(6))
+
+# One minimal path(6) game per validator finding that no fuller test
+# produces: (turns, verdict, the exact findings).
+FAULTS = {
+    "schema-record": (opening() + ["x"], STOPPED, ["schema: record 2 is not an object"]),
+    "schema-moved": (
+        opening() + [rec(2, "cops", (0, 0, 0), 5, (False, False))],
+        STOPPED,
+        ["schema: record 2 moved flags are malformed"],
+    ),
+    "schema-no-robber": (
+        opening() + [rec(2, "cops", (0, 0, 0), None, STILL)],
+        STOPPED,
+        ["schema: record 2 has no robber position"],
+    ),
+    "schema-robber": (
+        opening() + [rec(2, "cops", (0, 0, 0), 6, STILL)],
+        STOPPED,
+        ["schema: record 2 robber position is malformed"],
+    ),
+    "milestone-case": (
+        one_turn(milestone(PARK, case="d")),
+        STOPPED,
+        ["milestone: unknown case 'd' at turn 2"],
+    ),
+    "milestone-guard-list": (
+        one_turn(milestone()),
+        STOPPED,
+        ["milestone: guard list malformed at turn 2"],
+    ),
+    "milestone-guard-entry": (
+        one_turn(milestone("park")),
+        STOPPED,
+        ["milestone: guard entry malformed at turn 2"],
+    ),
+    "milestone-guard-cop": (
+        one_turn(milestone(guard(3, "park", [0, 1]))),
+        STOPPED,
+        ["milestone: bad guard cop index at turn 2"],
+    ),
+    "milestone-guard-kind": (
+        one_turn(milestone(guard(0, "post", [0, 1]))),
+        STOPPED,
+        ["milestone: unknown guard kind 'post' at turn 2"],
+    ),
+    "milestone-guard-path": (
+        one_turn(milestone(guard(0, "park", [0, 2]))),
+        STOPPED,
+        ["milestone: guard path of cop 0 is not a path at turn 2"],
+    ),
+    "milestone-park-host": (
+        one_turn(milestone(guard(0, "park", [0, 1], HOST))),
+        STOPPED,
+        ["milestone: parked guard carries a host at turn 2"],
+    ),
+    "park-cover": (
+        one_turn(milestone(guard(0, "park", [0, 1, 2]), territory=3)),
+        STOPPED,
+        ["park: cop 0 does not cover its path at turn 2"],
+    ),
+    "milestone-host": (
+        one_turn(milestone(guard(0, "shadow", [0, 1], [2, 3, 4, 5]))),
+        STOPPED,
+        ["milestone: guard host malformed at turn 2"],
+    ),
+    "milestone-robber-guarded": (
+        opening((4, 0, 0)) + [rec(2, "cops", (4, 0, 0), 5, STILL, milestone(guard(0, "park", [4, 5])))],
+        STOPPED,
+        ["milestone: robber stands on a guarded path at turn 2"],
+    ),
+    "milestone-robber-turn": (
+        one_turn() + [rec(3, "robber", (0, 0, 0), 5, STILL, milestone(PARK))],
+        STOPPED,
+        ["milestone: note outside a cops' turn at 3"],
+    ),
+    "milestone-territory-grew": (
+        opening((1, 0, 0))
+        + [
+            rec(2, "cops", (1, 0, 0), 5, STILL, milestone(guard(0, "park", [0, 1, 2]), territory=3)),
+            rec(3, "robber", (1, 0, 0), 5, STILL),
+            rec(4, "cops", (1, 0, 0), 5, STILL, milestone(guard(0, "park", [0, 1]))),
+        ],
+        STOPPED,
+        ["milestone: territory grew 3 to 4 at turn 4"],
+    ),
+    "milestone-case-change": (
+        one_turn(milestone(PARK))
+        + [
+            rec(3, "robber", (0, 0, 0), 5, STILL),
+            rec(4, "cops", (0, 0, 0), 5, STILL, milestone(PARK, case="b")),
+        ],
+        STOPPED,
+        ["milestone: case change without territory decrease at turn 4"],
+    ),
+    "legality-placement": (
+        [rec(0, "place-cops", (0, 0, 0), None, ALL), rec(1, "place-robber", (1, 0, 0), 5, STILL)],
+        STOPPED,
+        ["legality: cops changed while the robber was placed"],
+    ),
+    "moved-flag-placement": (
+        [rec(0, "place-cops", (0, 0, 0), None, ALL), rec(1, "place-robber", (0, 0, 0), 5, (True, False, False))],
+        STOPPED,
+        ["moved-flag: robber placement flags cop movement"],
+    ),
+    "legality-cop-jump": (
+        opening() + [rec(2, "cops", (2, 0, 0), 5, (True, False, False))],
+        STOPPED,
+        ["legality: cop 0 jumped 0 to 2 on turn 2"],
+    ),
+    "moved-flag-cop": (
+        opening() + [rec(2, "cops", (1, 0, 0), 5, STILL)],
+        STOPPED,
+        ["moved-flag: cop 0 flag disagrees with positions on turn 2"],
+    ),
+    "legality-robber-on-cops-turn": (
+        opening() + [rec(2, "cops", (0, 0, 0), 4, STILL)],
+        STOPPED,
+        ["legality: robber moved on the cops' turn 2"],
+    ),
+    "legality-cops-on-robber-turn": (
+        one_turn() + [rec(3, "robber", (1, 0, 0), 5, STILL)],
+        STOPPED,
+        ["legality: cops moved on the robber's turn 3"],
+    ),
+    "moved-flag-robber-turn": (
+        one_turn() + [rec(3, "robber", (0, 0, 0), 5, (True, False, False))],
+        STOPPED,
+        ["moved-flag: robber turn 3 flags cop movement"],
+    ),
+    "legality-play-after-capture": (
+        opening((4, 0, 0))
+        + [
+            rec(2, "cops", (4, 0, 0), 5, STILL),
+            rec(3, "robber", (4, 0, 0), 4, STILL),
+            rec(4, "cops", (4, 0, 0), 4, STILL),
+        ],
+        {"outcome": "captured", "turn": 4},
+        ["legality: play continued with the robber caught at turn 3"],
+    ),
+    "shadow-off-path": (
+        opening((2, 0, 0))
+        + [
+            rec(2, "cops", (2, 0, 0), 5, STILL, milestone(guard(0, "shadow", [0, 1, 2], HOST), territory=3)),
+            rec(3, "robber", (2, 0, 0), 5, STILL),
+            rec(4, "cops", (3, 0, 0), 5, (True, False, False)),
+        ],
+        STOPPED,
+        ["shadow: cop 0 is off its path on turn 4"],
+    ),
+    "shadow-host": (
+        one_turn(milestone(guard(0, "shadow", [0, 1, 2], HOST[:5]), territory=3)),
+        STOPPED,
+        ["shadow: robber outside the host of cop 0 on turn 2"],
+    ),
+    "verdict-capture-turn": (
+        opening((4, 0, 0)) + [rec(2, "cops", (5, 0, 0), 5, (True, False, False))],
+        {"outcome": "captured", "turn": 3},
+        ["verdict: capture turn disagrees with the last record"],
+    ),
+    "verdict-no-cop": (
+        one_turn(),
+        {"outcome": "captured", "turn": 2},
+        ["verdict: captured without a cop on the robber"],
+    ),
+    "verdict-aborted-caught": (
+        opening((4, 0, 0)) + [rec(2, "cops", (5, 0, 0), 5, (True, False, False))],
+        STOPPED,
+        ["verdict: aborted although the robber was caught"],
+    ),
+    "verdict-no-reason": (
+        one_turn(),
+        {"outcome": "aborted"},
+        ["verdict: aborted without a reason"],
+    ),
+    "verdict-outcome": (
+        one_turn(),
+        {"outcome": "won"},
+        ["verdict: unknown outcome 'won'"],
+    ),
+}
+
+
+def _first_guard(p, turn):
+    return p["turns"][turn]["note"]["guards"][0]
+
+
+# Edits to a clean grid(4, 4) game against GreedyAdversary, each storing a
+# bool or a float where the schema wants an int (True == 1 in Python).
+NON_INTS = {
+    "t-bool": (lambda p: p["turns"][1].update(t=True), ["turn: record 1 carries t=True"]),
+    "t-float": (lambda p: p["turns"][1].update(t=1.0), ["turn: record 1 carries t=1.0"]),
+    "cop-bool": (lambda p: p["turns"][2]["cops"].__setitem__(1, True), ["schema: record 2 cop positions are malformed"]),
+    "robber-float": (lambda p: p["turns"][1].update(robber=15.0), ["schema: record 1 robber position is malformed"]),
+    "guard-cop-bool": (lambda p: _first_guard(p, 2).update(cop=True), ["milestone: bad guard cop index at turn 2"]),
+    "path-bool": (
+        lambda p: _first_guard(p, 2)["path"].__setitem__(1, True),
+        ["milestone: guard path of cop 1 is not a path at turn 2"],
+    ),
+    "host-bool": (
+        lambda p: _first_guard(p, 4)["host"].__setitem__(0, False),
+        ["milestone: guard host malformed at turn 4"]
+        + [f"park: cop 1 left its post on turn {t}" for t in (6, 8, 10, 12)],
+    ),
+    "territory-float": (
+        lambda p: p["turns"][2]["note"].update(territory=13.0),
+        ["milestone: territory recorded as 13.0, recomputed 13 at turn 2"],
+    ),
+    "verdict-turn-float": (
+        lambda p: p["verdict"].update(turn=26.0),
+        ["verdict: capture turn disagrees with the last record"],
+    ),
+}
+
+
 class TestValidatorFaults:
     def test_three_movers_flagged(self):
         g = cycle(4)
@@ -462,6 +699,22 @@ class TestValidatorFaults:
         tr = run_two_move_strategy(g, adversary=RandomAdversary(g))
         out = validate_trace(cycle(6), tr)
         assert any(v.startswith("schema:") for v in out)
+
+    @pytest.mark.parametrize("name", FAULTS)
+    def test_each_finding(self, name):
+        turns, verdict, findings = FAULTS[name]
+        g = path(6)
+        assert validate_trace(g, synthetic(g, turns, verdict)) == findings
+
+    @pytest.mark.parametrize("name", NON_INTS)
+    def test_non_int_numbers_flagged(self, name):
+        edit, findings = NON_INTS[name]
+        g = grid(4, 4)
+        payload = json.loads(assert_clean_capture(g, GreedyAdversary(g)).to_json())
+        edit(payload)
+        tampered = Trace.from_json(json.dumps(payload))
+        assert validate_trace(g, tampered) == findings
+        assert validate_trace(g, Trace.from_json(tampered.to_json())) == findings
 
     def test_empty_trace_flagged(self):
         tr = synthetic(path(3), [], {"outcome": "captured", "turn": 0})
