@@ -385,8 +385,9 @@ def _render_turn(rec: dict) -> str:
         type(rec.get("t")) is int
         and isinstance(rec.get("mover"), str)
         and isinstance(cops, list)
+        and all(type(c) is int for c in cops)
         and (robber is None or type(robber) is int)
-        and (not milestone or ("territory" in note and isinstance(note.get("guards"), list)))
+        and (not milestone or (type(note.get("territory")) is int and isinstance(note.get("guards"), list)))
     ):
         raise ValueError("fields t, mover, cops, robber or note are missing or malformed")
     shown = "-" if robber is None else str(robber)

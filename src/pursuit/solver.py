@@ -33,23 +33,16 @@ Hahn & MacGillivray (2006) with each robber position held as one bit.
 some C[j] is full; ``solve`` writes each new bit's layer into the ``rank``
 array, ``2 * (i * n + r) + side`` (COPS = 0, ROBBER = 1), -1 while unranked.
 
-Moves on first read.  ``StrategyTable.move``, ``cop_move`` and iteration
-over ``rank`` replay, from the ranks, the order in which a one-state-at-a-
-time FIFO attractor would rank the states, and its cop moves; ``len(rank)``,
-``state_rank``, ``robber_reply`` and ``initial`` never need that pass.  Layer
-0 is the seeds: per multiset, per cop vertex in ``set(cops)``, the cop state
-and then the robber state.  In layer k a cop state (j, r) is keyed by the
-queue position of its earliest robber successor (i, r, ROBBER) in layer
-k-1, then by j, and its move is that i; a robber state (i, r) is keyed by
-the position of its latest cop successor (i, v, COPS), then by the index of
-r in closed[v].  So the first popped successor breaks ties.
+Moves.  A cop state (j, r) of rank k >= 1 moves to the first i along row j
+whose robber state (i, r) has rank k-1: it joined layer k through such an
+i, and no i ranks lower.  Rows are sorted, so this is the least cop
+placement one rank closer to capture.  ``StrategyTable.move`` and
+``cop_move`` read it off the ranks on each lookup; nothing is stored.
 
 Memory.  A solve keeps the 4-byte rank of every state, two masks per
 multiset and the move rows (about 9 bytes per state); its tracemalloc peak
 is about 29 bytes per state on the 4x5 grid with three cops, two moving,
-while the layers run.  The move pass, when it runs, keeps a queue entry
-and a move per state and a scratch copy of the ranks while it runs: about
-13 bytes per state at its peak, 8 kept.
+while the layers run.
 
 Guard mode answers whether c cops can permanently protect an isometric
 subgraph h: a greatest fixed point over cops-on-h states (robber on h at the
@@ -77,8 +70,8 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import chain, combinations_with_replacement, compress
+from functools import reduce
+from itertools import chain, combinations_with_replacement
 from math import comb
 from operator import and_, or_
 
@@ -301,57 +294,6 @@ def _capture(spec: GameSpec, adj: list[tuple[int, ...]], union, budget: int | No
     return moves, cop_win, rob_win, _layers(moves, union, (1 << g.n) - 1, cop_win, rob_win, True)
 
 
-def _replay(
-    n: int, moves: list[list[int]], closed: list[tuple[int, ...]], multisets: list[tuple[int, ...]], rank: array
-) -> tuple[array, array]:
-    """The queue order of a one-state-at-a-time FIFO attractor, and its cop moves.
-
-    Rebuilt from the ranks.  The seeds come first: per multiset, per cop
-    vertex r in set(cops), the cop state and then the robber state.  Popping
-    a robber state (i, r) of rank k-1 appends each cop state (j, r) of rank
-    k not yet queued, j along row i in increasing order, and its move is i.
-    Popping a cop state (i, r) of rank k-1 counts down each robber state
-    (i, v) of rank k, v along closed[r], and appends it when its last
-    successor of rank k-1 has been popped.
-    """
-    n2 = 2 * n
-    move = array("i", [-1]) * len(rank)
-    waiting = array("i", rank)  # a queued cop state is marked -3
-    view = memoryview(waiting)
-    cop_waiting = [view[2 * r :: n2] for r in range(n)]
-    left: dict[int, int] = {}
-    queue = array("i")
-    for i, cops in enumerate(multisets):
-        for r in set(cops):
-            s = 2 * (i * n + r)
-            queue.extend((s, s + 1))
-    for s in queue:  # the queue grows while it is read
-        k = rank[s] + 1
-        i, r = divmod(s >> 1, n)
-        if s & 1:
-            row = moves[i]
-            r2 = 2 * r
-            for j in compress(row, map(k.__eq__, map(cop_waiting[r].__getitem__, row))):
-                p = j * n2 + r2
-                waiting[p] = -3
-                move[p] = i
-                queue.append(p)
-        else:
-            base = i * n2
-            for v in closed[r]:
-                p = base + 2 * v + 1
-                if rank[p] != k:
-                    continue
-                count = left.pop(p, None)
-                if count is None:
-                    count = sum(rank[base + 2 * w] == k - 1 for w in closed[v])
-                if count > 1:
-                    left[p] = count - 1
-                else:
-                    queue.append(p)
-    return queue, move
-
-
 class _StateMap(Mapping):
     """Read-only view of a table's per-state values, keyed by (cops, robber, side)."""
 
@@ -369,7 +311,7 @@ class _StateMap(Mapping):
 
     def __iter__(self):
         table = self._table
-        for s in table._order:
+        for s in range(len(table._rank)):
             if self._value(s) is not None:
                 yield table._key(s)
 
@@ -383,8 +325,7 @@ class StrategyTable:
     """Exact winning strategy: ranks, cop moves, and the robber's best replies.
 
     ``rank`` and ``move`` are read-only mappings keyed by (sorted cops,
-    robber, side), iterated in the order a FIFO attractor ranks the states.
-    That order and the moves are rebuilt from the ranks on first use.
+    robber, side), iterated in state order, ``2 * (i * n + r) + side``.
     """
 
     def __init__(
@@ -406,19 +347,21 @@ class StrategyTable:
         self._closed = closed
         self._moves = moves
         self.rank: Mapping = _StateMap(self, lambda s: rank[s] if rank[s] >= 0 else None, ranked)
-        self.move: Mapping = _StateMap(self, lambda s: multisets[m] if (m := self._move[s]) >= 0 else None)
+        self.move: Mapping = _StateMap(self, lambda s: None if (m := self._move(s)) is None else multisets[m])
 
-    @cached_property
-    def _replayed(self) -> tuple[array, array]:
-        return _replay(self.n, self._moves, self._closed, self._multisets, self._rank)
+    def _move(self, s: int) -> int | None:
+        """The multiset a cop state s of rank k >= 1 moves to, else None.
 
-    @property
-    def _order(self) -> array:
-        return self._replayed[0]
-
-    @property
-    def _move(self) -> array:
-        return self._replayed[1]
+        The first i in its row whose robber state (i, r) ranks k - 1: s joined
+        layer k through such an i, and no i ranks lower.
+        """
+        rank = self._rank
+        k = rank[s]
+        if s & 1 or k < 1:
+            return None
+        i, r = divmod(s >> 1, self.n)
+        n2, r2 = 2 * self.n, 2 * r + 1
+        return next(j for j in self._moves[i] if rank[j * n2 + r2] == k - 1)
 
     def _state(self, key) -> int | None:
         """State number of a canonical (sorted cops, robber, side) key, else None."""
@@ -451,7 +394,7 @@ class StrategyTable:
         s = self._state((cops, robber, COPS))
         if s is None or self._rank[s] < 0:
             raise ValueError("no winning move from this state")
-        return cops if self._rank[s] == 0 else self._multisets[self._move[s]]
+        return cops if self._rank[s] == 0 else self._multisets[self._move(s)]
 
     def robber_reply(self, cops: tuple[int, ...], robber: int) -> int:
         """Optimal adversary: escape the attractor if possible, else stall."""

@@ -707,6 +707,8 @@ def _shape_errors(g: Graph, turns: list) -> list[str]:
         if robber is None:
             if idx > 0:
                 return out + [f"schema: record {idx} has no robber position"]
+        elif idx == 0:
+            return out + ["schema: record 0 places a robber"]
         elif not (type(robber) is int and 0 <= robber < g.n):
             return out + [f"schema: record {idx} robber position is malformed"]
     return out
@@ -794,6 +796,8 @@ def validate_trace(g: Graph, trace: Trace) -> list[str]:
     out.extend(_shape_errors(g, turns))
     if any(v.startswith("schema:") for v in out):
         return out
+    if not all(turns[0]["moved"]):
+        out.append("moved-flag: cop placement leaves a cop unflagged")
     final = len(turns) - 1
     captured = trace.verdict.get("outcome") == "captured"
     guards: list[dict] = []

@@ -416,6 +416,12 @@ class TestSimulateValidateReplay:
         _, b, _ = run(capsys, ["validate", str(traces)])
         assert a == b
 
+    def test_unwritable_output_is_usage_error(self, capsys, corpus, tmp_path):
+        target = tmp_path / "missing" / "out.jsonl"
+        code, out, err = run(capsys, ["helly", corpus, "--output", str(target)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["message"].startswith(f"cannot write {target}: ")
+
     def test_bad_trace_file_is_usage_error(self, capsys, tmp_path):
         f = tmp_path / "bad.jsonl"
         f.write_text('{"graph": "Cl"}\n')
@@ -432,6 +438,9 @@ class TestSimulateValidateReplay:
             '{"graph": "A_", "turns": [{"t": 2, "mover": "cops", "cops": [0], "robber": 1, "note": {"case": "a"}}], "verdict": {}}',
             '{"graph": "A_", "turns": [{"t": false, "mover": "place-cops", "cops": [0], "robber": null}], "verdict": {}}',
             '{"graph": "A_", "turns": [{"t": 0, "mover": "place-cops", "cops": [0], "robber": true}], "verdict": {}}',
+            '{"graph": "A_", "turns": [{"t": 0, "mover": "place-cops", "cops": [true, "x", 0.5], "robber": null}], "verdict": {}}',
+            '{"graph": "A_", "turns": [{"t": 0, "mover": "cops", "cops": [0], "robber": 1, '
+            '"note": {"case": "a", "guards": [], "territory": "many"}}], "verdict": {}}',
         ],
     )
     def test_replay_malformed_turn_is_usage_error(self, capsys, tmp_path, line):
@@ -519,6 +528,30 @@ class TestPlay:
         code, out, _ = run(capsys, ["play", str(f)])
         assert code == 0
         assert "captured on turn" in out
+
+    def test_human_robber_reprompts(self, capsys, tmp_path, monkeypatch):
+        f = tmp_path / "p3.g6"
+        f.write_text(to_graph6(path(3)) + "\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("x\n7\n2\n" + "2\n" * 20))
+        code, out, _ = run(capsys, ["play", str(f)])
+        assert code == 0
+        assert "not a vertex: 'x'" in out
+        assert "pick one of 0, 1, 2" in out
+
+    def test_nonplanar_is_negative(self, capsys, tmp_path):
+        f = tmp_path / "pet.g6"
+        f.write_text(to_graph6(petersen()) + "\n")
+        code, _, err = run(capsys, ["play", str(f)])
+        assert code == 1
+        assert "planar" in json.loads(err)["error"]["message"]
+
+    def test_turn_cap_abort_is_negative(self, capsys, tmp_path, monkeypatch):
+        f = tmp_path / "grid.g6"
+        f.write_text(to_graph6(grid(3, 3)) + "\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("8\n" * 20))
+        code, out, _ = run(capsys, ["play", str(f), "--turn-cap", "1"])
+        assert code == 1
+        assert "no capture: no capture within 1 cops' turns" in out
 
     def test_abandoned_game(self, capsys, tmp_path, monkeypatch):
         f = tmp_path / "p3.g6"

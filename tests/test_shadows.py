@@ -97,6 +97,20 @@ class TestFrozenShadows:
         with pytest.raises(ValueError):
             PathShadows(g, Path((0, 1, 2, 3, 4)))
 
+    def test_contains_matches_interval(self):
+        # Position q is in the shadow of v when q lies within d(v, p-th
+        # vertex) of every path position p.
+        for n in range(2, 6):
+            for g in connected_graphs(n):
+                for seq in isometric_paths(g, 4):
+                    oracle = PathShadows(g, Path(seq))
+                    for v in range(g.n):
+                        lo, hi = oracle.interval(v)
+                        dist = g.bfs_levels(v, g.vertex_mask())
+                        for q in range(len(seq)):
+                            inside = all(abs(p - q) <= dist[u] for p, u in enumerate(seq))
+                            assert oracle.contains(v, q) == (lo <= q <= hi) == inside
+
     def test_query_outside_host(self):
         g = cycle(6)
         oracle = PathShadows(g, Path((0, 1, 2)), mask_of([0, 1, 2, 3]))

@@ -355,6 +355,11 @@ FAULTS = {
         STOPPED,
         ["schema: record 2 robber position is malformed"],
     ),
+    "schema-placed-robber": (
+        [rec(0, "place-cops", (0, 0, 0), 5, ALL), rec(1, "place-robber", (0, 0, 0), 5, STILL)],
+        STOPPED,
+        ["schema: record 0 places a robber"],
+    ),
     "milestone-case": (
         one_turn(milestone(PARK, case="d")),
         STOPPED,
@@ -438,6 +443,11 @@ FAULTS = {
         [rec(0, "place-cops", (0, 0, 0), None, ALL), rec(1, "place-robber", (0, 0, 0), 5, (True, False, False))],
         STOPPED,
         ["moved-flag: robber placement flags cop movement"],
+    ),
+    "moved-flag-cop-placement": (
+        [rec(0, "place-cops", (0, 0, 0), None, (True, False, True)), rec(1, "place-robber", (0, 0, 0), 5, STILL)],
+        STOPPED,
+        ["moved-flag: cop placement leaves a cop unflagged"],
     ),
     "legality-cop-jump": (
         opening() + [rec(2, "cops", (2, 0, 0), 5, (True, False, False))],
@@ -649,6 +659,33 @@ class TestValidatorFaults:
         out = validate_trace(g, tr)
         assert len(out) == 1
         assert out[0].startswith("rest: cop 0 moved 3 straight turns")
+
+    @pytest.mark.parametrize(
+        "route, findings",
+        [
+            # The robber steps onto the guard's path at turn 3, which exempts
+            # the run from the rest window.  A cop in the wide shadow of a
+            # robber on its path would stand on it, so that turn is a shadow
+            # finding.
+            ((2, 3), ["shadow: cop 0 is outside the wide shadow on turn 4"]),
+            ((4, 3), ["rest: cop 0 moved 3 straight turns on a path of length 2 at turn 8"]),
+        ],
+    )
+    def test_leisurely_rest_exempt_once_robber_on_path(self, route, findings):
+        g = path(6)
+        note = milestone(guard(0, "leisurely", [0, 1, 2], HOST), territory=3)
+        step = (True, False, False)
+        a, b = route
+        turns = opening((1, 5, 5), 3) + [
+            rec(2, "cops", (1, 5, 5), 3, STILL, note),
+            rec(3, "robber", (1, 5, 5), a, STILL),
+            rec(4, "cops", (0, 5, 5), a, step),
+            rec(5, "robber", (0, 5, 5), b, STILL),
+            rec(6, "cops", (1, 5, 5), b, step),
+            rec(7, "robber", (1, 5, 5), b, STILL),
+            rec(8, "cops", (2, 5, 5), b, step),
+        ]
+        assert validate_trace(g, synthetic(g, turns, STOPPED)) == findings
 
     def test_repeated_robber_and_host_flagged_each_time(self, monkeypatch):
         # The robber stands on 3 at three cops' turns (and on 4 at one) in
