@@ -12,9 +12,10 @@ or trace command gives ``_per_item`` its items and an ``answer(i, item)``
 that returns one record and its verdict; the driver writes the records
 once, reports a library ``ValueError`` as exit 1 on ``graph i``, and exits
 1 when any verdict is negative.  The count flags --active, --cops,
---turn-cap and --state-cap must be at least 1.  The solvers' budget is
---state-cap alone, 50 million states by default; a refusal exits 3 and
-says to raise it.
+--turn-cap, --state-cap and --max-bypaths must be at least 1.  The solvers'
+budget is --state-cap alone, 50 million states by default; `bypaths`
+counts the bypaths first and refuses to list more than --max-bypaths,
+10,000 by default.  A refusal exits 3 and says which budget to raise.
 
 Exit codes: 0 success, 1 negative verdict (unguardable target, cop number
 over the cap, trace violations, unplayable input), 2 usage error, 3 budget
@@ -31,7 +32,13 @@ from pursuit.constructions import build_guard_adversary, build_hole_gadget, buil
 from pursuit.controllers import GreedyAdversary, OptimalAdversary, RandomAdversary
 from pursuit.graphs import Graph, Path, from_graph6, to_graph6
 from pursuit.helly import dismantling_order, find_hole
-from pursuit.shadows import bypaths, is_bypath_free, wide_shadow
+from pursuit.shadows import (
+    DEFAULT_BYPATH_BUDGET,
+    TooManyBypaths,
+    bypaths,
+    is_bypath_free,
+    wide_shadow,
+)
 from pursuit.solver import (
     DEFAULT_STATE_BUDGET,
     BudgetExceeded,
@@ -47,7 +54,7 @@ NEGATIVE = 1
 USAGE = 2
 BUDGET = 3
 
-COUNT_FLAGS = ("active", "cops", "turn_cap", "state_cap")
+COUNT_FLAGS = ("active", "cops", "turn_cap", "state_cap", "max_bypaths")
 
 
 class CliError(Exception):
@@ -233,7 +240,7 @@ def cmd_bypaths(args) -> int:
             "index": i,
             "n": g.n,
             "path": list(pv),
-            "bypaths": [list(q.vertices) for q in bypaths(g, p)],
+            "bypaths": [list(q.vertices) for q in bypaths(g, p, budget=args.max_bypaths)],
             "bypath_free": is_bypath_free(g, p),
         }, True
 
@@ -509,6 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command(sub, "bypaths", cmd_bypaths, "bypaths of an isometric path")
     p.add_argument("--path", required=True, metavar="V1,V2,...")
+    p.add_argument("--max-bypaths", type=int, default=DEFAULT_BYPATH_BUDGET)
 
     p = command(sub, "guardable", cmd_guardable, "subgraph guardability")
     p.add_argument("--subgraph", required=True, metavar="V1,V2,...")
@@ -555,6 +563,8 @@ def main(argv=None) -> int:
         return _error(args, e.code, str(e))
     except BudgetExceeded as e:
         return _error(args, BUDGET, f"{e}; raise --state-cap to proceed")
+    except TooManyBypaths as e:
+        return _error(args, BUDGET, f"{e}; raise --max-bypaths to proceed")
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ The wide-shadow guard pins a cop inside the robber's wide shadow on a
 Helly isometric subgraph; `capture_shadow` attaches it by chasing the
 shadow through a dismantling of the subgraph; both first check that the
 subgraph is isometric and Helly.  On an isometric path the shadow is an
-interval read off the path's `PathShadows` rows: the path-shadow guard
-stays pinned to it, and the leisurely guard patrols a bypath-free path and
+interval read off the `PathShadows` rows from the path's two ends: the
+path-shadow guard stays pinned to it, and the leisurely guard patrols a bypath-free path and
 certifies a rest at least once in every window of length+1 cop turns
 unless the robber stepped onto the path.
 

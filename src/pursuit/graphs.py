@@ -14,11 +14,11 @@ so `max` ranks an unreachable vertex farthest and the row stays all ints.
 A graph answers each whole-graph distance question once.  `bfs_levels` keeps
 a row per source for BFS over the whole graph (no mask, or the full vertex
 mask), filled on first use, so distance matrices, balls, shadows, Helly ball
-tables, isometry host rows and corpus labels all read the same rows; a graph
-that is never asked allocates nothing.  Each caller gets its own copy of the
-row.  A BFS restricted to a smaller mask (the engine's hosts, the validator,
-`PathShadows`) is almost always a fresh (source, mask) pair, so it runs
-uncached; its loops walk the lowest set bit inline instead of calling `bits`.
+tables, isometry rows and corpus labels all read the same rows; a graph that
+is never asked allocates nothing.  Each caller gets its own copy of the row.
+A BFS restricted to a smaller mask (the validator's, or the two rows from a
+guarded path's ends in a `PathShadows`) is almost always a fresh (source,
+mask) pair, so it runs uncached; its loops walk the lowest set bit inline.
 
 The graph6 codec handles the bit stream as text: the encoder writes it column
 by column and maps it six bits at a time, and the decoder reads the set bits
@@ -402,26 +402,20 @@ class Path:
             g.has_edge(u, v) for u, v in zip(self.vertices, self.vertices[1:])
         )
 
-    def geodesic_rows(
-        self, g: Graph, within: int | None = None
-    ) -> list[list[int]] | None:
-        """One BFS row per path vertex if the path is isometric, else None.
+    def geodesic_row(self, g: Graph, within: int | None = None) -> list[int] | None:
+        """Distances from the first vertex inside within if the path is
+        isometric there, else None.
 
-        Row i holds the distances from vertex i inside within; the path is
-        isometric when row i reads j - i at vertex j for every i < j. The
-        check stops at the first row that fails.
+        One row decides it: a shortcut from vertex i to vertex j > i would
+        bring vertex j closer than j to vertex 0, so the path is isometric
+        exactly when the row reads j at vertex j for every j.
         """
         if not self.is_path_in(g):
             return None
-        verts = self.vertices
-        rows = []
-        for i, v in enumerate(verts):
-            lev = g.bfs_levels(v, within)
-            for j in range(i + 1, len(verts)):
-                if lev[verts[j]] != j - i:
-                    return None
-            rows.append(lev)
-        return rows
+        row = g.bfs_levels(self.vertices[0], within)
+        if any(row[v] != j for j, v in enumerate(self.vertices)):
+            return None
+        return row
 
     def is_isometric_in(self, g: Graph, within: int | None = None) -> bool:
         """True iff distances along the path equal distances in g.
@@ -429,7 +423,7 @@ class Path:
         within restricts g to a vertex mask (the path must lie inside it), so
         the same check serves both whole-graph and induced-host isometry.
         """
-        return self.geodesic_rows(g, within) is not None
+        return self.geodesic_row(g, within) is not None
 
 
 def shortest_path(

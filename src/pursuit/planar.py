@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, Path, bits, mask_of
-from .shadows import find_bypath, is_bypath_free
+from .shadows import PathShadows, find_bypath, is_bypath_free
 
 
 class PlanarityFault(AssertionError):
@@ -292,9 +292,11 @@ def select_bypath(e: PlanarEmbedding, p: Path, q: Path) -> BypathChoice:
     g = e.graph
     mask = e.mask
     _cycle_edges(p, q)  # validates the two-path boundary shape
-    if not p.is_isometric_in(g, mask):
-        raise ValueError("p is not isometric in the context")
-    if not is_bypath_free(g, p, mask):
+    try:
+        free = PathShadows(g, p, mask).is_bypath_free()
+    except ValueError:
+        raise ValueError("p is not isometric in the context") from None
+    if not free:
         raise ValueError("p has a bypath in the context")
     hq = mask & ~mask_of(p.vertices[1:-1])
     if not q.is_isometric_in(g, hq):
@@ -323,9 +325,11 @@ def select_bypath(e: PlanarEmbedding, p: Path, q: Path) -> BypathChoice:
             raise PlanarityFault("composite lost isometry")
         if not qb.is_isometric_in(g, strip_qb):
             raise PlanarityFault("composite not isometric in pocket")
-        if not p.is_isometric_in(g, side | p.mask()):
-            raise PlanarityFault("p lost isometry")
-        if not is_bypath_free(g, p, side | p.mask()):
+        try:
+            free = PathShadows(g, p, side | p.mask()).is_bypath_free()
+        except ValueError:
+            raise PlanarityFault("p lost isometry") from None
+        if not free:
             raise PlanarityFault("p gained a bypath")
         return BypathChoice(False, b, qb, strip)
     raise PlanarityFault("bypath selection failed to reach a fixed point")

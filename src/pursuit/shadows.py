@@ -7,18 +7,19 @@ is what makes shadow-tracking cop play work. Bypaths are the exact obstruction
 to slack: an off-path vertex has a one-point shadow precisely when it sits
 inside an equally long detour of the path.
 
-Everything about one path in one host comes from one set of rows, a BFS from
-each path vertex inside the host. `Path.geodesic_rows` computes them while it
-checks isometry and `PathShadows` keeps them: a shadow interval is a scan of
-the rows at one vertex, and the detour scanner `_detours` reads the levels of
-every equal-length detour off the rows of its two ends.  The planar engine
-keeps one such object per guarded path and host, from the chase that
-attaches the path's guard to the guard's release.
+Everything about one path in one host comes from two BFS rows, from the
+path's first and last vertex, which `PathShadows` keeps.  The first row
+checks isometry (`Path.geodesic_row`), a shadow interval is read off both
+rows at one vertex in constant time, an off-path vertex lies on a bypath
+exactly when the two rows sum to the path's length there, and the detour
+scanner `_detours` takes those vertices as its candidates, levelled by
+their distance from the first vertex.  The planar engine keeps one such
+object per guarded path and host, from the chase that attaches the path's
+guard to the guard's release.
 
-Two independent routes still decide bypath-freeness from those rows: the
-shadow criterion (`PathShadows.is_bypath_free`, no off-path vertex with a
-one-point shadow) and the detour search straight from the definition
-(`is_bypath_free_by_search`). Tests hold them against each other.
+Bypaths can be exponentially many, so `bypaths` counts them over the detour
+levels first and refuses a count over its budget; `first_bypath`,
+`bypath_vertices` and both bypath-free tests stay polynomial.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from __future__ import annotations
 from pursuit.graphs import Graph, Path, bits, mask_of
 
 __all__ = [
+    "DEFAULT_BYPATH_BUDGET",
     "PathShadows",
+    "TooManyBypaths",
     "bypath_vertices",
     "bypaths",
     "find_bypath",
@@ -65,42 +68,35 @@ def wide_shadow(g: Graph, target, v: int) -> frozenset[int]:
 class PathShadows:
     """Shadow queries against one isometric path in a fixed host.
 
-    dists[p] holds the host distances from the path's p-th vertex: the rows
-    of the isometry check, which refuses a non-isometric path. Each query
-    is then a single min/max scan over positions. Distances along the path
-    equal position differences by isometry, so the shadow is always the
-    interval [max_p(p - d_p), min_p(p + d_p)] clamped to the path.
+    first and last hold the host distances from the path's two ends, v_0
+    and v_L; building first checks isometry, which refuses a non-isometric
+    path.  f(p) = d(v_p, x) is 1-Lipschitz in p, so p - f(p) and p + f(p)
+    never decrease along the path, and the shadow of x, the interval
+    [max_p(p - f(p)), min_p(p + f(p))] clamped to the path, reads
+    [L - d_L(x), d_0(x)] off the two rows.
     """
 
-    __slots__ = ("g", "path", "within", "dists")
+    __slots__ = ("g", "path", "within", "first", "last")
 
     def __init__(self, g: Graph, path: Path, within: int | None = None) -> None:
         self.g = g
         self.path = path
         self.within = g.vertex_mask() if within is None else within
-        dists = path.geodesic_rows(g, self.within)
-        if dists is None:
+        first = path.geodesic_row(g, self.within)
+        if first is None or path.mask() & ~self.within:
             raise ValueError("path is not isometric in the host")
-        self.dists = dists
+        self.first = first
+        self.last = g.bfs_levels(path.vertices[-1], self.within)
 
     def interval(self, v: int) -> tuple[int, int]:
         """Shadow of v as an inclusive (lo, hi) position range on the path."""
         if not self.within >> v & 1:
             raise ValueError(f"vertex {v} is outside the host")
-        lo, hi = 0, self.path.length
-        for p, dist in enumerate(self.dists):
-            d = dist[v]
-            if d < 0:
-                continue
-            if p - d > lo:
-                lo = p - d
-            if p + d < hi:
-                hi = p + d
-        # Nonempty for any isometric path: paths are Helly, so the balls that
-        # define the shadow have a common vertex.
-        if lo > hi:
-            raise AssertionError("empty shadow on an isometric path")
-        return lo, hi
+        length = self.path.length
+        if self.first[v] < 0:
+            return 0, length
+        # Nonempty: d_0(v) + d_L(v) >= L on an isometric path.
+        return max(0, length - self.last[v]), min(length, self.first[v])
 
     def shadow_vertices(self, v: int) -> tuple[int, ...]:
         lo, hi = self.interval(v)
@@ -115,17 +111,14 @@ class PathShadows:
         """Bypath-freeness via the shadow criterion.
 
         An off-path vertex has a one-point shadow exactly when it lies on a
-        bypath, so a non-trivial isometric path is bypath-free exactly when
-        every off-path host vertex keeps a shadow of at least two positions.
-        Paths shorter than two edges admit no bypath at all.
+        bypath, that is on a v_0-v_L geodesic of the host, where
+        d_0 + d_L = L.  Paths shorter than two edges admit no bypath at all.
         """
-        if self.path.length < 2:
-            return True
-        for v in bits(self.within & ~self.path.mask()):
-            lo, hi = self.interval(v)
-            if lo == hi:
-                return False
-        return True
+        length = self.path.length
+        first, last = self.first, self.last
+        return length < 2 or all(
+            first[v] + last[v] != length for v in bits(self.within & ~self.path.mask())
+        )
 
 
 # -- bypaths ------------------------------------------------------------------
@@ -137,19 +130,23 @@ def _detours(shadows: PathShadows):
 
     levels[k - 1] lists, in increasing order, the off-path host vertices at
     distance k from v_i and j - i - k from v_j that lie on such a detour.
+    Every detour vertex lies on a v_0-v_L geodesic, at distance i + k from
+    v_0, so the candidates for level k are the off-path vertices with
+    d_0 + d_L = L and d_0 = i + k; pruning keeps exactly those on a walk
+    from v_i to v_j through the levels, which are the detour vertices.
     """
-    g, verts, dists = shadows.g, shadows.path.vertices, shadows.dists
-    off = list(bits(shadows.within & ~shadows.path.mask()))
-    for i in range(len(verts) - 2):
-        di = dists[i]
-        for j in range(i + 2, len(verts)):
-            dj, span = dists[j], j - i
-            levels: list[list[int]] = [[] for _ in range(span - 1)]
-            for w in off:
-                k = di[w]
-                if 0 < k < span and dj[w] == span - k:
-                    levels[k - 1].append(w)
-            if all(levels) and _prune_levels(g, verts[i], verts[j], levels):
+    g, verts = shadows.g, shadows.path.vertices
+    first, last, length = shadows.first, shadows.last, shadows.path.length
+    by_level: list[list[int]] = [[] for _ in range(length + 1)]
+    for w in bits(shadows.within & ~shadows.path.mask()):
+        if first[w] + last[w] == length:
+            by_level[first[w]].append(w)
+    for i in range(length - 1):
+        for j in range(i + 2, length + 1):
+            if not by_level[j - 1]:
+                break
+            levels = by_level[i + 1 : j]
+            if _prune_levels(g, verts[i], verts[j], levels):
                 yield i, j, levels
 
 
@@ -187,15 +184,47 @@ def first_bypath(shadows: PathShadows) -> Path | None:
     return None
 
 
-def bypaths(g: Graph, path: Path, within: int | None = None) -> list[Path]:
+DEFAULT_BYPATH_BUDGET = 10_000
+
+
+class TooManyBypaths(RuntimeError):
+    """A bypath listing counted past its budget."""
+
+    def __init__(self, count: int, budget: int):
+        super().__init__(count, budget)
+        self.count, self.budget = count, budget
+
+    def __str__(self) -> str:
+        return f"{self.count} bypaths exceed budget {self.budget}"
+
+
+def _walk_count(g: Graph, vi: int, vj: int, levels: list[list[int]]) -> int:
+    """Walks from v_i through one vertex of each level to v_j: the bypaths
+    of one span, counted level by level."""
+    ways = {vi: 1}
+    for lvl in levels + [[vj]]:
+        ways = {w: sum(c for u, c in ways.items() if g.has_edge(u, w)) for w in lvl}
+    return ways[vj]
+
+
+def bypaths(
+    g: Graph, path: Path, within: int | None = None, budget: int = DEFAULT_BYPATH_BUDGET
+) -> list[Path]:
     """All bypaths of the path in the host, in deterministic order.
 
     A bypath replaces the stretch between two positions i < j (at least two
     apart) by an equally long detour that avoids the path internally; the
-    rerouted walk is then itself a geodesic, hence isometric.
+    rerouted walk is then itself a geodesic, hence isometric.  Their number
+    can grow exponentially (the top-row-and-last-column path of a k x k grid
+    has C(2k - 2, k - 1) - 1), so they are counted first, in polynomial
+    time, and a count over budget raises TooManyBypaths instead of listing.
     """
+    detours = list(_detours(PathShadows(g, path, within)))
+    count = sum(_walk_count(g, path.vertices[i], path.vertices[j], lv) for i, j, lv in detours)
+    if count > budget:
+        raise TooManyBypaths(count, budget)
     out: list[Path] = []
-    for i, j, levels in _detours(PathShadows(g, path, within)):
+    for i, j, levels in detours:
         vj = path.vertices[j]
         stack: list[list[int]] = [[path.vertices[i]]]
         while stack:

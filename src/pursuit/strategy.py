@@ -23,10 +23,10 @@ on when it has at most two edges and chased otherwise.  Milestones annotate
 the trace with the case label, the guard set, and the territory size; sizes
 never increase and strictly decrease whenever the label changes.
 
-A guarded path has one row set, its `PathShadows` in its host, from chase
-to release: the shadow chase builds it, the pinned guard steps by its
-intervals, and the leisurely upgrade and the bypath reroute reuse it while
-the host is unchanged.  A chase reads its entry off the free cop's
+A guarded path has one `PathShadows` in its host, the BFS rows from the
+path's two ends, from chase to release: the shadow chase builds it, the
+pinned guard steps by its intervals, and the leisurely upgrade and the
+bypath reroute reuse it while the host is unchanged.  A chase reads its entry off the free cop's
 whole-graph BFS row and walks the route `shortest_path` gives to it.  A
 territory bridge is one `shortest_path_between` call.
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -233,6 +234,25 @@ class TestShadowAndBypaths:
         rec = records(out)[0]
         assert rec["bypath_free"] is False
         assert rec["bypaths"] == [[0, 3, 2]]
+
+    def test_too_many_bypaths_is_refused(self, capsys, tmp_path):
+        # The top row and last column of the 11 x 11 grid has C(20, 10) - 1
+        # bypaths; they are counted, not listed, before the refusal.
+        f = tmp_path / "grid11.g6"
+        f.write_text(to_graph6(grid(11, 11)) + "\n")
+        corner = ",".join(map(str, list(range(11)) + [10 + 11 * t for t in range(1, 11)]))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["bypaths", str(f), "--path", corner])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["message"] == (
+            "184755 bypaths exceed budget 10000; raise --max-bypaths to proceed"
+        )
+        small = ["bypaths", str(f), "--path", "0,1,2,13", "--max-bypaths"]
+        code, out, _ = run(capsys, small + ["2"])
+        assert code == 0 and records(out)[0]["bypaths"] == [[0, 11, 12, 13], [1, 12, 13]]
+        assert run(capsys, small + ["1"])[0] == 3
+        assert run(capsys, small + ["0"])[0] == 2
 
     def test_non_isometric_path_is_negative(self, capsys, tmp_path):
         f = tmp_path / "c6.g6"

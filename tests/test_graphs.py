@@ -292,15 +292,14 @@ class TestIsometry:
     def test_empty_subgraph_not_isometric(self):
         assert not is_isometric_subgraph(cycle_graph(6), [])
 
-    def test_geodesic_rows(self):
+    def test_geodesic_row(self):
+        # One row, from the first vertex, decides isometry.
         g = cycle_graph(6)
-        rows = Path((1, 2, 3)).geodesic_rows(g)
-        assert rows == [g.bfs_levels(v) for v in (1, 2, 3)]
-        assert Path((0, 1, 2, 3, 4)).geodesic_rows(g) is None
-        assert Path((0, 2)).geodesic_rows(g) is None  # not a path in g
+        assert Path((1, 2, 3)).geodesic_row(g) == g.bfs_levels(1)
+        assert Path((0, 1, 2, 3, 4)).geodesic_row(g) is None  # d(0, 4) = 2 in C6
+        assert Path((0, 2)).geodesic_row(g) is None  # not a path in g
         host = mask_of([0, 1, 2, 3, 4])
-        rows = Path((0, 1, 2, 3, 4)).geodesic_rows(g, host)
-        assert rows == [g.bfs_levels(v, host) for v in range(5)]
+        assert Path((0, 1, 2, 3, 4)).geodesic_row(g, host) == g.bfs_levels(0, host)
 
     def test_path_validation(self):
         with pytest.raises(ValueError):

@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 
 import pytest
 
-from pursuit.constructions import connected_graphs
+from pursuit.constructions import connected_graphs, grid
 from pursuit.constructions import random_connected as seeded_connected
 from pursuit.graphs import Graph, Path, bits, is_isometric_subgraph, mask_of
 from pursuit.shadows import (
     PathShadows,
+    TooManyBypaths,
     bypath_vertices,
     bypaths,
     find_bypath,
+    first_bypath,
     gamma,
     is_bypath_free,
     is_bypath_free_by_search,
@@ -291,3 +294,160 @@ class TestPinnedAnswers:
             5825,
             "b96dbca4bf6bc2f5e27132f621edbaf26854acde541409d0ab07579ed223d1ca",
         )
+
+
+# -- the definitions, from one BFS row per path position ----------------------
+
+
+def _rows(g: Graph, p: Path, host: int) -> list[list[int]]:
+    return [g.bfs_levels(v, host) for v in p.vertices]
+
+
+def _isometric_by_pairs(g: Graph, p: Path, rows: list[list[int]]) -> bool:
+    verts = p.vertices
+    return p.is_path_in(g) and all(
+        rows[i][verts[j]] == j - i for i in range(len(verts)) for j in range(i + 1, len(verts))
+    )
+
+
+def _interval_by_scan(rows: list[list[int]], length: int, v: int) -> tuple[int, int]:
+    lo, hi = 0, length
+    for q, dist in enumerate(rows):
+        if dist[v] >= 0:
+            lo, hi = max(lo, q - dist[v]), min(hi, q + dist[v])
+    return lo, hi
+
+
+def _bypaths_by_search(g: Graph, p: Path, host: int, rows: list[list[int]]) -> list[tuple[int, ...]]:
+    """Every walk v_i, w_1, ..., v_j of length j - i >= 2 whose inner
+    vertices are off-path host vertices, in order of i, then j, then vertex
+    sequence; the row of v_j prunes walks that can no longer arrive in time."""
+    verts, off = p.vertices, host & ~p.mask()
+    found = []
+    for i in range(len(verts)):
+        for j in range(i + 2, len(verts)):
+            span, to_j = j - i, rows[j]
+
+            def extend(seq):
+                if len(seq) == span:
+                    if g.has_edge(seq[-1], verts[j]):
+                        found.append(tuple(seq) + (verts[j],))
+                    return
+                for w in g.neighbors(seq[-1]):
+                    if off >> w & 1 and to_j[w] == span - len(seq):
+                        extend(seq + [w])
+
+            extend([verts[i]])
+    return found
+
+
+def corner_path(k: int) -> tuple[Graph, Path]:
+    """The top row and last column of a k x k grid: every other monotone
+    lattice path, C(2k - 2, k - 1) - 1 of them, is a bypath."""
+    return grid(k, k), Path(tuple(range(k)) + tuple(k - 1 + k * t for t in range(1, k)))
+
+
+def _oracle_cases():
+    """(graph, path, host): every path of up to five edges of every
+    connected graph on at most six vertices in the whole graph, then those
+    of seeded 7- to 9-vertex graphs inside a host that drops two vertices,
+    then grid corner paths, whose detours are longer than those fit."""
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            for p in _simple_paths(g, g.vertex_mask()):
+                yield g, p, g.vertex_mask()
+    for seed in range(15):
+        g = seeded_connected(7 + seed % 3, 0.35, 100 + seed)
+        rng = random.Random(seed)
+        kept = g.vertex_mask() & ~mask_of(rng.sample(range(g.n), 2))
+        host = g.component_of(next(bits(kept)), kept)
+        for p in _simple_paths(g, host):
+            yield g, p, host
+    for k in (3, 4, 5):
+        g, p = corner_path(k)
+        for host in (g.vertex_mask(), g.vertex_mask() & ~mask_of([k * k - k])):
+            for q in range(p.length):
+                yield g, p.segment(q, p.length), host
+
+
+def _simple_paths(g: Graph, host: int, max_len: int = 5):
+    stack = [(v,) for v in bits(host)]
+    while stack:
+        seq = stack.pop()
+        yield Path(seq)
+        if len(seq) <= max_len:
+            stack.extend(seq + (w,) for w in g.neighbors(seq[-1]) if host >> w & 1 and w not in seq)
+
+
+class TestDefinitionOracles:
+    def test_isometry_intervals_and_bypaths_match_definitions(self):
+        isometric = refused = 0
+        for g, p, host in _oracle_cases():
+            rows = _rows(g, p, host)
+            iso = _isometric_by_pairs(g, p, rows)
+            assert p.is_isometric_in(g, host) == iso, (g.edges(), p, host)
+            if not iso:
+                refused += 1
+                with pytest.raises(ValueError):
+                    PathShadows(g, p, host)
+                continue
+            isometric += 1
+            shadows = PathShadows(g, p, host)
+            for v in bits(host):
+                assert shadows.interval(v) == _interval_by_scan(rows, p.length, v)
+            found = _bypaths_by_search(g, p, host, rows)
+            assert [b.vertices for b in bypaths(g, p, host)] == found
+            assert shadows.is_bypath_free() == (not found)
+            assert is_bypath_free_by_search(g, p, host) == (not found)
+            assert bypath_vertices(g, p, host) == {w for b in found for w in b[1:-1]}
+            first = first_bypath(shadows)
+            assert (first and first.vertices) == (found[0] if found else None)
+        assert isometric > 1000 and refused > 1000
+
+
+class TestBfsCounts:
+    """The two-row design in BFS calls: what each query costs the graph."""
+
+    @pytest.fixture()
+    def bfs_calls(self, monkeypatch):
+        calls = []
+        bfs = Graph._bfs
+
+        def counted(g, src, allowed):
+            calls.append(src)
+            return bfs(g, src, allowed)
+
+        monkeypatch.setattr(Graph, "_bfs", counted)
+        return calls
+
+    def test_two_rows_per_path(self, bfs_calls):
+        g, p = corner_path(8)
+        shadows = PathShadows(g, p)
+        assert len(bfs_calls) <= 2
+        bfs_calls.clear()
+        assert first_bypath(shadows) == Path((0, 8, 9, 10, 11, 12, 13, 14, 15))
+        assert len(bypaths(g, p)) == 3431
+        assert bfs_calls == []  # g keeps its whole-graph rows
+
+    def test_isometry_reads_one_row(self, bfs_calls):
+        g = grid(6, 6)
+        host = g.vertex_mask() & ~mask_of([35])
+        assert Path(tuple(range(6))).is_isometric_in(g, host)
+        assert len(bfs_calls) == 1
+
+
+class TestBypathBudget:
+    def test_count_refuses_before_listing(self):
+        g, p = corner_path(11)
+        start = time.perf_counter()
+        with pytest.raises(TooManyBypaths) as info:
+            bypaths(g, p)
+        assert time.perf_counter() - start < 1.0
+        assert (info.value.count, info.value.budget) == (184755, 10_000)
+        assert str(info.value) == "184755 bypaths exceed budget 10000"
+
+    def test_budget_is_inclusive(self):
+        g, p = corner_path(5)
+        assert len(bypaths(g, p, budget=69)) == 69
+        with pytest.raises(TooManyBypaths):
+            bypaths(g, p, budget=68)
