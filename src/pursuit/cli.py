@@ -25,6 +25,7 @@ refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -482,6 +483,7 @@ def cmd_play(args) -> int:
 # -- argument surface ---------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: building the subparsers costs ~2 ms a call
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="pursuit",

@@ -10,6 +10,10 @@ vertex on one side of that cycle; no coordinates exist anywhere.
 Embeddings can be masked to a connected sub-host while keeping the
 original vertex labels, which is how the strategy engine scopes its
 shrinking worlds.
+
+``embed`` finds its rotation system with the module's own left-right
+planarity test, an int-indexed port of networkx's that returns the same
+rotations, and ``PlanarEmbedding`` re-checks the result's Euler count.
 """
 
 from __future__ import annotations
@@ -113,17 +117,286 @@ class PlanarEmbedding:
 
 def embed(g: Graph) -> PlanarEmbedding | None:
     """Rotation system for a planar graph, or None if none exists."""
-    import networkx as nx
+    rotation = _lr_rotation(g)
+    return None if rotation is None else PlanarEmbedding(g, rotation)
 
-    ng = nx.Graph()
-    ng.add_nodes_from(range(g.n))
-    ng.add_edges_from(g.edges())
-    ok, emb = nx.check_planarity(ng)
-    if not ok:
+
+def _lr_rotation(g: Graph) -> list[tuple[int, ...]] | None:
+    """Every vertex's clockwise rotation from the left-right planarity test,
+    or None when g is not planar.
+
+    A port of the non-recursive ``LRPlanarity`` of networkx 3.x
+    (BSD-3-Clause), which follows U. Brandes, "The Left-Right Planarity
+    Test" (2009): an orientation DFS computing lowpoints and nesting depths,
+    a testing DFS over a stack of conflict pairs, sign resolution, and an
+    embedding DFS.  The state is held in ints: edge (v, w) is ``v * n + w``,
+    -1 stands for networkx's None (so ``ref[-1] = ...`` is its harmless
+    ``ref[None] = ...``), and a conflict pair is the list
+    ``[left.low, left.high, right.low, right.high]``, compared with ``is``
+    as networkx compares its pair objects.  Each rotation starts at the
+    neighbor networkx keeps as leftmost, so the rows are exactly
+    ``nx.check_planarity(G)[1].get_data()`` for the graph on 0..n-1 built
+    from ``g.edges()``.
+    """
+    n = g.n
+    adj = [g.neighbors(v) for v in range(n)]
+    if n > 2 and sum(map(len, adj)) // 2 > 3 * n - 6:
         return None
-    data = emb.get_data()
-    rotation = [tuple(data[v]) for v in range(g.n)]
-    return PlanarEmbedding(g, rotation)
+
+    # -- orientation: DFS forest, lowpoints, nesting depths --------------
+    height = [-1] * n
+    parent = [-1] * n  # tree edge into each vertex, -1 at a root
+    out: list[list[int]] = [[] for _ in range(n)]  # oriented edges, adjacency order
+    lowpt: dict[int, int] = {}
+    lowpt2: dict[int, int] = {}
+    nesting: dict[int, int] = {}
+    roots = []
+
+    def settle(v: int, vw: int) -> None:
+        # nesting depth of the finished edge vw, folded into v's parent edge
+        low = lowpt[vw]
+        nesting[vw] = 2 * low + (lowpt2[vw] < height[v])
+        e = parent[v]
+        if e >= 0:
+            if low < lowpt[e]:
+                lowpt2[e] = min(lowpt[e], lowpt2[vw])
+                lowpt[e] = low
+            elif low > lowpt[e]:
+                lowpt2[e] = min(lowpt2[e], low)
+            else:
+                lowpt2[e] = min(lowpt2[e], lowpt2[vw])
+
+    ind = [0] * n
+    for r in range(n):
+        if height[r] >= 0:
+            continue
+        height[r] = 0
+        roots.append(r)
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            nbrs, i = adj[v], ind[v]
+            while i < len(nbrs):
+                w = nbrs[i]
+                vw = v * n + w
+                if vw in lowpt or w * n + v in lowpt:
+                    i += 1
+                    continue  # already oriented
+                out[v].append(w)
+                lowpt[vw] = lowpt2[vw] = height[v]
+                if height[w] < 0:  # tree edge: descend, settle it on return
+                    parent[w] = vw
+                    height[w] = height[v] + 1
+                    break
+                lowpt[vw] = height[w]
+                settle(v, vw)
+                i += 1
+            ind[v] = i
+            if i < len(nbrs):
+                stack.append(nbrs[i])
+                continue
+            stack.pop()
+            e = parent[v]
+            if e >= 0:
+                settle(e // n, e)
+                ind[e // n] += 1
+
+    # -- testing: conflict pairs -----------------------------------------
+    def by_depth(v: int) -> list[int]:
+        return sorted(out[v], key=lambda w: nesting[v * n + w])
+
+    ordered = [by_depth(v) for v in range(n)]
+    ref = dict.fromkeys(lowpt, -1)
+    side = dict.fromkeys(lowpt, 1)
+    bottom: dict[int, list[int] | None] = {}
+    lowpt_edge: dict[int, int] = {}
+    S: list[list[int]] = []
+
+    def conflicting(low: int, high: int, b: int) -> bool:
+        return (low != -1 or high != -1) and lowpt[high] > lowpt[b]
+
+    def add_constraints(ei: int, e: int) -> bool:
+        P = [-1, -1, -1, -1]
+        while True:  # merge the return edges of ei into P's right
+            Q = S.pop()
+            if Q[0] != -1 or Q[1] != -1:
+                Q[:] = Q[2], Q[3], Q[0], Q[1]
+                if Q[0] != -1 or Q[1] != -1:
+                    return False
+            if lowpt[Q[2]] > lowpt[e]:
+                if P[2] == -1 and P[3] == -1:
+                    P[3] = Q[3]
+                else:
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
+            else:  # align
+                ref[Q[2]] = lowpt_edge[e]
+            if (S[-1] if S else None) is bottom[ei]:
+                break
+        # merge the conflicting return edges of earlier siblings into P's left
+        while conflicting(S[-1][0], S[-1][1], ei) or conflicting(S[-1][2], S[-1][3], ei):
+            Q = S.pop()
+            if conflicting(Q[2], Q[3], ei):
+                Q[:] = Q[2], Q[3], Q[0], Q[1]
+                if conflicting(Q[2], Q[3], ei):
+                    return False
+            ref[P[2]] = Q[3]
+            if Q[2] != -1:
+                P[2] = Q[2]
+            if P[0] == -1 and P[1] == -1:
+                P[1] = Q[1]
+            else:
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if P != [-1, -1, -1, -1]:
+            S.append(P)
+        return True
+
+    def lowest(P: list[int]) -> int:
+        if P[0] == -1 and P[1] == -1:
+            return lowpt[P[2]]
+        if P[2] == -1 and P[3] == -1:
+            return lowpt[P[0]]
+        return min(lowpt[P[0]], lowpt[P[2]])
+
+    def remove_back_edges(e: int) -> None:
+        u = e // n
+        while S and lowest(S[-1]) == height[u]:  # drop pairs ending at u
+            P = S.pop()
+            if P[0] != -1:
+                side[P[0]] = -1
+        if S:  # trim the next pair in place
+            P = S[-1]
+            while P[1] != -1 and P[1] % n == u:
+                P[1] = ref[P[1]]
+            if P[1] == -1 and P[0] != -1:
+                ref[P[0]] = P[2]
+                side[P[0]] = -1
+                P[0] = -1
+            while P[3] != -1 and P[3] % n == u:
+                P[3] = ref[P[3]]
+            if P[3] == -1 and P[2] != -1:
+                ref[P[2]] = P[0]
+                side[P[2]] = -1
+                P[2] = -1
+        if lowpt[e] < height[u]:  # e takes the side of a highest return edge
+            hl, hr = S[-1][1], S[-1][3]
+            ref[e] = hl if hl != -1 and (hr == -1 or lowpt[hl] > lowpt[hr]) else hr
+
+    def integrate(v: int, i: int, ei: int) -> bool:
+        if lowpt[ei] >= height[v]:
+            return True
+        e = parent[v]
+        if i == 0:
+            lowpt_edge[e] = lowpt_edge[ei]
+            return True
+        return add_constraints(ei, e)
+
+    ind = [0] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack[-1]
+            kids, i = ordered[v], ind[v]
+            while i < len(kids):
+                ei = v * n + kids[i]
+                bottom[ei] = S[-1] if S else None
+                if parent[kids[i]] == ei:
+                    break  # tree edge: descend, integrate it on return
+                lowpt_edge[ei] = ei
+                S.append([-1, -1, ei, ei])
+                if not integrate(v, i, ei):
+                    return None
+                i += 1
+            ind[v] = i
+            if i < len(kids):
+                stack.append(kids[i])
+                continue
+            stack.pop()
+            e = parent[v]
+            if e >= 0:
+                remove_back_edges(e)
+                u = e // n
+                if not integrate(u, ind[u], e):
+                    return None
+                ind[u] += 1
+
+    # -- signs, then the embedding -----------------------------------------
+    def sign(e: int) -> int:
+        chain = []
+        while ref[e] != -1:
+            chain.append(e)
+            nxt = ref[e]
+            ref[e] = -1
+            e = nxt
+        s = side[e]
+        for f in reversed(chain):
+            s = side[f] = side[f] * s
+        return s
+
+    for v in range(n):
+        for w in out[v]:
+            nesting[v * n + w] *= sign(v * n + w)
+
+    # Each vertex's rotation is a ring of clockwise/counterclockwise links;
+    # first[v] is networkx's leftmost neighbor, where the rotation starts.
+    cw: dict[int, int] = {}
+    ccw: dict[int, int] = {}
+    first = [-1] * n
+
+    def link(x: int, y: int, a: int, b: int) -> None:
+        # put y clockwise after a and before b in x's ring
+        cw[x * n + y], ccw[x * n + y] = b, a
+        cw[x * n + a] = ccw[x * n + b] = y
+
+    for v in range(n):
+        row = ordered[v] = by_depth(v)
+        for j, w in enumerate(row):
+            cw[v * n + w], ccw[v * n + w] = row[j + 1 - len(row)], row[j - 1]
+        if row:
+            first[v] = row[0]
+
+    left_ref = [-1] * n
+    right_ref = [-1] * n
+    ind = [0] * n
+    for r in roots:
+        stack = [r]
+        while stack:
+            v = stack.pop()
+            kids = ordered[v]
+            while ind[v] < len(kids):
+                w = kids[ind[v]]
+                ind[v] += 1
+                ei = v * n + w
+                if parent[w] == ei:  # tree edge: v becomes w's leftmost neighbor
+                    b = first[w]
+                    if b == -1:
+                        link(w, v, v, v)
+                    else:
+                        link(w, v, ccw[w * n + b], b)
+                    first[w] = v
+                    left_ref[v] = right_ref[v] = w
+                    stack += (v, w)
+                    break
+                if side[ei] == 1:
+                    a = right_ref[w]
+                    link(w, v, a, cw[w * n + a])
+                else:
+                    b = left_ref[w]
+                    link(w, v, ccw[w * n + b], b)
+                    if b == first[w]:
+                        first[w] = v
+                    left_ref[w] = v
+
+    rotation = []
+    for v in range(n):
+        row = []
+        u = first[v]
+        while u != -1 and (not row or u != row[0]):
+            row.append(u)
+            u = cw[v * n + u]
+        rotation.append(tuple(row))
+    return rotation
 
 
 # -- regions --------------------------------------------------------------------

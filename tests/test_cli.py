@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pursuit.cli import main
+from pursuit.cli import _build_parser, main
 from pursuit.constructions import (
     build_hole_gadget,
     cycle,
@@ -26,6 +26,8 @@ from pursuit.graphs import Graph, from_graph6, to_graph6
 from pursuit.helly import find_hole
 from pursuit.shadows import wide_shadow
 from pursuit.strategy import Trace, run_two_move_strategy, validate_trace
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture()
@@ -582,23 +584,49 @@ class TestPlay:
         assert "abandoned" in out
 
 
+def run_module(*args):
+    # The child interpreter imports pursuit from this checkout's src, as the
+    # test process does, whether or not PYTHONPATH already names it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "pursuit.cli", *args], capture_output=True, text=True, env=env
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self, corpus):
-        proc = subprocess.run(
-            [sys.executable, "-m", "pursuit.cli", "helly", corpus],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("helly", corpus)
         assert proc.returncode == 0
         assert json.loads(proc.stdout.splitlines()[0])["index"] == 0
 
     def test_unknown_command_exits_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "pursuit.cli", "bogus"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("bogus")
         assert proc.returncode == 2
+
+    def test_repeated_calls_in_one_process(self, capsys, pinned_files):
+        # main reuses one parser across calls; every call must still print
+        # what its first call printed, usage errors in between included.
+        traces, corpus = pinned_files["TRACES"], pinned_files["CORPUS"]
+        calls = [
+            [cmd, *args, "--format", fmt]
+            for fmt in ("tsv", "json")
+            for cmd, *args in (
+                ["simulate", corpus, "--seed", "2"],
+                ["replay", traces],
+                ["validate", traces],
+                ["helly", corpus],
+                ["simulate", corpus, "--turn-cap", "0"],
+            )
+        ]
+        first = [run(capsys, argv) for argv in calls]
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", corpus, "--adversary", "bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert [run(capsys, argv) for argv in reversed(calls)] == first[::-1]
+        assert first[4][0] == 2 and first[0][0] == 0
+        assert _build_parser() is _build_parser()
 
 
 # Every subcommand but play, and the error paths, each run under --format json

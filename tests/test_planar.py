@@ -1,7 +1,9 @@
 """Embedding, region, classification, and bypath-selection tests."""
 
 import hashlib
+import random
 
+import networkx as nx
 import pytest
 
 from pursuit.constructions import (
@@ -17,6 +19,7 @@ from pursuit.graphs import Graph, Path, bits, mask_of
 from pursuit.planar import (
     BypathChoice,
     PlanarEmbedding,
+    _lr_rotation,
     classify_vertex,
     embed,
     region,
@@ -85,6 +88,65 @@ class TestEmbedding:
         e = embed(grid(2, 3))
         assert e.outer_face() == e.outer_face()
         assert len(e.faces()[e.outer_face()]) == max(len(f) for f in e.faces())
+
+
+def _networkx_rows(g: Graph):
+    """Rotation rows from networkx's planarity test, or None if non-planar."""
+    ng = nx.Graph()
+    ng.add_nodes_from(range(g.n))
+    ng.add_edges_from(g.edges())
+    ok, emb = nx.check_planarity(ng)
+    if not ok:
+        return None
+    data = emb.get_data()
+    return [tuple(data[v]) for v in range(g.n)]
+
+
+def _random_graph(rng: random.Random) -> Graph:
+    n = rng.randint(1, 40)
+    p = rng.choice((0.03, 0.08, 0.15, 0.3))
+    return Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
+
+
+class TestNetworkxOracle:
+    """The left-right test behind embed returns networkx's rotations, start
+    neighbor included, or None exactly where networkx finds no embedding."""
+
+    def assert_matches(self, graphs) -> tuple[int, int]:
+        planar = nonplanar = 0
+        for g in graphs:
+            want = _networkx_rows(g)
+            assert _lr_rotation(g) == want, (g.n, g.edges())
+            planar += want is not None
+            nonplanar += want is None
+        return planar, nonplanar
+
+    def test_connected_graphs_up_to_seven_vertices(self):
+        graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+        assert len(graphs) == 996
+        planar, nonplanar = self.assert_matches(graphs)
+        assert nonplanar == 221
+
+    def test_small_and_classic_graphs(self):
+        k33 = Graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+        graphs = [Graph(0), Graph(1), Graph(2), path(2), complete(5), k33, petersen()]
+        assert self.assert_matches(graphs) == (4, 3)
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(17)
+        graphs = [_random_graph(rng) for _ in range(300)]
+        planar, nonplanar = self.assert_matches(graphs)
+        disconnected = sum(1 for g in graphs if -1 in g.bfs_levels(0))
+        assert planar > 100 and nonplanar > 50 and disconnected > 50
+
+    def test_triangulations(self):
+        graphs = [random_planar_triangulation(n, seed=1) for n in (10, 50, 200, 2000)]
+        assert self.assert_matches(graphs) == (4, 0)
+        assert embed(graphs[-1]).rotation == dict(enumerate(_networkx_rows(graphs[-1])))
+
+    def test_grids(self):
+        graphs = [grid(r, c) for r in range(1, 16) for c in range(r, 16, 2)]
+        assert self.assert_matches(graphs) == (len(graphs), 0)
 
 
 def _component_sets(g: Graph, boundary) -> list[set[int]]:

@@ -20,10 +20,10 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_imports_are_stdlib_networkx_or_pursuit():
-    # networkx is the one declared runtime dependency; anything else
-    # installed here (numpy, say) would be an undeclared one.
-    allowed = set(sys.stdlib_module_names) | {"networkx", "pursuit"}
+def test_imports_are_stdlib_or_pursuit():
+    # The package has no runtime dependency: anything installed here
+    # (networkx or numpy, say) would be an undeclared one.
+    allowed = set(sys.stdlib_module_names) | {"pursuit"}
     found = []
     for module in sorted(SOURCE.rglob("*.py")):
         tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
