@@ -243,9 +243,10 @@ def cmd_bypaths(args) -> int:
             "path": list(pv),
             "bypaths": [list(q.vertices) for q in bypaths(g, p, budget=args.max_bypaths)],
             "bypath_free": is_bypath_free(g, p),
+            "max_bypaths": args.max_bypaths,
         }, True
 
-    columns = ["index", "n", "path", "bypath_free", "bypaths"]
+    columns = ["index", "n", "path", "bypath_free", "bypaths", "max_bypaths"]
     return _per_item(args, _read_corpus(args.file), answer, columns)
 
 

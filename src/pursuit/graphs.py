@@ -403,14 +403,14 @@ class Path:
         )
 
     def geodesic_row(self, g: Graph, within: int | None = None) -> list[int] | None:
-        """Distances from the first vertex inside within if the path is
-        isometric there, else None.
+        """Distances from the first vertex inside within if the path lies in
+        within and is isometric there, else None.
 
         One row decides it: a shortcut from vertex i to vertex j > i would
         bring vertex j closer than j to vertex 0, so the path is isometric
         exactly when the row reads j at vertex j for every j.
         """
-        if not self.is_path_in(g):
+        if within is not None and self.mask() & ~within or not self.is_path_in(g):
             return None
         row = g.bfs_levels(self.vertices[0], within)
         if any(row[v] != j for j, v in enumerate(self.vertices)):

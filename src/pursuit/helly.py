@@ -147,8 +147,6 @@ def is_helly(g: Graph) -> bool:
     of every center u.  Nested balls turn that intersection into
     P(a,b) & P(b,c) & P(a,c) over the pair masks of ``_triple_test``.
     """
-    if g.n <= 2:
-        return True
     return _triple_test(*_ball_table(g))
 
 
@@ -246,8 +244,6 @@ def find_hole(g: Graph) -> Hole | None:
     family.
     """
     n = g.n
-    if n <= 2:
-        return None
     rows, balls = _ball_table(g)
     if _triple_test(rows, balls):
         return None

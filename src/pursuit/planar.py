@@ -11,9 +11,10 @@ Embeddings can be masked to a connected sub-host while keeping the
 original vertex labels, which is how the strategy engine scopes its
 shrinking worlds.
 
-``embed`` finds its rotation system with the module's own left-right
-planarity test, an int-indexed port of networkx's that returns the same
-rotations, and ``PlanarEmbedding`` re-checks the result's Euler count.
+``embed`` finds a connected graph's rotation system with the module's own
+left-right planarity test, an int-indexed port of networkx's that returns
+the same rotations, and ``PlanarEmbedding`` re-checks the result's Euler
+count.
 """
 
 from __future__ import annotations
@@ -116,7 +117,11 @@ class PlanarEmbedding:
 
 
 def embed(g: Graph) -> PlanarEmbedding | None:
-    """Rotation system for a planar graph, or None if none exists."""
+    """Rotation system for a connected graph with at least one vertex, or
+    None if it is not planar.  Any other graph raises ValueError: a sphere
+    embedding (the Euler count the result must pass) needs one component."""
+    if g.n == 0 or not g.is_connected():
+        raise ValueError("embed needs a connected graph with at least one vertex")
     rotation = _lr_rotation(g)
     return None if rotation is None else PlanarEmbedding(g, rotation)
 
@@ -133,8 +138,11 @@ def _lr_rotation(g: Graph) -> list[tuple[int, ...]] | None:
     -1 stands for networkx's None (so ``ref[-1] = ...`` is its harmless
     ``ref[None] = ...``), and a conflict pair is the list
     ``[left.low, left.high, right.low, right.high]``, compared with ``is``
-    as networkx compares its pair objects.  Each rotation starts at the
-    neighbor networkx keeps as leftmost, so the rows are exactly
+    as networkx compares its pair objects.  The embedding DFS keeps each
+    rotation as a list in clockwise order and inserts every edge into it
+    where networkx links its half-edge: a tree edge in front, a right back
+    edge after ``right_ref``, a left one before ``left_ref``.  Each list
+    starts at the neighbor networkx keeps as leftmost, so the rows are exactly
     ``nx.check_planarity(G)[1].get_data()`` for the graph on 0..n-1 built
     from ``g.edges()``.
     """
@@ -178,10 +186,10 @@ def _lr_rotation(g: Graph) -> list[tuple[int, ...]] | None:
             nbrs, i = adj[v], ind[v]
             while i < len(nbrs):
                 w = nbrs[i]
-                vw = v * n + w
-                if vw in lowpt or w * n + v in lowpt:
+                if height[w] > height[v] or parent[v] == w * n + v:
                     i += 1
-                    continue  # already oriented
+                    continue  # already oriented: w is a finished descendant or v's parent
+                vw = v * n + w
                 out[v].append(w)
                 lowpt[vw] = lowpt2[vw] = height[v]
                 if height[w] < 0:  # tree edge: descend, settle it on return
@@ -338,24 +346,10 @@ def _lr_rotation(g: Graph) -> list[tuple[int, ...]] | None:
         for w in out[v]:
             nesting[v * n + w] *= sign(v * n + w)
 
-    # Each vertex's rotation is a ring of clockwise/counterclockwise links;
-    # first[v] is networkx's leftmost neighbor, where the rotation starts.
-    cw: dict[int, int] = {}
-    ccw: dict[int, int] = {}
-    first = [-1] * n
-
-    def link(x: int, y: int, a: int, b: int) -> None:
-        # put y clockwise after a and before b in x's ring
-        cw[x * n + y], ccw[x * n + y] = b, a
-        cw[x * n + a] = ccw[x * n + b] = y
-
-    for v in range(n):
-        row = ordered[v] = by_depth(v)
-        for j, w in enumerate(row):
-            cw[v * n + w], ccw[v * n + w] = row[j + 1 - len(row)], row[j - 1]
-        if row:
-            first[v] = row[0]
-
+    # Each vertex's rotation is a list in clockwise order from networkx's
+    # leftmost neighbor; the DFS inserts every incoming edge into it.
+    ordered = [by_depth(v) for v in range(n)]
+    rot = [row[:] for row in ordered]
     left_ref = [-1] * n
     right_ref = [-1] * n
     ind = [0] * n
@@ -369,34 +363,17 @@ def _lr_rotation(g: Graph) -> list[tuple[int, ...]] | None:
                 ind[v] += 1
                 ei = v * n + w
                 if parent[w] == ei:  # tree edge: v becomes w's leftmost neighbor
-                    b = first[w]
-                    if b == -1:
-                        link(w, v, v, v)
-                    else:
-                        link(w, v, ccw[w * n + b], b)
-                    first[w] = v
+                    rot[w].insert(0, v)
                     left_ref[v] = right_ref[v] = w
                     stack += (v, w)
                     break
-                if side[ei] == 1:
-                    a = right_ref[w]
-                    link(w, v, a, cw[w * n + a])
-                else:
-                    b = left_ref[w]
-                    link(w, v, ccw[w * n + b], b)
-                    if b == first[w]:
-                        first[w] = v
+                row = rot[w]
+                if side[ei] == 1:  # clockwise after right_ref[w]
+                    row.insert(row.index(right_ref[w]) + 1, v)
+                else:  # counterclockwise before left_ref[w], leftmost if it was
+                    row.insert(row.index(left_ref[w]), v)
                     left_ref[w] = v
-
-    rotation = []
-    for v in range(n):
-        row = []
-        u = first[v]
-        while u != -1 and (not row or u != row[0]):
-            row.append(u)
-            u = cw[v * n + u]
-        rotation.append(tuple(row))
-    return rotation
+    return [tuple(row) for row in rot]
 
 
 # -- regions --------------------------------------------------------------------

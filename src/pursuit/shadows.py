@@ -83,7 +83,7 @@ class PathShadows:
         self.path = path
         self.within = g.vertex_mask() if within is None else within
         first = path.geodesic_row(g, self.within)
-        if first is None or path.mask() & ~self.within:
+        if first is None:
             raise ValueError("path is not isometric in the host")
         self.first = first
         self.last = g.bfs_levels(path.vertices[-1], self.within)

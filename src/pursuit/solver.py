@@ -36,8 +36,8 @@ array, ``2 * (i * n + r) + side`` (COPS = 0, ROBBER = 1), -1 while unranked.
 Moves.  A cop state (j, r) of rank k >= 1 moves to the first i along row j
 whose robber state (i, r) has rank k-1: it joined layer k through such an
 i, and no i ranks lower.  Rows are sorted, so this is the least cop
-placement one rank closer to capture.  ``StrategyTable.move`` and
-``cop_move`` read it off the ranks on each lookup; nothing is stored.
+placement one rank closer to capture.  ``StrategyTable.cop_move`` reads
+it off the ranks on each lookup; nothing is stored.
 
 Memory.  A solve keeps the 4-byte rank of every state, two masks per
 multiset and the move rows (about 9 bytes per state); its tracemalloc peak
@@ -54,11 +54,8 @@ whole row is), then the cops' attractor for the free approach phase,
 which is the capture recurrence seeded with the safe entry states.  The
 approach phase pursues safe entry only: cops have no capture power off the
 guarded subgraph, so a robber parked elsewhere is simply a threat source,
-never a target.  Under the strict entry semantics (default) guarding may
-begin with the robber already on h only when immediate capture is
-available; the lenient toggle instead tolerates the on-h robber for the
-entry instant, demanding a within-h continuation that punishes every later
-violation, the robber staying put included.
+never a target.  Guarding may begin with the robber already on h only
+when immediate capture is available.
 
 State counts are estimated before enumeration; beyond the budget (the
 ``budget`` argument, 50 million states when it is None) the solver refuses
@@ -294,38 +291,35 @@ def _capture(spec: GameSpec, adj: list[tuple[int, ...]], union, budget: int | No
     return moves, cop_win, rob_win, _layers(moves, union, (1 << g.n) - 1, cop_win, rob_win, True)
 
 
-class _StateMap(Mapping):
-    """Read-only view of a table's per-state values, keyed by (cops, robber, side)."""
+class _RankMap(Mapping):
+    """Read-only view of a table's ranks, keyed by (cops, robber, side); an
+    unranked state is absent."""
 
-    def __init__(self, table: StrategyTable, value, size: int | None = None):
+    def __init__(self, table: StrategyTable, size: int):
         self._table = table
-        self._value = value  # state -> value, or None where the key is absent
         self._len = size
 
     def __getitem__(self, key):
         s = self._table._state(key)
-        value = None if s is None else self._value(s)
-        if value is None:
+        if s is None or self._table._rank[s] < 0:
             raise KeyError(key)
-        return value
+        return self._table._rank[s]
 
     def __iter__(self):
         table = self._table
-        for s in range(len(table._rank)):
-            if self._value(s) is not None:
+        for s, k in enumerate(table._rank):
+            if k >= 0:
                 yield table._key(s)
 
     def __len__(self) -> int:
-        if self._len is None:
-            self._len = sum(1 for _ in self)
         return self._len
 
 
 class StrategyTable:
     """Exact winning strategy: ranks, cop moves, and the robber's best replies.
 
-    ``rank`` and ``move`` are read-only mappings keyed by (sorted cops,
-    robber, side), iterated in state order, ``2 * (i * n + r) + side``.
+    ``rank`` is a read-only mapping keyed by (sorted cops, robber, side),
+    iterated in state order, ``2 * (i * n + r) + side``.
     """
 
     def __init__(
@@ -346,22 +340,7 @@ class StrategyTable:
         self._rank = rank
         self._closed = closed
         self._moves = moves
-        self.rank: Mapping = _StateMap(self, lambda s: rank[s] if rank[s] >= 0 else None, ranked)
-        self.move: Mapping = _StateMap(self, lambda s: None if (m := self._move(s)) is None else multisets[m])
-
-    def _move(self, s: int) -> int | None:
-        """The multiset a cop state s of rank k >= 1 moves to, else None.
-
-        The first i in its row whose robber state (i, r) ranks k - 1: s joined
-        layer k through such an i, and no i ranks lower.
-        """
-        rank = self._rank
-        k = rank[s]
-        if s & 1 or k < 1:
-            return None
-        i, r = divmod(s >> 1, self.n)
-        n2, r2 = 2 * self.n, 2 * r + 1
-        return next(j for j in self._moves[i] if rank[j * n2 + r2] == k - 1)
+        self.rank: Mapping = _RankMap(self, ranked)
 
     def _state(self, key) -> int | None:
         """State number of a canonical (sorted cops, robber, side) key, else None."""
@@ -390,11 +369,18 @@ class StrategyTable:
         return self._rank[s]
 
     def cop_move(self, cops: tuple[int, ...], robber: int) -> tuple[int, ...]:
+        """Where the cops of a won state move: they stay at rank 0, and
+        otherwise follow the rule under Moves in the module docstring."""
         cops = tuple(sorted(cops))
         s = self._state((cops, robber, COPS))
-        if s is None or self._rank[s] < 0:
+        rank = self._rank
+        if s is None or rank[s] < 0:
             raise ValueError("no winning move from this state")
-        return cops if self._rank[s] == 0 else self._multisets[self._move(s)]
+        k = rank[s]
+        if k == 0:
+            return cops
+        n2, r2 = 2 * self.n, 2 * robber + 1
+        return self._multisets[next(j for j in self._moves[s // n2] if rank[j * n2 + r2] == k - 1)]
 
     def robber_reply(self, cops: tuple[int, ...], robber: int) -> int:
         """Optimal adversary: escape the attractor if possible, else stall."""
@@ -455,9 +441,7 @@ def k_move_cop_number(
     return cop_number(g, max_cops, active_cap=active, budget=budget)
 
 
-def is_guardable(
-    g: Graph, h: tuple[int, ...], cops: int, strict: bool = True, budget: int | None = None
-) -> bool:
+def is_guardable(g: Graph, h: tuple[int, ...], cops: int, budget: int | None = None) -> bool:
     """Can `cops` cops permanently guard the isometric subgraph on h?"""
     hv = tuple(sorted(set(h)))
     if not hv:
@@ -486,13 +470,7 @@ def is_guardable(
     # Cops have no capture power off h, so only these entries are seeds.
     win_c = [0] * comb(n + cops - 1, cops)
     for i, cset in enumerate(guard_sets):
-        safe = full & ~bad_c[i]
-        if not strict:
-            # Tolerate the robber on h at the entry instant: some within-h
-            # continuation must survive all later play.
-            always_bad = reduce(and_, map(bad_r.__getitem__, guard_moves[i]))
-            safe = safe & ~on_h | on_h & ~always_bad
-        win_c[_multiset_index(cset, n)] = safe
+        win_c[_multiset_index(cset, n)] = full & ~bad_c[i]
     free_moves = _move_table(_neighbors(g), cops, cops)
     layers = _layers(free_moves, union, full, win_c, [0] * len(win_c), True)
     return _some_row_full(win_c, layers, full)

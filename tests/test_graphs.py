@@ -300,6 +300,9 @@ class TestIsometry:
         assert Path((0, 2)).geodesic_row(g) is None  # not a path in g
         host = mask_of([0, 1, 2, 3, 4])
         assert Path((0, 1, 2, 3, 4)).geodesic_row(g, host) == g.bfs_levels(0, host)
+        # A path that leaves within is refused, even where the row would fit.
+        assert Path((0, 1, 2)).geodesic_row(path_graph(3), mask_of([1, 2])) is None
+        assert not Path((0, 1, 2)).is_isometric_in(path_graph(3), mask_of([1, 2]))
 
     def test_path_validation(self):
         with pytest.raises(ValueError):

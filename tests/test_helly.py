@@ -94,6 +94,12 @@ class TestFrozenWitnesses:
             assert find_hole(g) is None
             assert is_dismantlable(g)
 
+    def test_graphs_on_at_most_two_vertices_are_helly(self):
+        # The triple test has no triple to fail, so no small-n shortcut is needed.
+        for g in (Graph(0), Graph(1), Graph(2), Graph(2, [(0, 1)])):
+            assert is_helly(g)
+            assert find_hole(g) is None
+
     def test_long_cycles_have_no_corner(self):
         for n in (4, 5, 6, 7):
             g = cycle_graph(n)

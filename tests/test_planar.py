@@ -55,6 +55,13 @@ class TestEmbedding:
         assert e is not None
         assert e.face_count() == 1
 
+    def test_empty_or_disconnected_graph_refused(self):
+        triangles = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        k5_and_isolated = Graph(6, [(a, b) for a in range(5) for b in range(a + 1, 5)])
+        for g in (Graph(0), Graph(2), triangles, k5_and_isolated):
+            with pytest.raises(ValueError, match="connected graph with at least one vertex"):
+                embed(g)
+
     def test_twisted_rotation_rejected(self):
         # All-sorted rotations wrap K4 on the torus: the darts close into
         # two faces and the sphere count fails.
@@ -130,7 +137,14 @@ class TestNetworkxOracle:
     def test_small_and_classic_graphs(self):
         k33 = Graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
         graphs = [Graph(0), Graph(1), Graph(2), path(2), complete(5), k33, petersen()]
-        assert self.assert_matches(graphs) == (4, 3)
+        # Wheels (hub 0), fans and stars (hub n-1): inserts at the front of
+        # long rows and back edges into one high-degree vertex.
+        for n in (50, 500):
+            spokes = [(v, n - 1) for v in range(n - 1)]
+            rim = [(v, v + 1) for v in range(n - 2)]
+            wheel = Graph(n, [(0, v) for v in range(1, n)] + [(v + 1, v + 2) for v in range(n - 2)] + [(1, n - 1)])
+            graphs += [wheel, Graph(n, spokes + rim), Graph(n, spokes)]
+        assert self.assert_matches(graphs) == (10, 3)
 
     def test_seeded_random_graphs(self):
         rng = random.Random(17)

@@ -247,8 +247,8 @@ def _answer(call):
 def _pinned_cases():
     """(graph, path, host) triples: every isometric path of every connected
     6-vertex graph, then seeded graphs with host masks, where the paths are
-    the isometric ones of the host plus paths of g that are not isometric in
-    it (those record the refusals)."""
+    the isometric ones of the host plus paths of g whose first vertex's
+    masked row does not read j at vertex j (those record the refusals)."""
     for g in connected_graphs(6):
         for seq in isometric_paths(g):
             yield g, Path(seq), None
@@ -261,7 +261,8 @@ def _pinned_cases():
             yield g, Path(seq), host
         for seq in isometric_paths(g, 4):
             p = Path(seq)
-            if p.length >= 2 and not p.is_isometric_in(g, host):
+            row = g.bfs_levels(seq[0], host)
+            if p.length >= 2 and any(row[v] != j for j, v in enumerate(seq)):
                 yield g, p, host
 
 

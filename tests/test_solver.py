@@ -240,13 +240,13 @@ PINNED_INITIAL = {
 # sha256 of repr() of the list of (cop_number(g, 3), k_move_cop_number(g, 1, 3),
 # k_move_cop_number(g, 2, 3)) over connected_graphs(n) for n = 1..7, in order.
 PINNED_COP_NUMBERS = "9099b27f3847354d47f1254651191bc8ad7f1eb8ef02c3dbade5c2df98846186"
-# sha256 of repr() of the list of is_guardable(g, h, cops, strict) for cops in
-# (1, 2) and strict in (True, False), over every connected graph with n <= 6
-# and, per graph, h = shortest_path(g, a, b).vertices for each pair a < b
-# ("paths") or h = every vertex ("whole").  Every path verdict is True.
+# sha256 of repr() of the list of is_guardable(g, h, cops) for cops in (1, 2),
+# over every connected graph with n <= 6 and, per graph,
+# h = shortest_path(g, a, b).vertices for each pair a < b ("paths") or
+# h = every vertex ("whole").  Every path verdict is True.
 PINNED_GUARD_VERDICTS = {
-    "paths": "d453ac7b24e0f6801a0b1f43d3739eaf3d099ceb00ec90053e90d0387034b0d1",
-    "whole": "f5502d18a2f6408146b19c37728749a1e4521a82330cddce3235d5467c964914",
+    "paths": "a9c16dfc3d5a2c4878ef66d4b13a93266967a30b2926767cbd2eda2a58920810",
+    "whole": "7b63dbaf18d225f8cd9a55d044f2d75b079e615a4221f7e8cb248f3497f17c4d",
 }
 
 
@@ -262,7 +262,7 @@ def _pinned_spec(name: str) -> GameSpec:
 
 
 # Guard verdicts: the exact-solve benchmark's grid targets (seeds 1 and 7919),
-# whole cycles, and isometric paths of cycles, under both entry semantics.
+# whole cycles, and isometric paths of cycles.
 PINNED_GRID_GUARDS = [
     (7, (14, 15, 16, 17, 18, 19, 21, 28, 35), 2, True),
     (12, (91, 92, 103, 115, 127, 139), 1, True),
@@ -299,7 +299,7 @@ class TestPinnedAnswers:
             expected[cops, r, COPS] = next(
                 nxt for nxt in successors[cops] if table.rank.get((nxt, r, ROBBER)) == k - 1
             )
-        assert dict(table.move.items()) == expected
+        assert {(cops, r, COPS): table.cop_move(cops, r) for cops, r, _ in expected} == expected
 
     @pytest.mark.parametrize("name", sorted(PINNED_TABLES))
     def test_initial_placements(self, name):
@@ -322,18 +322,12 @@ class TestPinnedAnswers:
                 targets["paths"] += [(g, shortest_path(g, a, b).vertices) for a, b in pairs]
                 targets["whole"].append((g, tuple(range(g.n))))
         for name, cases in targets.items():
-            verdicts = [
-                is_guardable(g, h, cops, strict=strict)
-                for g, h in cases
-                for cops in (1, 2)
-                for strict in (True, False)
-            ]
+            verdicts = [is_guardable(g, h, cops) for g, h in cases for cops in (1, 2)]
             assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == PINNED_GUARD_VERDICTS[name], name
 
     def test_grid_guard_verdicts(self):
         for k, target, cops, expect in PINNED_GRID_GUARDS:
-            for strict in (True, False):
-                assert is_guardable(grid(k, k), target, cops, strict=strict) == expect
+            assert is_guardable(grid(k, k), target, cops) == expect
 
     def test_gadget_guard_verdicts(self):
         from pursuit.helly import find_hole
@@ -341,18 +335,16 @@ class TestPinnedAnswers:
         for core in PINNED_GADGET_CORES:
             h = from_graph6(core)
             g = build_hole_gadget(h, find_hole(h))
-            for strict in (True, False):
-                assert not is_guardable(g, tuple(range(h.n)), 1, strict=strict)
-                assert is_guardable(g, tuple(range(h.n)), 2, strict=strict)
+            assert not is_guardable(g, tuple(range(h.n)), 1)
+            assert is_guardable(g, tuple(range(h.n)), 2)
 
     def test_cycle_guard_verdicts(self):
         for n in range(4, 9):
             g = cycle(n)
-            for strict in (True, False):
-                for length in range(1, n // 2 + 2):
-                    assert is_guardable(g, tuple(range(length)), 1, strict=strict)
-                assert not is_guardable(g, tuple(range(n)), 1, strict=strict)
-                assert is_guardable(g, tuple(range(n)), 2, strict=strict)
+            for length in range(1, n // 2 + 2):
+                assert is_guardable(g, tuple(range(length)), 1)
+            assert not is_guardable(g, tuple(range(n)), 1)
+            assert is_guardable(g, tuple(range(n)), 2)
 
 
 def _replay(g: Graph, table: StrategyTable) -> int:
@@ -444,21 +436,6 @@ class TestGuardMode:
             is_guardable(cycle(5), (0, 1, 2, 3), 1)
         with pytest.raises(ValueError):
             is_guardable(path(3), (), 1)
-
-    def test_strict_entry_implies_lenient(self):
-        rng = random.Random(41)
-        checked = 0
-        for _ in range(20):
-            g = random_connected(rng.randrange(4, 8), rng.random() * 0.5, rng.randrange(10**6))
-            a, b = rng.sample(range(g.n), 2)
-            h = shortest_path(g, a, b).vertices
-            if is_guardable(g, h, 1, strict=True):
-                assert is_guardable(g, h, 1, strict=False)
-                checked += 1
-        assert checked >= 5
-
-    def test_lenient_entry_not_degenerate(self):
-        assert is_guardable(cycle(6), (0, 1, 2), 1, strict=False)
 
     def test_adversary_gadget_beats_k_guards(self):
         h, desc = build_hts(3, 2)
