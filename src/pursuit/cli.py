@@ -17,6 +17,12 @@ budget is --state-cap alone, 50 million states by default; `bypaths`
 counts the bypaths first and refuses to list more than --max-bypaths,
 10,000 by default.  A refusal exits 3 and says which budget to raise.
 
+`simulate` checks each graph against the engine's input contract
+(`strategy.check_engine_input`) before it builds an adversary, so a
+disconnected or non-planar graph exits 1 before any solve, whatever the
+budget.  Its optimal adversary solves the three-cop, two-mover game under
+--state-cap and reads its placement and every reply from that table.
+
 Exit codes: 0 success, 1 negative verdict (unguardable target, cop number
 over the cap, trace violations, unplayable input), 2 usage error, 3 budget
 refusal.
@@ -48,7 +54,7 @@ from pursuit.solver import (
     is_guardable,
     solve,
 )
-from pursuit.strategy import Trace, run_two_move_strategy, validate_trace
+from pursuit.strategy import Trace, check_engine_input, run_two_move_strategy, validate_trace
 
 OK = 0
 NEGATIVE = 1
@@ -337,8 +343,9 @@ def _make_adversary(name: str, g: Graph, seed: int, budget: int):
 
 def cmd_simulate(args) -> int:
     def answer(i: int, g: Graph):
+        e, cap = check_engine_input(g, turn_cap=args.turn_cap)
         adv = _make_adversary(args.adversary, g, args.seed, args.state_cap)
-        tr = run_two_move_strategy(g, adversary=adv, turn_cap=args.turn_cap)
+        tr = run_two_move_strategy(g, e, adv, cap)
         return {
             "graph": tr.graph,
             "turns": list(tr.turns),
@@ -346,13 +353,14 @@ def cmd_simulate(args) -> int:
             "index": i,
             "adversary": args.adversary,
             "seed": args.seed,
-            "turn_cap": 10 * g.n * g.n if args.turn_cap is None else args.turn_cap,
+            "turn_cap": cap,
+            "state_cap": args.state_cap,
             "n": g.n,
             "outcome": tr.verdict.get("outcome"),
             "turn": tr.verdict.get("turn"),
         }, tr.captured
 
-    columns = ["index", "n", "adversary", "seed", "turn_cap", "outcome", "turn"]
+    columns = ["index", "n", "adversary", "seed", "turn_cap", "state_cap", "outcome", "turn"]
     return _per_item(args, _read_corpus(args.file), answer, columns)
 
 

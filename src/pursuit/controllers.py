@@ -13,6 +13,9 @@ Controllers are single-owner state machines.  Proof-backed invariants are
 re-checked every turn; a violation raises ControllerFault, which game
 runners surface as an aborted trace rather than a crash.  Domain errors
 (bad subgraph, bypath present) are ValueError at attach time.
+
+The optimal adversary reads its placement and each reply from a solved
+`StrategyTable`; it keeps no rule of its own.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import random
 from .graphs import Graph, is_isometric_subgraph, shortest_path
 from .helly import dismantling_order, is_helly
 from .shadows import PathShadows, wide_shadow
-from .solver import COPS
 
 
 class ControllerFault(RuntimeError):
@@ -313,14 +315,7 @@ class OptimalAdversary:
         self.table = table
 
     def place(self, cops) -> int:
-        best, best_rank = 0, -1
-        for r in range(self.graph.n):
-            rk = self.table.state_rank(cops, r, COPS)
-            if rk is None:
-                return r
-            if rk > best_rank:
-                best, best_rank = r, rk
-        return best
+        return self.table.robber_place(cops)
 
     def move(self, cops, robber: int) -> int:
         return self.table.robber_reply(cops, robber)

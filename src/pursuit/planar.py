@@ -549,9 +549,10 @@ def select_bypath(e: PlanarEmbedding, p: Path, q: Path) -> BypathChoice:
     if not free:
         raise ValueError("p has a bypath in the context")
     hq = mask & ~mask_of(p.vertices[1:-1])
-    if not q.is_isometric_in(g, hq):
-        raise ValueError("q is not isometric once p's interior is removed")
-    b = find_bypath(g, q, hq)
+    try:
+        b = find_bypath(g, q, hq)
+    except ValueError:
+        raise ValueError("q is not isometric once p's interior is removed") from None
     if b is None:
         return BypathChoice(free=True)
 
@@ -564,7 +565,10 @@ def select_bypath(e: PlanarEmbedding, p: Path, q: Path) -> BypathChoice:
         if viol is not None:
             b = viol
             continue
-        viol = find_bypath(g, qb, strip_qb)
+        try:
+            viol = find_bypath(g, qb, strip_qb)
+        except ValueError:
+            raise PlanarityFault("composite not isometric in pocket") from None
         if viol is not None:
             alt = _composite(qb, viol)
             b = _fresh_divergence(q, alt, qb.vertex_set())
@@ -573,8 +577,6 @@ def select_bypath(e: PlanarEmbedding, p: Path, q: Path) -> BypathChoice:
         no_p_int = side & ~mask_of(p.vertices[1:-1])
         if not qb.is_isometric_in(g, no_p_int):
             raise PlanarityFault("composite lost isometry")
-        if not qb.is_isometric_in(g, strip_qb):
-            raise PlanarityFault("composite not isometric in pocket")
         try:
             free = PathShadows(g, p, side | p.mask()).is_bypath_free()
         except ValueError:

@@ -52,17 +52,12 @@ def gamma(g: Graph, target: frozenset[int] | set[int], x: int, v: int) -> frozen
 
 def wide_shadow(g: Graph, target, v: int) -> frozenset[int]:
     """Intersection of gamma over all target vertices."""
-    tv = sorted(set(target))
-    result = set(tv)
-    for x in tv:
-        dist = g.bfs_levels(x)
-        dv = dist[v]
-        if dv < 0:
-            continue
-        result = {y for y in result if 0 <= dist[y] <= dv}
+    result = frozenset(target)
+    for x in sorted(result):
+        result = gamma(g, result, x, v)
         if not result:
             break
-    return frozenset(result)
+    return result
 
 
 class PathShadows:

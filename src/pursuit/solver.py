@@ -37,7 +37,12 @@ Moves.  A cop state (j, r) of rank k >= 1 moves to the first i along row j
 whose robber state (i, r) has rank k-1: it joined layer k through such an
 i, and no i ranks lower.  Rows are sorted, so this is the least cop
 placement one rank closer to capture.  ``StrategyTable.cop_move`` reads
-it off the ranks on each lookup; nothing is stored.
+it off the ranks on each lookup; nothing is stored.  The robber, placing or
+moving, takes the first of its options (every vertex, or staying and then
+each neighbour) whose cop-to-move state is unranked, which escapes for
+good, else the first of the highest rank, which stalls capture longest; a
+vertex holding a cop ranks 0, so it is taken only when every option holds
+a cop.
 
 Memory.  A solve keeps the 4-byte rank of every state, two masks per
 multiset and the move rows (about 9 bytes per state); its tracemalloc peak
@@ -184,10 +189,6 @@ def _move_table(adj: list, c: int, cap: int) -> list[list[int]]:
     return rows[min(c, cap)]
 
 
-def _closed(g: Graph) -> list[tuple[int, ...]]:
-    return [(v,) + g.neighbors(v) for v in range(g.n)]
-
-
 def _neighbors(g: Graph) -> list[tuple[int, ...]]:
     return [g.neighbors(v) for v in range(g.n)]
 
@@ -324,21 +325,20 @@ class StrategyTable:
 
     def __init__(
         self,
-        n: int,
+        graph: Graph,
         cops: int,
         multisets: list[tuple[int, ...]],
         rank: array,
         ranked: int,
         initial: tuple[int, ...] | None,
-        closed: list[tuple[int, ...]],
         moves: list[list[int]],
     ):
-        self.n = n
+        self.graph = graph
+        self.n = graph.n
         self.cops = cops
         self.initial = initial
         self._multisets = multisets
         self._rank = rank
-        self._closed = closed
         self._moves = moves
         self.rank: Mapping = _RankMap(self, ranked)
 
@@ -382,18 +382,24 @@ class StrategyTable:
         n2, r2 = 2 * self.n, 2 * robber + 1
         return self._multisets[next(j for j in self._moves[s // n2] if rank[j * n2 + r2] == k - 1)]
 
+    def robber_place(self, cops: tuple[int, ...]) -> int:
+        """Where the optimal robber starts against these cops: the rule under
+        Moves in the module docstring, over every vertex."""
+        return self._best_option(cops, range(self.n))
+
     def robber_reply(self, cops: tuple[int, ...], robber: int) -> int:
-        """Optimal adversary: escape the attractor if possible, else stall."""
-        cops = tuple(sorted(cops))
-        best, best_rank = robber, -1
-        for r in self._closed[robber]:
-            if r in cops:
-                continue
-            nxt = self.state_rank(cops, r, COPS)
-            if nxt is None:
+        """Where the optimal robber moves: the same rule, over staying and
+        each neighbour."""
+        return self._best_option(cops, (robber,) + self.graph.neighbors(robber))
+
+    def _best_option(self, cops: tuple[int, ...], options) -> int:
+        best, best_rank = None, -1
+        for r in options:
+            k = self.state_rank(cops, r, COPS)
+            if k is None:
                 return r
-            if nxt > best_rank:
-                best, best_rank = r, nxt
+            if k > best_rank:
+                best, best_rank = r, k
         return best
 
 
@@ -418,7 +424,7 @@ def solve(spec: GameSpec, budget: int | None = None) -> tuple[bool, StrategyTabl
     # The first multiset to win every robber vertex wins soonest against the best one.
     initial = multisets[min(done)] if done else None
     ranked = sum(m.bit_count() for m in chain(cop_win, rob_win))
-    table = StrategyTable(n, c, multisets, rank, ranked, initial, _closed(g), moves)
+    table = StrategyTable(g, c, multisets, rank, ranked, initial, moves)
     return initial is not None, table
 
 

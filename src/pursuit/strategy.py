@@ -30,6 +30,9 @@ bypath reroute reuse it while the host is unchanged.  A chase reads its entry of
 whole-graph BFS row and walks the route `shortest_path` gives to it.  A
 territory bridge is one `shortest_path_between` call.
 
+`check_engine_input` owns the input contract; `run_two_move_strategy` and
+the command line's `simulate` both call it, the latter before any solve.
+
 validate_trace re-checks a finished trace against the graph alone, using
 only the core graph primitives: move legality, the two-mover cap, park
 stationarity and coverage, shadow membership of guarding cops, leisurely
@@ -57,10 +60,10 @@ from pursuit.graphs import (
     shortest_path_between,
     to_graph6,
 )
-from pursuit.planar import PlanarityFault, classify_vertex, embed
+from pursuit.planar import PlanarEmbedding, PlanarityFault, classify_vertex, embed
 from pursuit.shadows import PathShadows, first_bypath
 
-__all__ = ["Trace", "run_two_move_strategy", "validate_trace"]
+__all__ = ["Trace", "check_engine_input", "run_two_move_strategy", "validate_trace"]
 
 
 # -- trace records -------------------------------------------------------------
@@ -635,13 +638,12 @@ class _Engine:
         )
 
 
-def run_two_move_strategy(g: Graph, e=None, adversary=None, turn_cap=None) -> Trace:
-    """Play three cops, at most two moving per turn, to capture on g.
+def check_engine_input(g: Graph, e=None, turn_cap=None) -> tuple[PlanarEmbedding, int]:
+    """The engine's input contract: (embedding, turn cap) for a game on g.
 
-    The embedding is computed when not supplied; non-planar or disconnected
-    input is a ValueError.  turn_cap defaults to 10 n^2 cops' turns and an
-    exceeded cap yields an aborted verdict rather than an exception, as does
-    a ControllerFault or PlanarityFault, whose message becomes the reason.
+    g must be non-empty, connected and planar; a supplied embedding must be
+    one of g itself, and one is computed otherwise.  turn_cap defaults to
+    10 n^2 cops' turns and must be at least 1.  A breach is a ValueError.
     """
     if g.n < 1:
         raise ValueError("empty graph")
@@ -653,11 +655,23 @@ def run_two_move_strategy(g: Graph, e=None, adversary=None, turn_cap=None) -> Tr
             raise ValueError("graph is not planar")
     elif e.graph != g or e.mask != g.vertex_mask():
         raise ValueError("embedding does not cover this graph")
-    if adversary is None:
-        adversary = RandomAdversary(g)
     cap = 10 * g.n * g.n if turn_cap is None else int(turn_cap)
     if cap < 1:
         raise ValueError("turn cap must be positive")
+    return e, cap
+
+
+def run_two_move_strategy(g: Graph, e=None, adversary=None, turn_cap=None) -> Trace:
+    """Play three cops, at most two moving per turn, to capture on g.
+
+    The input must pass `check_engine_input`, which also supplies the
+    embedding and the turn cap when they are not given.  An exceeded cap
+    yields an aborted verdict rather than an exception, as does a
+    ControllerFault or PlanarityFault, whose message becomes the reason.
+    """
+    e, cap = check_engine_input(g, e, turn_cap)
+    if adversary is None:
+        adversary = RandomAdversary(g)
     engine = _Engine(g, e, adversary, cap)
     try:
         return engine.run()

@@ -367,7 +367,7 @@ class TestSimulateValidateReplay:
         assert code == 0
         lines = out.splitlines()
         assert lines[0].split("\t") == [
-            "index", "n", "adversary", "seed", "turn_cap", "outcome", "turn",
+            "index", "n", "adversary", "seed", "turn_cap", "state_cap", "outcome", "turn",
         ]
 
     def test_simulate_optimal_small(self, capsys, tmp_path):
@@ -383,6 +383,32 @@ class TestSimulateValidateReplay:
         code, _, err = run(capsys, ["simulate", str(f)])
         assert code == 1
         assert "planar" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("budget", [[], ["--state-cap", "1000"]], ids=["default-cap", "cap-1000"])
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            # C8 x C8, the 8x8 torus: 64 vertices, not planar
+            (
+                Graph(64, [(v, v // 8 * 8 + (v + 1) % 8) for v in range(64)] + [(v, (v + 8) % 64) for v in range(64)]),
+                "graph is not planar",
+            ),
+            (Graph(4, [(0, 1), (2, 3)]), "graph must be connected"),
+        ],
+        ids=["torus", "disconnected"],
+    )
+    def test_simulate_refuses_before_solving(self, capsys, tmp_path, monkeypatch, graph, message, budget):
+        # The engine's input contract runs before the optimal adversary's
+        # solve, so the verdict does not depend on the state budget.
+        def solve(*args, **kwargs):
+            raise AssertionError("solve ran on input the engine refuses")
+
+        monkeypatch.setattr("pursuit.cli.solve", solve)
+        f = tmp_path / "refused.g6"
+        f.write_text(to_graph6(graph) + "\n")
+        code, out, err = run(capsys, ["simulate", str(f), "--adversary", "optimal", *budget])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["message"] == f"graph 0: {message}"
 
     def test_simulate_nonzero_padding_is_usage_error(self, capsys, tmp_path):
         # "A`" once decoded as K2, whose record then read graph "A_"
@@ -678,7 +704,8 @@ PINNED_CASES = {
 # sha256 of repr((exit code, stdout, stderr)), with the temporary directory
 # written as TMP, recorded from the CLI before its per-item driver; the two
 # bypaths outputs were re-recorded when their records began to echo
-# --max-bypaths.
+# --max-bypaths, and the eight simulate outputs that print records when
+# those began to echo --state-cap.
 PINNED_OUTPUTS = {
     "bad-graph6/json": "257b831a4aa07954e972b35b7df7e51d6f346a2f3a3283131304c6776ae69968",
     "bad-graph6/tsv": "dffb3e1a47888be3b251b724e179aa65a79dbfba4a1e4facfe4263fdb39b97ff",
@@ -742,16 +769,16 @@ PINNED_OUTPUTS = {
     "replay/tsv": "b44afadfdccf3e7f0c27bc92c2f42b619fc456a9b22d87c831173a07aa50cef3",
     "shadow/json": "ce6d0eb6467392046a943dd476f25fd8ae2071abeff7ff31d9681d04821d290d",
     "shadow/tsv": "359486c8976d95023d8a2fae7105f97b5ca9ef92a79ae19ed55121ec58195df4",
-    "simulate-greedy/json": "105b33abd8c0e596b231caf563414e56bb3ed5500990e24b3306a79a2205142d",
-    "simulate-greedy/tsv": "74b606bf736a427c74f36dc53dae325e88dfafdf5b8456bd8f600617e9661e3d",
+    "simulate-greedy/json": "b2eb0ccc970aca95698477d1488a7b3d1ec3e6294d5e22c2e8db0cacbeb030d5",
+    "simulate-greedy/tsv": "21b9a812692366ab2dea9fe2c9a88077feef03e6c7d7991f481da5db201415bc",
     "simulate-nonplanar/json": "11d3bfdb8ffa52e92e8deac2f8e5061a39a4c9b3566df93bc239662b7670e3b7",
     "simulate-nonplanar/tsv": "d4d6bd212b5ec7e3076d4b5f3fc5190333b41aa3e267a9787061ffcd8cfd61b0",
-    "simulate-optimal/json": "cb369941139c03d22fe05c9014259af155c3f7067cec17e52aed69fa7d6d3b6b",
-    "simulate-optimal/tsv": "2bba0e168cac6c668d0bfce7e472901aa7b2131d23c2aeb804055ac014784866",
-    "simulate-random/json": "61a911ce319032c3bc7bdb60eda0bb2e2af4ac08c23294f6699c9b43b6ed4e83",
-    "simulate-random/tsv": "1dfa10f391a8e6f6e2d9018fc12d49934ef88cb81a0a249938779ccbc150b82d",
-    "simulate-turn-cap/json": "970e8c2521266416f615acb7da0439fe21c64ba37eaea88e7a76aadd34882834",
-    "simulate-turn-cap/tsv": "766339b6850332b992cb2e7648e52e3cb76dd8e30f87a369d77b552b391e3eff",
+    "simulate-optimal/json": "2dd5c011e3a0a29bf22c6759439534d0c96369bb9c97d646cbf1d4cb6ccaf8f6",
+    "simulate-optimal/tsv": "8093e7026729706708923f8ced6230a5591c6d3c343c4f18f2593caf09277c3a",
+    "simulate-random/json": "56f03735c9a4a01175c5da001bc77892a4d4ee759541b72f2b0c76c344f077ac",
+    "simulate-random/tsv": "8a0c5edaeae1d8eee42f5d55345f43d637c7d0a26269abb5014648abc07039e5",
+    "simulate-turn-cap/json": "c742df36c4043f2162fe4c67d272dcec2e1b8f93914f21e43aee7195ae32d253",
+    "simulate-turn-cap/tsv": "8931538fe5bd0bb926fc772bd959828eb9b017252444c62d03041a31d098e0a6",
     "validate-tampered/json": "e947d287b1a6db371ac68ab5140870f813f8aa2b8ff9321fa82f9e2787221e10",
     "validate-tampered/tsv": "bf99951ccb14813eb2d8401357b043c9d049e920b9a176dfd34c49e87bf0ac3e",
     "validate/json": "f8127a3bebe9a7d261de461db01db6495b9ab3f5120648fe9e5fae175de724f1",

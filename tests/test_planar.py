@@ -431,3 +431,28 @@ class TestSelectBypath:
         e2 = embed(g)
         with pytest.raises(ValueError, match="bypath"):
             select_bypath(e2, p, q)
+
+    @pytest.mark.parametrize(
+        "extra, calls",
+        [(None, 4), ([], 13), ([(7, 2), (7, 4)], 11), ([(7, 0), (7, 4)], 13)],
+        ids=["free", "nested", "pocket", "ambiguous"],
+    )
+    def test_bfs_calls(self, monkeypatch, extra, calls):
+        # The graphs of the tests above.  Isometry is checked once per (path,
+        # host): find_bypath's rows refuse a path that is not isometric, so
+        # no separate check runs before or after it.
+        if extra is None:
+            e, p, q = embed(grid(2, 3)), Path((0, 1, 2)), Path((0, 3, 4, 5, 2))
+        else:
+            g, p, q = _theta_with_two_detours()
+            e = embed(Graph(8, g.edges() + extra) if extra else g)
+        sources = []
+        bfs = Graph._bfs
+
+        def counted(g, src, allowed):
+            sources.append(src)
+            return bfs(g, src, allowed)
+
+        monkeypatch.setattr(Graph, "_bfs", counted)
+        select_bypath(e, p, q)
+        assert len(sources) == calls

@@ -19,6 +19,7 @@ from pursuit.constructions import (
     random_connected,
     random_planar_triangulation,
 )
+from pursuit.controllers import OptimalAdversary
 from pursuit.graphs import Graph, domination_number, from_graph6, shortest_path
 from pursuit.helly import is_dismantlable
 from pursuit.solver import (
@@ -237,6 +238,35 @@ PINNED_INITIAL = {
     "tri24-8-c2-cap1": (0, 3),
 }
 
+# Per PINNED_TABLES spec, sha256 of repr() of the list of
+# (adversary.place(cops), [adversary.move(cops, r) for every vertex r]) for
+# adversary = OptimalAdversary(g, table), over every cop multiset in
+# combinations_with_replacement order; recorded before the placement rule
+# moved into the strategy table.
+PINNED_ROBBER = {
+    "cycle7-c2": "07e3cf25a4a538d1cd8c3354d612a7d46406e38c9917d521cb7a7daf4d47b85e",
+    "grid4x5-c3-cap2": "d827afccc1a776221f1723ed5a723b1c76cd8415b03d20f67f2b50ffa2eedac4",
+    "petersen-c3": "f2ee0821c0a3bcf59db5ac6b3c196bab983f2f761ae8cd36a685932253eaf307",
+    "tri24-0-c2": "e9f8082a270c3d55e1381329b61b46d8c676acf912506028115e9a10b0eeda2f",
+    "tri24-0-c2-cap1": "b9a1d7bc3cb96e4bd1f62f79a7ee48a2cdb830b5d87ed70f510d29d633dc7f4c",
+    "tri24-1-c2": "a2f4c37cf176bcab9fac4bc4e1a0972510d67eb5c4aa6934f56bcd8f8c0b048d",
+    "tri24-1-c2-cap1": "e8e60ad204c9bb219833460c7d719d21c4ec883b7a3543ddde09711924e6d742",
+    "tri24-2-c2": "57945b14464682c79bf45edfdcbd8db0276a619952e2813992b92c6d2cdfc7d0",
+    "tri24-2-c2-cap1": "aeb61f17306f8523b237fda9e228d2373a71183a4769e029e53cc94317b399f1",
+    "tri24-3-c2": "81a5448cb326c3920b822f3bbf88829c338f30cea98df509f4b764fe539b0330",
+    "tri24-3-c2-cap1": "141ff9e366fc5a5babab1d1c99d8db3a4238c4e575e70688ed3371fcf9a1f20f",
+    "tri24-4-c2": "993bbf68285c1abcdd72022247f36b45382a907d4b6c95382d17af765c495b3d",
+    "tri24-4-c2-cap1": "ca3051ce7a8a7c239e579379cc7dc0745c328aafd474201540f123f0fc6900a1",
+    "tri24-5-c2": "8b71f72773ba4f4b4dd002327025dcffa4f7af14f55877f7739cae3826a47fa6",
+    "tri24-5-c2-cap1": "1d429b8ff79b7900af2a8ccc939f1fae5bc93f867a4cc654f4eff90391c78baa",
+    "tri24-6-c2": "3822557bf0a7591727176f713996f3ff3111217fc205de2dc507a2547edfb1c6",
+    "tri24-6-c2-cap1": "bd9dd1cde6496c6459e82859138c864659d8dd7ac4259e985a0df3ddf6f56634",
+    "tri24-7-c2": "d11d35e31cd675ad48405a8b3975dcc399bfdcb5a0cc98cd2b20f1e36c4e6e30",
+    "tri24-7-c2-cap1": "52c7ae2dbb81131fa6baeb3343f55c82e876fd08deda51645cd462e430bfe2f4",
+    "tri24-8-c2": "2ba85928a6cd06756e4c3407ef76fd408cfaaa86a114cb07d7bcc8a67e8c143d",
+    "tri24-8-c2-cap1": "b13b4e0e992e2f15f792b8a120c529c217429daf66d7e9ecbb625ac60b90622d",
+}
+
 # sha256 of repr() of the list of (cop_number(g, 3), k_move_cop_number(g, 1, 3),
 # k_move_cop_number(g, 2, 3)) over connected_graphs(n) for n = 1..7, in order.
 PINNED_COP_NUMBERS = "9099b27f3847354d47f1254651191bc8ad7f1eb8ef02c3dbade5c2df98846186"
@@ -304,6 +334,17 @@ class TestPinnedAnswers:
     @pytest.mark.parametrize("name", sorted(PINNED_TABLES))
     def test_initial_placements(self, name):
         assert solve(_pinned_spec(name))[1].initial == PINNED_INITIAL[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_TABLES))
+    def test_optimal_robber(self, name):
+        spec = _pinned_spec(name)
+        g = spec.graph
+        adversary = OptimalAdversary(g, solve(spec)[1])
+        values = [
+            (adversary.place(cops), [adversary.move(cops, r) for r in range(g.n)])
+            for cops in itertools.combinations_with_replacement(range(g.n), spec.cops)
+        ]
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == PINNED_ROBBER[name]
 
     def test_small_graph_cop_numbers(self):
         values = [

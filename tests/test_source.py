@@ -80,3 +80,22 @@ def test_private_names_are_used():
             if not any(id(r) not in own for r in refs.get(node.name, ())):
                 orphans.append(f"{module}:{node.lineno} {node.name}")
     assert orphans == []
+
+
+def test_exports_resolve():
+    # Every name a module lists in __all__ must exist there, so deleting a
+    # function without its export fails here rather than at a star import.
+    missing = []
+    for module in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
+        exports = [
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+        ]
+        if not exports:
+            continue
+        name = ".".join(("pursuit", *module.relative_to(SOURCE).with_suffix("").parts)).removesuffix(".__init__")
+        loaded = importlib.import_module(name)
+        missing += [f"{name}.{export}" for export in exports[-1] if not hasattr(loaded, export)]
+    assert missing == []
