@@ -22,7 +22,8 @@ from pursuit.graphs import (
     to_edge_list,
     to_graph6,
 )
-from pursuit.strategy import Trace, run_two_move_strategy, validate_trace
+from pursuit.referee import Trace, validate_trace
+from pursuit.strategy import run_two_move_strategy
 
 __all__ = [
     "UNREACHABLE",

@@ -17,6 +17,11 @@ budget is --state-cap alone, 50 million states by default; `bypaths`
 counts the bypaths first and refuses to list more than --max-bypaths,
 10,000 by default.  A refusal exits 3 and says which budget to raise.
 
+`validate` and `replay` read traces with `referee.Trace` and check them with
+`referee.validate_trace`, which shares no code with the engine.  The
+referee answers a malformed turn record with findings (exit 1); text
+`replay` refuses one whose shown fields are missing or mistyped (exit 2).
+
 `simulate` checks each graph against the engine's input contract
 (`strategy.check_engine_input`) before it builds an adversary, so a
 disconnected or non-planar graph exits 1 before any solve, whatever the
@@ -54,7 +59,8 @@ from pursuit.solver import (
     is_guardable,
     solve,
 )
-from pursuit.strategy import Trace, check_engine_input, run_two_move_strategy, validate_trace
+from pursuit.referee import Trace, validate_trace
+from pursuit.strategy import check_engine_input, run_two_move_strategy
 
 OK = 0
 NEGATIVE = 1

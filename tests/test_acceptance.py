@@ -40,9 +40,10 @@ from pursuit.graphs import (
 )
 from pursuit.helly import dismantling_order, find_hole, is_helly, is_helly_oracle
 from pursuit.planar import embed
+from pursuit.referee import validate_trace
 from pursuit.shadows import PathShadows, bypath_vertices, wide_shadow
 from pursuit.solver import GameSpec, cop_number, is_guardable, k_move_cop_number, solve
-from pursuit.strategy import run_two_move_strategy, validate_trace
+from pursuit.strategy import run_two_move_strategy
 
 
 # -- shared corpora -----------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -20,12 +21,14 @@ from pursuit.constructions import (
     path,
     petersen,
     random_connected,
+    random_planar_triangulation,
 )
-from pursuit.controllers import GreedyAdversary
+from pursuit.controllers import GreedyAdversary, RandomAdversary
 from pursuit.graphs import Graph, from_graph6, to_graph6
 from pursuit.helly import find_hole
+from pursuit.referee import Trace, validate_trace
 from pursuit.shadows import wide_shadow
-from pursuit.strategy import Trace, run_two_move_strategy, validate_trace
+from pursuit.strategy import run_two_move_strategy
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -344,6 +347,40 @@ class TestGuardableAndConstruct:
         assert records(out)[0]["graph6"] is None
 
 
+def _only_record_0(payload, verdict):
+    payload["turns"] = payload["turns"][:1]
+    del payload["turns"][0]["robber"]
+    payload["verdict"] = verdict
+
+
+# Each edit drops a key that the validator once read with [], which raised
+# KeyError.  Record 0 places no robber, so a record 0 without the key is
+# read as one that says so.
+MISSING_KEYS = {
+    "no-mover": (
+        lambda p: p["turns"][2].pop("mover"),
+        [
+            "turn: record 2 mover is None, expected 'cops'",
+            "legality: cops moved on the robber's turn 2",
+            "moved-flag: robber turn 2 flags cop movement",
+        ],
+    ),
+    "no-robber-at-0": (lambda p: p["turns"][0].pop("robber"), []),
+    "no-last-t": (
+        lambda p: p["turns"][-1].pop("t"),
+        ["turn: record 2 carries t=None", "verdict: capture turn disagrees with the last record"],
+    ),
+    "only-record-0-captured": (
+        lambda p: _only_record_0(p, p["verdict"]),
+        [
+            "verdict: capture turn disagrees with the last record",
+            "verdict: captured without a cop on the robber",
+        ],
+    ),
+    "only-record-0-aborted": (lambda p: _only_record_0(p, {"outcome": "aborted", "reason": "stopped"}), []),
+}
+
+
 class TestSimulateValidateReplay:
     def test_simulate_traces_validate(self, capsys, corpus):
         code, out, err = run(
@@ -517,6 +554,65 @@ class TestSimulateValidateReplay:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["code"] == 2
 
+    @pytest.mark.parametrize("name", MISSING_KEYS)
+    def test_missing_key_is_a_finding(self, capsys, tmp_path, name):
+        g = grid(3, 3)
+        payload = json.loads(run_two_move_strategy(g, adversary=RandomAdversary(g, seed=1)).to_json())
+        edit, findings = MISSING_KEYS[name]
+        edit(payload)
+        f = tmp_path / "trace.jsonl"
+        f.write_text(json.dumps(payload) + "\n")
+        code, out, err = run(capsys, ["validate", str(f)])
+        assert code == (1 if findings else 0) and err == ""
+        assert json.loads(out)["violations"] == findings
+
+
+# Values a fuzzed trace edit writes: wrong types, out-of-range vertices, empties.
+TRACE_POOL = (None, True, False, -1, 0, 1, 2, 99, 1.5, "x", "cops", "captured", [], [0, 0, 0], {})
+TRACE_COMMANDS = {"validate": ["validate"], "replay": ["replay"], "replay-json": ["replay", "--format", "json"]}
+
+
+def mutate_trace(payload, rng):
+    """Make 1-3 seeded edits in place, each at the end of a random descent:
+    set a value from TRACE_POOL, delete a key or a list entry, or cut a list
+    short.  Most descents start at the turn list, where most rules live."""
+    for _ in range(rng.randint(1, 3)):
+        box = payload
+        if isinstance(payload.get("turns"), list) and payload["turns"] and rng.random() < 0.9:
+            box = payload["turns"]
+        while box:
+            keys = sorted(box) if isinstance(box, dict) else list(range(len(box)))
+            key = rng.choice(keys)
+            if isinstance(box, list) and rng.random() < 0.3:
+                key = rng.choice((0, min(1, len(box) - 1), len(box) - 1))  # the ends and the opening
+            child = box[key]
+            if isinstance(child, (dict, list)) and child and rng.random() < 0.7:
+                box = child
+                continue
+            roll = rng.random()
+            if roll < 0.5:
+                box[key] = rng.choice(TRACE_POOL)
+            elif roll < 0.65 and isinstance(box, list):
+                del box[key + 1 :]
+            else:
+                del box[key]
+            break
+
+
+@pytest.fixture(scope="module")
+def fuzzed_traces():
+    """1,000 seeded mutations of six engine traces, one JSON line each."""
+    bases = []
+    for g in (grid(4, 4), grid(3, 6), random_planar_triangulation(20, seed=3)):
+        for adv in (RandomAdversary(g, seed=1), GreedyAdversary(g, seed=1)):
+            bases.append(run_two_move_strategy(g, adversary=adv).to_json())
+    lines = []
+    for seed in range(1000):
+        payload = json.loads(bases[seed % len(bases)])
+        mutate_trace(payload, random.Random(seed))
+        lines.append(json.dumps(payload))
+    return lines
+
 
 # Flag templates for the fuzz test; each {name} is filled from one draw.
 FUZZ_COMMANDS = {
@@ -567,6 +663,23 @@ class TestThreeOutcomes:
         else:
             assert code in (0, 1, 2, 3)
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", TRACE_COMMANDS)
+    def test_fuzzed_trace_answers_or_refuses(self, capsys, tmp_path, fuzzed_traces, command):
+        # A trace line answers (0), carries findings (1) or is refused (2);
+        # it never raises.
+        f = tmp_path / "trace.jsonl"
+        codes = set()
+        crashes = []
+        for seed, line in enumerate(fuzzed_traces):
+            f.write_text(line + "\n")
+            try:
+                codes.add(main(TRACE_COMMANDS[command] + [str(f)]))
+            except Exception as e:
+                crashes.append(f"mutation {seed}: {type(e).__name__}: {e}")
+            capsys.readouterr()
+        assert crashes == []
+        assert codes == {0, 1, 2}
 
 
 class TestPlay:

@@ -20,21 +20,43 @@ def test_no_assert_statements():
     assert found == []
 
 
+def imports(module: pathlib.Path) -> list[tuple[int, str]]:
+    """(line, module name) of each import in module, a relative one named
+    from the package root."""
+    tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            name = node.module if node.level == 0 else ".".join(filter(None, ("pursuit", node.module)))
+            found.append((node.lineno, name))
+    return found
+
+
 def test_imports_are_stdlib_or_pursuit():
     # The package has no runtime dependency: anything installed here
     # (networkx or numpy, say) would be an undeclared one.
     allowed = set(sys.stdlib_module_names) | {"pursuit"}
     found = []
     for module in sorted(SOURCE.rglob("*.py")):
-        tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue  # a relative import stays inside pursuit
-            found += [f"{module.relative_to(SOURCE)}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
+        found += [f"{module.relative_to(SOURCE)}:{line} {name}" for line, name in imports(module) if name.split(".")[0] not in allowed]
+    assert found == []
+
+
+def test_referee_imports_only_graphs():
+    # The referee re-checks the engine's traces, so it may not share code
+    # with the engine: it imports the standard library and pursuit.graphs,
+    # and graphs imports nothing else of the package.
+    stdlib = set(sys.stdlib_module_names)
+    allowed = {"referee.py": {"pursuit.graphs"}, "graphs.py": set()}
+    found = []
+    for name, own in allowed.items():
+        found += [
+            f"{name}:{line} {mod}"
+            for line, mod in imports(SOURCE / name)
+            if mod.split(".")[0] not in stdlib and mod not in own
+        ]
     assert found == []
 
 

@@ -23,15 +23,10 @@ from pursuit.controllers import (
 )
 from pursuit.graphs import Graph, to_graph6
 from pursuit.planar import PlanarityFault, embed
+from pursuit.referee import Trace, validate_trace
 from pursuit.solver import GameSpec, solve
 from pursuit import strategy
-from pursuit.strategy import (
-    Trace,
-    _Engine,
-    _Mission,
-    run_two_move_strategy,
-    validate_trace,
-)
+from pursuit.strategy import _Engine, _Mission, run_two_move_strategy
 
 
 def sparse_planar(n, seed):
@@ -663,15 +658,21 @@ class TestValidatorFaults:
     @pytest.mark.parametrize(
         "route, findings",
         [
-            # The robber steps onto the guard's path at turn 3, which exempts
-            # the run from the rest window.  A cop in the wide shadow of a
-            # robber on its path would stand on it, so that turn is a shadow
-            # finding.
-            ((2, 3), ["shadow: cop 0 is outside the wide shadow on turn 4"]),
+            # The robber steps onto the guard's path at turn 3.  That grants
+            # no rest exemption: a cop in the wide shadow of a robber on its
+            # path would stand on it, so that turn is already a shadow
+            # finding, and the run still breaks the rest window at turn 8.
+            (
+                (2, 3),
+                [
+                    "shadow: cop 0 is outside the wide shadow on turn 4",
+                    "rest: cop 0 moved 3 straight turns on a path of length 2 at turn 8",
+                ],
+            ),
             ((4, 3), ["rest: cop 0 moved 3 straight turns on a path of length 2 at turn 8"]),
         ],
     )
-    def test_leisurely_rest_exempt_once_robber_on_path(self, route, findings):
+    def test_leisurely_rest_counts_robber_on_path(self, route, findings):
         g = path(6)
         note = milestone(guard(0, "leisurely", [0, 1, 2], HOST), territory=3)
         step = (True, False, False)
