@@ -40,7 +40,7 @@ import functools
 import json
 import sys
 
-from pursuit.constructions import build_guard_adversary, build_hole_gadget, build_hts
+from pursuit.constructions import TooLarge, build_guard_adversary, build_hole_gadget, build_hts
 from pursuit.controllers import GreedyAdversary, OptimalAdversary, RandomAdversary
 from pursuit.graphs import Graph, Path, from_graph6, to_graph6
 from pursuit.helly import dismantling_order, find_hole
@@ -138,14 +138,17 @@ def _cell(v, sep: str = ";") -> str:
     return str(v)
 
 
-def _write(args, records: list[dict], columns: list[str]) -> None:
-    lines: list[str] = []
+def _write(args, records: list[dict], columns: list[str] | None) -> None:
+    """json lines, or a tsv table of columns; a construction passes no
+    columns and its tsv is each record's bare graph6, or "-" for none, so
+    the output pipes straight into another command."""
     if args.format == "json":
         lines = [json.dumps(r, sort_keys=True) for r in records]
+    elif columns is None:
+        lines = [r["graph6"] or "-" for r in records]
     else:
-        lines.append("\t".join(columns))
-        for r in records:
-            lines.append("\t".join(_cell(r.get(c)) for c in columns))
+        lines = ["\t".join(columns)]
+        lines += ["\t".join(_cell(r.get(c)) for c in columns) for r in records]
     _write_raw(args, lines)
 
 
@@ -170,7 +173,7 @@ def _error(args, code: int, message: str) -> int:
     return code
 
 
-def _per_item(args, items, answer, columns: list[str]) -> int:
+def _per_item(args, items, answer, columns: list[str] | None) -> int:
     """Write answer(i, item)'s record for each item; exit 1 on any negative verdict."""
     records = []
     worst = OK
@@ -288,6 +291,10 @@ def cmd_construct_hts(args) -> int:
     try:
         g, desc = build_hts(args.t, args.s)
         gadget = None if args.adversary is None else build_guard_adversary(g, desc, args.adversary)
+    except TooLarge as e:
+        raise CliError(
+            BUDGET, f"{e}; fewer private vertices or a smaller core keep it materializable"
+        ) from e
     except ValueError as e:
         raise CliError(USAGE, str(e)) from e
     rec = {"construct": "hts", "t": args.t, "s": args.s, "n": g.n, "graph6": to_graph6(g)}
@@ -302,11 +309,7 @@ def cmd_construct_hts(args) -> int:
         rec["apex_count"] = len(gadget.transversals)
         rec["n"] = gadget.graph.n
         rec["graph6"] = to_graph6(gadget.graph)
-    if args.format == "tsv":
-        # bare graph6 so the output pipes straight into another command
-        _write_raw(args, [rec["graph6"]])
-    else:
-        _write(args, [rec], [])
+    _write(args, [rec], None)
     return OK
 
 
@@ -324,13 +327,7 @@ def cmd_construct_hole_gadget(args) -> int:
             "hole_radii": list(hole.radii),
         }, True
 
-    graphs = _read_corpus(args.file)
-    if args.format == "json":
-        return _per_item(args, graphs, answer, [])
-    # bare graph6 so the output pipes straight into another command
-    answers = [answer(i, g) for i, g in enumerate(graphs)]
-    _write_raw(args, [rec["graph6"] or "-" for rec, _ in answers])
-    return OK if all(ok for _, ok in answers) else NEGATIVE
+    return _per_item(args, _read_corpus(args.file), answer, None)
 
 
 # -- simulation, replay, validation ------------------------------------------------

@@ -7,13 +7,14 @@ used by the guardability results:
 * ``build_hts`` constructs H(t,s): a complete core T on t = 2m-1 vertices
   plus, for every m-subset X of the core, a clique K_X of s private
   vertices joined to X.  The result is chordal with diameter 2, so one cop
-  suffices on H(t,s) itself.
+  suffices on H(t,s) itself.  Past ``EXPLICIT_LIMIT`` vertices it raises
+  ``TooLarge``.
 * ``build_guard_adversary`` surrounds H(t,s) with apex vertices, one per
   transversal of the private cliques, producing a host graph in which k
   cops cannot guard H(t,s).  The transversal family has s^C(t,m) members,
-  so above a size budget only the escape certificate is produced: a
-  constructive procedure naming, for any k-cop placement, a cop-free
-  clique K_X and a cop-free transversal.
+  so above ``EXPLICIT_LIMIT`` apexes only the escape certificate is
+  produced: a constructive procedure naming, for any k-cop placement, a
+  cop-free clique K_X and a cop-free transversal.
 * ``build_hole_gadget`` attaches an apex to a non-Helly graph through
   internally disjoint paths whose lengths follow a hole's radii; the base
   graph stays isometric in the gadget and stops being 1-guardable.
@@ -157,28 +158,18 @@ _CONNECTED_CACHE: dict[int, list[Graph]] = {}
 
 
 def _vertex_labels(g: Graph) -> list[tuple]:
+    """Each vertex's neighbours' degrees and distances to all vertices, both
+    sorted; the distance row counts the vertex's own degree in its ones."""
     degs = [g.degree(v) for v in range(g.n)]
-    rows = [tuple(sorted(g.bfs_levels(v))) for v in range(g.n)]
     return [
-        (degs[v], tuple(sorted(degs[u] for u in g.neighbors(v))), rows[v])
+        (tuple(sorted(degs[u] for u in g.neighbors(v))), tuple(sorted(g.bfs_levels(v))))
         for v in range(g.n)
     ]
 
 
-def _fingerprint(g: Graph) -> tuple:
-    labels = _vertex_labels(g)
-    triangles = sum(
-        (g.adj_mask(u) & g.adj_mask(v)).bit_count() for u, v in g.edges()
-    )
-    return (g.n, g.m, tuple(sorted(labels)), triangles)
-
-
-def is_isomorphic(a: Graph, b: Graph) -> bool:
-    if a.n != b.n or a.m != b.m:
-        return False
-    la, lb = _vertex_labels(a), _vertex_labels(b)
-    if sorted(la) != sorted(lb):
-        return False
+def _match(a: Graph, la: list[tuple], b: Graph, lb: list[tuple]) -> bool:
+    """Backtracking search for an isomorphism from a to b that maps each
+    vertex to one with the same label; the sorted labels must agree."""
     n = a.n
     cand = [[w for w in range(n) if lb[w] == la[v]] for v in range(n)]
     order = sorted(range(n), key=lambda v: (len(cand[v]), v))
@@ -205,14 +196,20 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
     return assign(0, 0)
 
 
+def is_isomorphic(a: Graph, b: Graph) -> bool:
+    la, lb = _vertex_labels(a), _vertex_labels(b)
+    return sorted(la) == sorted(lb) and _match(a, la, b, lb)
+
+
 def connected_graphs(n: int) -> list[Graph]:
     """All connected graphs on n vertices, one per isomorphism class.
 
     Built by attaching vertex n-1 to every nonempty neighborhood subset of
     every connected (n-1)-vertex graph; every connected graph arises this
-    way because some vertex is never a cut vertex.  Deduplication buckets
-    candidates by invariant fingerprint and settles collisions with the
-    backtracking isomorphism test.  Results are cached per n.
+    way because some vertex is never a cut vertex.  A candidate's vertex
+    labels are computed once: sorted, they key its bucket, and they restrict
+    its match against each representative in that bucket; it joins the list
+    unless one matches.  Results are cached per n.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -223,21 +220,27 @@ def connected_graphs(n: int) -> list[Graph]:
     else:
         parents = connected_graphs(n - 1)
         reps = []
-        buckets: dict[tuple, list[int]] = {}
+        buckets: dict[tuple, list[tuple[Graph, list[tuple]]]] = {}
         for parent in parents:
             base = parent.edges()
             for sub in range(1, 1 << (n - 1)):
                 g = Graph(n, base + [(v, n - 1) for v in bits(sub)])
-                fp = _fingerprint(g)
-                bucket = buckets.setdefault(fp, [])
-                if not any(is_isomorphic(g, reps[i]) for i in bucket):
-                    bucket.append(len(reps))
+                labels = _vertex_labels(g)
+                bucket = buckets.setdefault(tuple(sorted(labels)), [])
+                if not any(_match(g, labels, h, lh) for h, lh in bucket):
+                    bucket.append((g, labels))
                     reps.append(g)
     _CONNECTED_CACHE[n] = reps
     return reps
 
 
 # --- guardability witnesses ------------------------------------------------
+
+EXPLICIT_LIMIT = 4096  # most vertices of H(t,s), most apexes of its adversary gadget
+
+
+class TooLarge(RuntimeError):
+    """An explicit construction would pass EXPLICIT_LIMIT."""
 
 
 @dataclass(frozen=True)
@@ -252,20 +255,13 @@ class HtsDescriptor:
 def _has_perfect_elimination(g: Graph) -> bool:
     alive = g.vertex_mask()
     while alive:
-        found = None
         for v in bits(alive):
             nb = g.adj_mask(v) & alive
-            ok = True
-            for u in bits(nb):
-                if nb & ~(g.adj_mask(u) | (1 << u)):
-                    ok = False
-                    break
-            if ok:
-                found = v
+            if all(not nb & ~(g.adj_mask(u) | 1 << u) for u in bits(nb)):
+                alive &= ~(1 << v)  # v is simplicial
                 break
-        if found is None:
+        else:
             return False
-        alive &= ~(1 << found)
     return True
 
 
@@ -275,6 +271,9 @@ def build_hts(t: int, s: int) -> tuple[Graph, HtsDescriptor]:
     if s < 1:
         raise ValueError("s must be at least 1")
     m = (t + 1) // 2
+    size = t + s * comb(t, m)
+    if size > EXPLICIT_LIMIT:
+        raise TooLarge(f"H({t},{s}) has {size} vertices, over the limit of {EXPLICIT_LIMIT}")
     subsets = tuple(combinations(range(t), m))
     edges = [(i, j) for i in range(t) for j in range(i + 1, t)]
     privates = []
@@ -289,7 +288,7 @@ def build_hts(t: int, s: int) -> tuple[Graph, HtsDescriptor]:
             for v in x:
                 edges.append((v, p))
     g = Graph(nxt, edges)
-    if g.n != t + s * comb(t, m):
+    if g.n != size:
         raise AssertionError("H(t,s) has t + s*C(t,m) vertices")
     if distance_matrix(g).diameter() != 2:
         raise AssertionError("H(t,s) has diameter 2")
@@ -363,7 +362,7 @@ def build_guard_adversary(h: Graph, descriptor: HtsDescriptor, k: int) -> Advers
         raise ValueError("needs m > k and s > k")
     certificate = EscapeCertificate(descriptor, k)
     count = descriptor.s ** len(descriptor.subsets)
-    if count > 4096:
+    if count > EXPLICIT_LIMIT:
         return AdversaryGadget(
             explicit=False, graph=None, apex_base=h.n, transversals=None,
             certificate=certificate,

@@ -48,8 +48,8 @@ class PlanarEmbedding:
                 raise ValueError(f"rotation at {v} misses neighbors")
             rot[v] = row
         self.rotation = rot
-        self._faces: tuple[tuple[tuple[int, int], ...], ...] | None = None
-        self._face_of: dict[tuple[int, int], int] = {}  # filled by faces()
+        self._faces = self._trace_faces()
+        self._face_of = {d: i for i, face in enumerate(self._faces) for d in face}
         self._check_euler()
 
     # -- faces -------------------------------------------------------------
@@ -59,29 +59,26 @@ class PlanarEmbedding:
         i = row.index(u)
         return v, row[(i + 1) % len(row)]
 
+    def _trace_faces(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        seen: set[tuple[int, int]] = set()
+        out = []
+        for u in sorted(self.rotation):
+            for w in self.rotation[u]:
+                if (u, w) in seen:
+                    continue
+                face = []
+                dart = (u, w)
+                while dart not in seen:
+                    seen.add(dart)
+                    face.append(dart)
+                    dart = self._next_dart(*dart)
+                out.append(tuple(face))
+        return tuple(out)
+
     def faces(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        if self._faces is None:
-            seen: set[tuple[int, int]] = set()
-            out = []
-            for u in sorted(self.rotation):
-                for w in self.rotation[u]:
-                    if (u, w) in seen:
-                        continue
-                    face = []
-                    dart = (u, w)
-                    while dart not in seen:
-                        seen.add(dart)
-                        face.append(dart)
-                        dart = self._next_dart(*dart)
-                    out.append(tuple(face))
-            self._faces = tuple(out)
-            self._face_of = {
-                d: i for i, face in enumerate(self._faces) for d in face
-            }
         return self._faces
 
     def face_of(self, u: int, v: int) -> int:
-        self.faces()
         return self._face_of[(u, v)]
 
     def face_count(self) -> int:
@@ -484,9 +481,7 @@ def classify_vertex(e: PlanarEmbedding, v: int, z: int) -> Classification:
         p2 = Path((v, x2, u))
         rest = set(fan) - {x1, x2}
         if z not in (v, u, x1, x2):
-            interior = region(e, p1, p2, z)
-            if z not in interior:
-                continue
+            interior = region(e, p1, p2, z)  # floods from z's faces, so holds z
         elif rest:  # z on the boundary: take the side away from the other fan vertices
             x = min(rest)
             _, interior = _split(e, p1, p2, {e.face_of(x, w) for w in e.rotation[x]})

@@ -412,11 +412,9 @@ class _Engine:
         for gd in self.guards:
             deck.update(gd.path.vertices[k] for k in self._contacts(gd, ymask))
         doors = sorted(deck)
-        if len(doors) == 2:
-            a, b = doors
-            if self.g.has_edge(a, b):
-                return self._park(a, Path((a, b)), (first, second))
-            return self._cross(ymask, a, b)
+        if len(doors) == 2 and self.g.has_edge(doors[0], doors[1]):
+            # each guard owns one door; a far pair was crossed above
+            return self._park(doors[0], Path(tuple(doors)), (first, second))
         if len(doors) == 3:
             # huddled doors fold under one park, freeing the second cop
             for c in doors:
@@ -427,10 +425,11 @@ class _Engine:
         if mission is not None:
             return mission
         for gd in (first, second):
+            # _plan_single blocks or classifies a lone contact and cuts a chordless span
             cont = self._contacts(gd, ymask)
             verts = gd.path.vertices
-            if not self.g.has_edge(verts[cont[0]], verts[cont[-1]]):
-                return self._span_flow(gd, ymask, cont[0], cont[-1])
+            if len(cont) == 1 or not self.g.has_edge(verts[cont[0]], verts[cont[-1]]):
+                return self._plan_single(gd, ymask)
         raise PlanarityFault("no isometric cut between two spread guards")
 
     def _lobe_cross(self, ymask: int, first: _Guard, second: _Guard) -> _Mission | None:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pursuit import constructions
 from pursuit.cli import _build_parser, main
 from pursuit.constructions import (
     build_hole_gadget,
@@ -330,6 +331,20 @@ class TestGuardableAndConstruct:
         rec = records(out)[0]
         assert rec["apex_count"] == 8
         assert from_graph6(rec["graph6"]).n == rec["n"]
+
+    @pytest.mark.parametrize("t, s, n", [(15, 1, 6450), (13, 3, 5161)])
+    def test_hts_refused_past_vertex_limit(self, capsys, monkeypatch, t, s, n):
+        # H(t,s) has t + s*C(t, (t+1)/2) vertices; past the 4096 limit it is
+        # refused before the graph is built.
+        def build(*args):
+            raise AssertionError("H(t,s) built past the vertex limit")
+
+        monkeypatch.setattr(constructions, "Graph", build)
+        for fmt in ("json", "tsv"):
+            argv = ["construct", "hts", "--t", str(t), "--s", str(s), "--format", fmt]
+            code, out, err = run(capsys, argv)
+            assert code == 3 and out == ""
+            assert f"H({t},{s}) has {n} vertices, over the limit of 4096" in err
 
     def test_adversary_gadget_budget_refusal(self, capsys):
         code, _, err = run(

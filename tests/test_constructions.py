@@ -3,6 +3,7 @@
 import hashlib
 import random
 
+import networkx as nx
 import pytest
 
 from pursuit.constructions import (
@@ -21,6 +22,13 @@ from pursuit.constructions import (
 )
 from pursuit.graphs import Graph, is_dominating, is_isometric_subgraph, to_graph6
 from pursuit.helly import Hole, find_hole, is_helly
+
+
+def _to_nx(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
 
 
 class TestGenerators:
@@ -105,6 +113,58 @@ class TestCorpus:
     def test_isomorphism_spot_checks(self):
         assert is_isomorphic(cycle(5), Graph(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]))
         assert not is_isomorphic(path(4), Graph(4, [(0, 1), (0, 2), (0, 3)]))
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (1, "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae"),
+            (2, "ada8d598e51a0bf0d4bb5976d5dc6cb088a0603072947b002d4d665c54cadb1f"),
+            (3, "ff300d6b5191490a6a2d507279c750a00c4d53fb98b6e1b3e8b59ef7894631ec"),
+            (4, "59f05773e1599dbd0d7a4a269f3cf4b28b2db33e02c061f11cc56710029566f8"),
+            (5, "b464d15021b10ce593e1ff4e3d8007961284f62b404d597fd548e42e19407975"),
+            (6, "5b10ca0b43ce2f03e40ed371ee233b1653654334962c7e1613908db99a84af99"),
+            (7, "c8e1cca3fdec9f27faddabd4eca8b34ad4db427ef26073aed433b8874a2bea34"),
+            (8, "7b4360f5f590a8073cc969dfa8e886bd3f1228dc4cf553ad09c67344b4112e55"),
+        ],
+    )
+    def test_graph6_lists_are_pinned(self, n, digest):
+        # sha256 of the newline-joined graph6 list: the corpora's
+        # representatives and their order are fixed, whatever the bucketing.
+        text = "\n".join(to_graph6(g) for g in connected_graphs(n))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+    def test_isomorphism_matches_networkx(self):
+        # Random pairs (mostly of unequal size), pairs with equal n and m,
+        # and a seeded relabelling of each graph, with and without one edge
+        # moved, held to networkx.
+        rng = random.Random(22)
+        pairs = []
+
+        def rand_graph(n, m):
+            pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            return Graph(n, rng.sample(pool, min(m, len(pool))))
+
+        for _ in range(300):
+            a = rand_graph(rng.randint(1, 7), rng.randint(0, 12))
+            b = rand_graph(rng.randint(1, 7), rng.randint(0, 12))
+            pairs.append((a, b))
+            pairs.append((a, rand_graph(a.n, a.m)))
+        for g in connected_graphs(6) + rng.sample(connected_graphs(7), 60):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            edges = [(perm[u], perm[v]) for u, v in g.edges()]
+            h = Graph(g.n, edges)
+            pairs.append((g, h))
+            absent = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not h.has_edge(u, v)]
+            if absent:
+                edges[rng.randrange(len(edges))] = rng.choice(absent)
+                pairs.append((g, Graph(g.n, edges)))
+        agree = set()
+        for a, b in pairs:
+            want = nx.is_isomorphic(_to_nx(a), _to_nx(b))
+            assert is_isomorphic(a, b) == want, (to_graph6(a), to_graph6(b))
+            agree.add(want)
+        assert agree == {True, False}
 
 
 class TestHts:

@@ -21,7 +21,7 @@ from pursuit.controllers import (
     PathShadowGuard,
     RandomAdversary,
 )
-from pursuit.graphs import Graph, to_graph6
+from pursuit.graphs import Graph, from_graph6, to_graph6
 from pursuit.planar import PlanarityFault, embed
 from pursuit.referee import Trace, validate_trace
 from pursuit.solver import GameSpec, solve
@@ -105,6 +105,17 @@ class TestCaptures:
             g = sparse_planar(4 + i * 35 // 29, seed=i)
             assert_clean_capture(g, RandomAdversary(g, seed=i))
             assert_clean_capture(g, GreedyAdversary(g, seed=i))
+
+    @pytest.mark.parametrize("g6", ["KO?w~COKX_II", "M?_AA_g@Esd@[VHA?", r"M@K_@oEGE\?STEbB?"])
+    def test_pair_with_a_single_contact_guard(self, g6):
+        # Two spread guards, one touching the territory at a single vertex:
+        # that guard is blocked or classified, as a lone guard would be; a
+        # span cut there would glue a walk that repeats the vertex.
+        g = from_graph6(g6)
+        assert_clean_capture(g, GreedyAdversary(g))
+        solved, table = solve(GameSpec(g, cops=3, active_cap=2))
+        assert solved
+        assert_clean_capture(g, OptimalAdversary(g, table))
 
 
 class TestPinnedTraces:
