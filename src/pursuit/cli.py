@@ -9,10 +9,11 @@ objects on stderr; in tsv mode they are plain lines.
 
 Each subparser names its handler with ``set_defaults(run=...)``.  A corpus
 or trace command gives ``_per_item`` its items and an ``answer(i, item)``
-that returns one record and its verdict; the driver writes the records
-once, reports a library ``ValueError`` as exit 1 on ``graph i``, and exits
-1 when any verdict is negative.  The count flags --active, --cops,
---turn-cap, --state-cap and --max-bypaths must be at least 1.  The solvers'
+that returns one record and its verdict; the driver adds each record's
+``index``, writes the records once, reports a library ``ValueError`` as
+exit 1 on ``graph i``, and exits 1 when any verdict is negative.  The
+count flags --active, --cops, --turn-cap, --state-cap and --max-bypaths
+must be at least 1.  The solvers'
 budget is --state-cap alone, 50 million states by default; `bypaths`
 counts the bypaths first and refuses to list more than --max-bypaths,
 10,000 by default.  A refusal exits 3 and says which budget to raise.
@@ -27,6 +28,8 @@ referee answers a malformed turn record with findings (exit 1); text
 disconnected or non-planar graph exits 1 before any solve, whatever the
 budget.  Its optimal adversary solves the three-cop, two-mover game under
 --state-cap and reads its placement and every reply from that table.
+--seed drives only the random adversary; the greedy one is deterministic
+and ignores it.  Records echo it all the same.
 
 Exit codes: 0 success, 1 negative verdict (unguardable target, cop number
 over the cap, trace violations, unplayable input), 2 usage error, 3 budget
@@ -174,7 +177,8 @@ def _error(args, code: int, message: str) -> int:
 
 
 def _per_item(args, items, answer, columns: list[str] | None) -> int:
-    """Write answer(i, item)'s record for each item; exit 1 on any negative verdict."""
+    """Write answer(i, item)'s record, with its index i, for each item; exit
+    1 on any negative verdict."""
     records = []
     worst = OK
     for i, item in enumerate(items):
@@ -184,6 +188,7 @@ def _per_item(args, items, answer, columns: list[str] | None) -> int:
             raise CliError(NEGATIVE, f"graph {i}: {e}") from e
         if not ok:
             worst = NEGATIVE
+        record["index"] = i
         records.append(record)
     _write(args, records, columns)
     return worst
@@ -197,7 +202,6 @@ def cmd_helly(args) -> int:
         hole = find_hole(g)
         order = dismantling_order(g)
         return {
-            "index": i,
             "n": g.n,
             "helly": hole is None,
             "hole_centers": None if hole is None else list(hole.centers),
@@ -213,7 +217,6 @@ def cmd_copnumber(args) -> int:
     def answer(i: int, g: Graph):
         c = cop_number(g, args.max_cops, active_cap=args.active, budget=args.state_cap)
         rec = {
-            "index": i,
             "n": g.n,
             "cop_number": c,
             "max_cops": args.max_cops,
@@ -235,7 +238,6 @@ def cmd_shadow(args) -> int:
     def answer(i: int, g: Graph):
         _check_range(g, target + (args.vertex,), i)
         return {
-            "index": i,
             "n": g.n,
             "subgraph": sorted(set(target)),
             "vertex": args.vertex,
@@ -253,7 +255,6 @@ def cmd_bypaths(args) -> int:
         _check_range(g, pv, i)
         p = Path(pv)
         return {
-            "index": i,
             "n": g.n,
             "path": list(pv),
             "bypaths": [list(q.vertices) for q in bypaths(g, p, budget=args.max_bypaths)],
@@ -272,7 +273,6 @@ def cmd_guardable(args) -> int:
         _check_range(g, target, i)
         ok = is_guardable(g, target, args.cops, budget=args.state_cap)
         return {
-            "index": i,
             "n": g.n,
             "subgraph": sorted(set(target)),
             "cops": args.cops,
@@ -317,10 +317,9 @@ def cmd_construct_hole_gadget(args) -> int:
     def answer(i: int, g: Graph):
         hole = find_hole(g)
         if hole is None:
-            return {"index": i, "n": g.n, "graph6": None, "reason": "graph is Helly"}, False
+            return {"n": g.n, "graph6": None, "reason": "graph is Helly"}, False
         gg = build_hole_gadget(g, hole)
         return {
-            "index": i,
             "n": gg.n,
             "graph6": to_graph6(gg),
             "hole_centers": list(hole.centers),
@@ -353,7 +352,6 @@ def cmd_simulate(args) -> int:
             "graph": tr.graph,
             "turns": list(tr.turns),
             "verdict": tr.verdict,
-            "index": i,
             "adversary": args.adversary,
             "seed": args.seed,
             "turn_cap": cap,
@@ -386,7 +384,6 @@ def cmd_validate(args) -> int:
         g, tr = item
         viol = validate_trace(g, tr)
         return {
-            "index": i,
             "n": g.n,
             "outcome": tr.verdict.get("outcome"),
             "ok": not viol,

@@ -7,8 +7,8 @@ used by the guardability results:
 * ``build_hts`` constructs H(t,s): a complete core T on t = 2m-1 vertices
   plus, for every m-subset X of the core, a clique K_X of s private
   vertices joined to X.  The result is chordal with diameter 2, so one cop
-  suffices on H(t,s) itself.  Past ``EXPLICIT_LIMIT`` vertices it raises
-  ``TooLarge``.
+  suffices on H(t,s) itself.  Past ``EXPLICIT_LIMIT`` vertices, or past
+  ``BUILD_LIMIT`` steps of its self-checks, it raises ``TooLarge``.
 * ``build_guard_adversary`` surrounds H(t,s) with apex vertices, one per
   transversal of the private cliques, producing a host graph in which k
   cops cannot guard H(t,s).  The transversal family has s^C(t,m) members,
@@ -237,10 +237,16 @@ def connected_graphs(n: int) -> list[Graph]:
 # --- guardability witnesses ------------------------------------------------
 
 EXPLICIT_LIMIT = 4096  # most vertices of H(t,s), most apexes of its adversary gadget
+# Most self-check steps of H(t,s), (m + 1) * n^2 for n vertices: n^2 distance
+# reads, and m * n^2 neighbour tests as dismantling scans the core (whose
+# degrees sum to about m * n) once per removed vertex.  The largest accepted
+# builds, H(3,303), H(5,78), H(7,20) and H(9,5), take 1.1-1.3 s each on a
+# 2-core Xeon.
+BUILD_LIMIT = 2_500_000
 
 
 class TooLarge(RuntimeError):
-    """An explicit construction would pass EXPLICIT_LIMIT."""
+    """An explicit construction would pass EXPLICIT_LIMIT or BUILD_LIMIT."""
 
 
 @dataclass(frozen=True)
@@ -274,6 +280,12 @@ def build_hts(t: int, s: int) -> tuple[Graph, HtsDescriptor]:
     size = t + s * comb(t, m)
     if size > EXPLICIT_LIMIT:
         raise TooLarge(f"H({t},{s}) has {size} vertices, over the limit of {EXPLICIT_LIMIT}")
+    steps = (m + 1) * size * size
+    if steps > BUILD_LIMIT:
+        raise TooLarge(
+            f"H({t},{s}) needs {steps} self-check steps, (m + 1) n^2 for m = {m} "
+            f"and n = {size}, over the limit of {BUILD_LIMIT}"
+        )
     subsets = tuple(combinations(range(t), m))
     edges = [(i, j) for i in range(t) for j in range(i + 1, t)]
     privates = []

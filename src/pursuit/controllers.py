@@ -277,7 +277,11 @@ class RandomAdversary:
 
 
 class GreedyAdversary:
-    """Maximize the minimum distance to any cop; ties to the lowest vertex."""
+    """Maximize the minimum distance to any cop; ties to the lowest vertex.
+
+    Deterministic: seed is ignored, and kept so that every adversary takes
+    the same arguments (the benchmark workloads pass one).
+    """
 
     name = "greedy"
 
@@ -294,7 +298,7 @@ class GreedyAdversary:
         rows = [g.bfs_levels(c) for c in set(cops)]
 
         def score(v: int) -> int:
-            return min((row[v] if row[v] >= 0 else g.n for row in rows), default=g.n)
+            return min((row[v] for row in rows), default=g.n)
 
         return max(options, key=lambda v: (score(v), -v))
 

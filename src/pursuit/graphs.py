@@ -4,12 +4,11 @@ Simple undirected graphs on dense vertex ids 0..n-1. Adjacency is kept as one
 Python int bitmask per vertex, which makes BFS and set algebra cheap enough for
 the exhaustive corpora and the n=200 strategy campaigns without numpy.
 
-Each layer picks its unreachable value.  The metric API (`distances_from`,
-`distance_matrix`) uses UNREACHABLE, IEEE infinity, so a metric check on a
-disconnected graph fails loudly instead of passing on a magic number.
-`bfs_levels` rows are ints with -1 for unreachable.  The Helly rows and
-`GreedyAdversary` map -1 to n on purpose: n exceeds every finite distance,
-so `max` ranks an unreachable vertex farthest and the row stays all ints.
+A `bfs_levels` row reads n, the vertex count, at every vertex the source
+does not reach: n exceeds every finite distance, so `min`, `max` and radius
+tests rank an unreachable vertex farthest and the row stays all ints.  The
+metric API (`distances_from`, `distance_matrix`) maps n to UNREACHABLE, IEEE
+infinity, so a metric check on a disconnected graph fails loudly.
 
 A graph answers each whole-graph distance question once.  `bfs_levels` keeps
 a row per source for BFS over the whole graph (no mask, or the full vertex
@@ -113,7 +112,7 @@ class Graph:
     # -- traversal ---------------------------------------------------------
 
     def bfs_levels(self, src: int, within: int | None = None) -> list[int]:
-        """Distances from src as a list the caller owns, -1 for unreachable.
+        """Distances from src as a list the caller owns, n for unreachable.
 
         within restricts the search to the given vertex bitmask; src must be
         inside it.  A whole-graph row (within None or the full vertex mask)
@@ -132,7 +131,7 @@ class Graph:
 
     def _bfs(self, src: int, allowed: int) -> list[int]:
         adj = self._adj
-        dist = [-1] * self.n
+        dist = [self.n] * self.n
         dist[src] = 0
         seen = frontier = 1 << src
         d = 0
@@ -153,7 +152,7 @@ class Graph:
         return dist
 
     def distances_from(self, src: int) -> list[float]:
-        return [UNREACHABLE if d < 0 else d for d in self.bfs_levels(src)]
+        return [UNREACHABLE if d == self.n else d for d in self.bfs_levels(src)]
 
     def is_connected(self) -> bool:
         return self.n == 0 or self.component_of(0) == self.vertex_mask()
@@ -342,7 +341,8 @@ def ball(g: Graph, center: int, radius: int) -> frozenset[int]:
     if radius < 0:
         raise ValueError("radius must be non-negative")
     lev = g.bfs_levels(center)
-    return frozenset(v for v in range(g.n) if 0 <= lev[v] <= radius)
+    reach = min(radius, g.n - 1)  # an unreachable vertex reads n
+    return frozenset(v for v in range(g.n) if lev[v] <= reach)
 
 
 def is_isometric_subgraph(g: Graph, vertices: Iterable[int]) -> bool:

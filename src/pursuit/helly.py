@@ -6,7 +6,8 @@ every pairwise-intersecting collection of balls has a common vertex.  A
 with positive radii whose balls pairwise intersect yet share no vertex.
 
 Recognition and the hole search share one table: the BFS distance rows and
-the nested ball masks B(u, r) of every center u.
+the nested ball masks B(u, r) of every center u.  A row reads n where its
+center does not reach, so radius tests and `max` rank that vertex farthest.
 
 * ``is_helly`` runs the triple test of Berge and Duchet: a hypergraph is
   Helly exactly when, for each vertex triple, the edges holding at least
@@ -33,13 +34,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import Graph, bits
-
-
-def _dist_row(g: Graph, v: int) -> list[int]:
-    """v's whole-graph distance row, g.n where v does not reach: above every
-    finite distance, so `max` and radius tests rank it farthest."""
-    n = g.n
-    return [d if d >= 0 else n for d in g.bfs_levels(v)]
 
 
 def find_corner(g: Graph, alive: int | None = None) -> tuple[int, int] | None:
@@ -92,7 +86,7 @@ def _ball_table(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
     component, so any finite radius of at least ecc(u) reads it.
     """
     n = g.n
-    rows = [_dist_row(g, v) for v in range(n)]
+    rows = [g.bfs_levels(v) for v in range(n)]
     balls = []
     for row in rows:
         masks = [0] * (max(d for d in row if d < n) + 1)
@@ -166,7 +160,7 @@ def is_helly_oracle(g: Graph) -> bool:
     n = g.n
     if n <= 2:
         return True
-    rows = [_dist_row(g, v) for v in range(n)]
+    rows = [g.bfs_levels(v) for v in range(n)]
     balls: list[tuple[int, int, int]] = []
     for v in range(n):
         ecc = max(d for d in rows[v] if d < n)
@@ -220,7 +214,7 @@ def is_valid_hole(g: Graph, hole: Hole) -> bool:
     n = g.n
     if any(not 0 <= v < n for v in hole.centers):
         return False
-    rows = {v: _dist_row(g, v) for v in set(hole.centers)}
+    rows = {v: g.bfs_levels(v) for v in set(hole.centers)}
     k = len(hole.centers)
     for i in range(k):
         for j in range(i + 1, k):

@@ -457,7 +457,7 @@ def classify_vertex(e: PlanarEmbedding, v: int, z: int) -> Classification:
     if all(g.has_edge(v, w) for w in others):
         return Classification("dominating")
     dist = g.bfs_levels(v, mask)
-    if any(dist[w] < 0 for w in others):
+    if any(dist[w] == g.n for w in others):
         raise ValueError("host must be connected")
     u = min(w for w in bits(mask) if dist[w] == 2)
     fan = [

@@ -298,9 +298,8 @@ def validate_trace(g: Graph, trace: Trace) -> list[str]:
             if dist is None:
                 dist = rows[robber, host] = g.bfs_levels(robber, host)
             k = p.index(cops[c])
-            if any(
-                dist[v] >= 0 and abs(jj - k) > dist[v] for jj, v in enumerate(p)
-            ):
+            # a path vertex out of the robber's reach reads n > len(p) - 1
+            if any(abs(jj - k) > dist[v] for jj, v in enumerate(p)):
                 out.append(
                     f"shadow: cop {c} is outside the wide shadow on turn {idx}"
                 )

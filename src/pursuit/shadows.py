@@ -13,7 +13,9 @@ checks isometry (`Path.geodesic_row`), a shadow interval is read off both
 rows at one vertex in constant time, an off-path vertex lies on a bypath
 exactly when the two rows sum to the path's length there, and the detour
 scanner `_detours` takes those vertices as its candidates, levelled by
-their distance from the first vertex.  The planar engine keeps one such
+their distance from the first vertex.  A host vertex that the path does
+not reach reads n in both rows, so its shadow is the whole path and it lies
+on no bypath, with no case of its own.  The planar engine keeps one such
 object per guarded path and host, from the chase that attaches the path's
 guard to the guard's release.
 
@@ -45,9 +47,7 @@ def gamma(g: Graph, target: frozenset[int] | set[int], x: int, v: int) -> frozen
     """Target vertices no farther from x than v is (one shadow constraint)."""
     dist = g.bfs_levels(x)
     dv = dist[v]
-    if dv < 0:
-        return frozenset(target)
-    return frozenset(y for y in target if 0 <= dist[y] <= dv)
+    return frozenset(y for y in target if dist[y] <= dv)
 
 
 def wide_shadow(g: Graph, target, v: int) -> frozenset[int]:
@@ -88,8 +88,6 @@ class PathShadows:
         if not self.within >> v & 1:
             raise ValueError(f"vertex {v} is outside the host")
         length = self.path.length
-        if self.first[v] < 0:
-            return 0, length
         # Nonempty: d_0(v) + d_L(v) >= L on an isometric path.
         return max(0, length - self.last[v]), min(length, self.first[v])
 

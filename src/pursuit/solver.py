@@ -14,7 +14,10 @@ all drawn from one shared pool of ints, so the kernel reads a row as it is
 and a row costs one pointer per move.  The table is built by index
 arithmetic: a multiset is its smallest cop plus the index of the other
 cops, and inserting a cop's new vertex into that index is a table lookup,
-so no tuple is sorted or hashed per move.
+so no tuple is sorted or hashed per move.  That arithmetic is the only
+place a number is computed; elsewhere a multiset's number is its place in
+the enumeration, which ``StrategyTable`` keeps as a dict from multiset to
+number, and guard mode finds its multisets by filtering the free game's.
 
 Recurrence.  In the capture game, with N[v] the closed neighbourhood of v:
 
@@ -125,17 +128,6 @@ class GameSpec:
             raise ValueError("need at least one cop")
         if self.active_cap is not None and not 1 <= self.active_cap <= self.cops:
             raise ValueError("active_cap must be in 1..cops")
-
-
-def _multiset_index(cops: tuple[int, ...], m: int) -> int:
-    """Place of a sorted multiset in combinations_with_replacement(range(m), len(cops))."""
-    idx, lo = 0, 0
-    for k, v in enumerate(cops):
-        rest = len(cops) - k - 1
-        # multisets agreeing before k whose k-th entry lies in [lo, v)
-        idx += comb(m - lo + rest, rest + 1) - comb(m - v + rest, rest + 1)
-        lo = v
-    return idx
 
 
 def _move_table(adj: list, c: int, cap: int) -> list[list[int]]:
@@ -301,10 +293,10 @@ class _RankMap(Mapping):
         self._len = size
 
     def __getitem__(self, key):
-        s = self._table._state(key)
-        if s is None or self._table._rank[s] < 0:
+        k = self._table._rank_of(key)
+        if k is None:
             raise KeyError(key)
-        return self._table._rank[s]
+        return k
 
     def __iter__(self):
         table = self._table
@@ -338,49 +330,42 @@ class StrategyTable:
         self.cops = cops
         self.initial = initial
         self._multisets = multisets
+        self._index = {cops: i for i, cops in enumerate(multisets)}
         self._rank = rank
         self._moves = moves
         self.rank: Mapping = _RankMap(self, ranked)
 
-    def _state(self, key) -> int | None:
-        """State number of a canonical (sorted cops, robber, side) key, else None."""
-        n = self.n
+    def _rank_of(self, key) -> int | None:
+        """Rank of a (sorted cops, robber, side) key; None when the state is
+        unranked or the key names none, such as unsorted cops."""
         try:
             cops, robber, side = key
-            ok = (
-                len(cops) == self.cops
-                and cops == tuple(sorted(cops))
-                and all(0 <= v < n for v in cops)
-                and 0 <= robber < n
-                and side in (COPS, ROBBER)
-            )
+            i = self._index.get(cops)
+            if i is None or not (0 <= robber < self.n and side in (COPS, ROBBER)):
+                return None
         except (TypeError, ValueError):
             return None
-        return 2 * (_multiset_index(cops, n) * n + robber) + side if ok else None
+        k = self._rank[2 * (i * self.n + robber) + side]
+        return k if k >= 0 else None
 
     def _key(self, s: int) -> tuple[tuple[int, ...], int, int]:
         i, r = divmod(s >> 1, self.n)
         return self._multisets[i], r, s & 1
 
     def state_rank(self, cops: tuple[int, ...], robber: int, side: int) -> int | None:
-        s = self._state((tuple(sorted(cops)), robber, side))
-        if s is None or self._rank[s] < 0:
-            return None
-        return self._rank[s]
+        return self._rank_of((tuple(sorted(cops)), robber, side))
 
     def cop_move(self, cops: tuple[int, ...], robber: int) -> tuple[int, ...]:
         """Where the cops of a won state move: they stay at rank 0, and
         otherwise follow the rule under Moves in the module docstring."""
         cops = tuple(sorted(cops))
-        s = self._state((cops, robber, COPS))
-        rank = self._rank
-        if s is None or rank[s] < 0:
+        k = self._rank_of((cops, robber, COPS))
+        if k is None:
             raise ValueError("no winning move from this state")
-        k = rank[s]
         if k == 0:
             return cops
-        n2, r2 = 2 * self.n, 2 * robber + 1
-        return self._multisets[next(j for j in self._moves[s // n2] if rank[j * n2 + r2] == k - 1)]
+        rank, n2, r2 = self._rank, 2 * self.n, 2 * robber + 1
+        return self._multisets[next(j for j in self._moves[self._index[cops]] if rank[j * n2 + r2] == k - 1)]
 
     def robber_place(self, cops: tuple[int, ...]) -> int:
         """Where the optimal robber starts against these cops: the rule under
@@ -457,26 +442,29 @@ def is_guardable(g: Graph, h: tuple[int, ...], cops: int, budget: int | None = N
     n = g.n
     _check_budget(estimate_states(n, cops) + comb(len(hv) + cops - 1, cops) * (n + 1) * 2, budget)
     local = {v: k for k, v in enumerate(hv)}
-    guard_sets = list(combinations_with_replacement(hv, cops))
     guard_moves = _move_table([[local[u] for u in g.neighbors(v) if u in local] for v in hv], cops, cops)
     union = _unions(g)
     full, on_h = (1 << n) - 1, mask_of(hv)
+    # The free game's multisets inside h, in multiset order: since hv is
+    # sorted, that is the order of the guard game's multisets over hv.
+    cop_masks = _cop_masks(n, cops)
+    inside = [i for i, m in enumerate(cop_masks) if not m & ~on_h]
 
     # Greatest fixed point, as the robber's attractor to the unsafe states:
     # the robber on h at the cops' turn and out of the cops' reach.  A cop
     # turn with the robber on h is settled by that seed, and a robber
     # standing on a cop is caught.
-    guard_masks = [mask_of(cset) for cset in guard_sets]
+    guard_masks = [cop_masks[i] for i in inside]
     bad_c = [on_h & ~union(m) for m in guard_masks]
-    bad_r = [0] * len(guard_sets)
+    bad_r = [0] * len(inside)
     for _ in _layers(guard_moves, union, full, bad_c, bad_r, False, on_h, guard_masks):
         pass
 
     # Approach phase: attract the free game into safe guarding entry states.
     # Cops have no capture power off h, so only these entries are seeds.
-    win_c = [0] * comb(n + cops - 1, cops)
-    for i, cset in enumerate(guard_sets):
-        win_c[_multiset_index(cset, n)] = full & ~bad_c[i]
+    win_c = [0] * len(cop_masks)
+    for i, bad in zip(inside, bad_c):
+        win_c[i] = full & ~bad
     free_moves = _move_table(_neighbors(g), cops, cops)
     layers = _layers(free_moves, union, full, win_c, [0] * len(win_c), True)
     return _some_row_full(win_c, layers, full)

@@ -296,7 +296,7 @@ class _Engine:
         at = self.cops[cop]
         dist = self.g.bfs_levels(at)
         entry = min(range(len(path.vertices)), key=lambda i: (dist[path.vertices[i]], i))
-        if dist[path.vertices[entry]] < 0:
+        if dist[path.vertices[entry]] == self.g.n:
             raise PlanarityFault("chase target unreachable by the free cop")
         route = shortest_path(self.g, at, path.vertices[entry])
         return _Mission(self.g, cop, route.vertices, release, shadows=shadows)

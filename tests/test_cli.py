@@ -346,6 +346,21 @@ class TestGuardableAndConstruct:
             assert code == 3 and out == ""
             assert f"H({t},{s}) has {n} vertices, over the limit of 4096" in err
 
+    @pytest.mark.parametrize("t, s, n, steps", [(3, 1000, 3003, 27054027), (7, 60, 2107, 22197245)])
+    def test_hts_refused_past_build_limit(self, capsys, monkeypatch, t, s, n, steps):
+        # Under the vertex limit, but its self-checks would take (m + 1) n^2
+        # steps, past 2.5 million: refused before the graph is built.
+        def build(*args):
+            raise AssertionError("H(t,s) built past the build limit")
+
+        monkeypatch.setattr(constructions, "Graph", build)
+        for fmt in ("json", "tsv"):
+            argv = ["construct", "hts", "--t", str(t), "--s", str(s), "--format", fmt]
+            code, out, err = run(capsys, argv)
+            assert code == 3 and out == ""
+            assert f"H({t},{s}) needs {steps} self-check steps" in err
+            assert f"n = {n}, over the limit of 2500000" in err
+
     def test_adversary_gadget_budget_refusal(self, capsys):
         code, _, err = run(
             capsys,
@@ -629,6 +644,45 @@ def fuzzed_traces():
     return lines
 
 
+# Characters a graph6 mutation writes: printable ASCII, tab, DEL and one
+# letter outside ASCII.
+G6_ALPHABET = "".join(map(chr, range(32, 127))) + "\t\x7f\u00e9"
+G6_BASES = [to_graph6(g) for g in (path(6), cycle(8), grid(3, 4), petersen())] + [
+    to_graph6(random_connected(n, 0.4, seed)) for n, seed in ((5, 1), (9, 2), (11, 3))
+]
+
+
+def mutate_graph6(text, rng):
+    """Make one to three seeded edits (one in half the draws), each
+    replacing (three times in five), inserting or deleting one character.
+    A replacement inside the body often still decodes, so about one
+    mutation in six reaches the commands."""
+    chars = list(text)
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        at = rng.randrange(len(chars) + 1)
+        op = rng.choice(("replace", "replace", "replace", "insert", "delete"))
+        if op == "insert" or not chars:
+            chars.insert(at, rng.choice(G6_ALPHABET))
+        elif op == "replace":
+            chars[min(at, len(chars) - 1)] = rng.choice(G6_ALPHABET)
+        else:
+            del chars[min(at, len(chars) - 1)]
+    return "".join(chars)
+
+
+# One corpus command per line, each under small budgets.
+G6_COMMANDS = {
+    "helly": ["helly"],
+    "copnumber": ["copnumber", "--max", "2", "--state-cap", "100000"],
+    "kmove": ["kmove", "--active", "1", "--max", "2", "--state-cap", "100000"],
+    "shadow": ["shadow", "--subgraph", "0,1", "--vertex", "2"],
+    "bypaths": ["bypaths", "--path", "0,1,2", "--max-bypaths", "100"],
+    "guardable": ["guardable", "--subgraph", "0,1", "--cops", "1", "--state-cap", "100000"],
+    "hole-gadget": ["construct", "hole-gadget"],
+    "simulate-greedy": ["simulate", "--adversary", "greedy", "--turn-cap", "200"],
+    "simulate-optimal": ["simulate", "--adversary", "optimal", "--turn-cap", "200", "--state-cap", "100000"],
+}
+
 # Flag templates for the fuzz test; each {name} is filled from one draw.
 FUZZ_COMMANDS = {
     "copnumber": ["--max", "{max}", "--state-cap", "{state_cap}"],
@@ -695,6 +749,30 @@ class TestThreeOutcomes:
             capsys.readouterr()
         assert crashes == []
         assert codes == {0, 1, 2}
+
+    @pytest.mark.parametrize("command", sorted(G6_COMMANDS))
+    def test_fuzzed_graph6_answers_or_refuses(self, capsys, tmp_path, command):
+        # A mutated graph6 line is answered (0 or 1), refused for its size
+        # (3) or refused as input (2); it never raises or prints a traceback.
+        f = tmp_path / "corpus.g6"
+        codes = set()
+        crashes = []
+        for seed in range(40):
+            rng = random.Random(seed)
+            line = mutate_graph6(G6_BASES[seed % len(G6_BASES)], rng)
+            f.write_text(line + "\n", encoding="utf-8")
+            argv = G6_COMMANDS[command] + [str(f), "--format", ("json", "tsv")[seed % 2]]
+            try:
+                code, _, err = run(capsys, argv)
+            except Exception as e:
+                crashes.append(f"mutation {seed} {line!r}: {type(e).__name__}: {e}")
+                capsys.readouterr()
+                continue
+            if code not in (0, 1, 2, 3) or "Traceback" in err:
+                crashes.append(f"mutation {seed} {line!r}: exit {code}: {err}")
+            codes.add(code)
+        assert crashes == []
+        assert 2 in codes and codes & {0, 1}
 
 
 class TestPlay:

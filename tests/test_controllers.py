@@ -358,6 +358,14 @@ class TestAdversaries:
         assert a.place((0, 2)) == 1
         assert a.move((0,), 2) == 2
 
+    def test_greedy_places_beyond_every_cops_reach(self):
+        # 5 and 6 form another component: the lowest of them beats 4, the
+        # farthest vertex the cops reach.
+        g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)])
+        a = GreedyAdversary(g)
+        assert a.place((0, 0, 1)) == 5
+        assert a.move((0,), 6) == 5
+
     def test_optimal_evades_forever_when_winning(self):
         g = cycle(5)
         _, table = solve(GameSpec(g, 1))

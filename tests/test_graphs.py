@@ -232,6 +232,19 @@ class TestMetrics:
         assert ball(g, 3, 2) == {1, 2, 3, 4, 5}
         assert ball(g, 0, 100) == set(range(7))
 
+    def test_unreachable_reads_n_in_rows_and_infinity_in_metrics(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        assert g.bfs_levels(0) == [0, 1, 4, 4]
+        assert g.bfs_levels(0, mask_of([0, 1, 2])) == [0, 1, 4, 4]
+        assert g.distances_from(0) == [0, 1, UNREACHABLE, UNREACHABLE]
+        assert distance_matrix(g)[0, 3] == UNREACHABLE
+
+    def test_ball_past_n_keeps_to_the_component(self):
+        g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        for r in (4, 5, 6, 100):
+            assert ball(g, 0, r) == {0, 1, 2}
+            assert ball(g, 4, r) == {3, 4}
+
 
 class TestRowCache:
     def test_rows_match_networkx(self):
@@ -257,11 +270,11 @@ class TestRowCache:
     def test_masked_call_never_reads_the_cache(self):
         g = cycle_graph(6)
         allowed = mask_of([0, 1, 2, 3, 4])
-        assert g.bfs_levels(0, allowed) == [0, 1, 2, 3, 4, -1]
+        assert g.bfs_levels(0, allowed) == [0, 1, 2, 3, 4, 6]
         assert g._rows is None  # masked calls allocate nothing
         assert g.bfs_levels(0) == [0, 1, 2, 3, 2, 1]
         g._rows[0] = [-5] * 6  # a masked call must not see a poisoned row
-        assert g.bfs_levels(0, allowed) == [0, 1, 2, 3, 4, -1]
+        assert g.bfs_levels(0, allowed) == [0, 1, 2, 3, 4, 6]
         assert g.bfs_levels(0) == [-5] * 6
 
 

@@ -95,6 +95,26 @@ class TestFrozenShadows:
         g = Graph(5, [(0, 1), (1, 2), (3, 4)])
         assert wide_shadow(g, {0, 1, 2}, 4) == {0, 1, 2}
 
+    def test_target_vertex_out_of_reach(self):
+        # 0, 1, 2 and 3, 4 are two components.
+        g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        target = {0, 1, 2, 3}
+        assert gamma(g, target, 0, 2) == {0, 1, 2}  # x = 0 does not reach 3
+        assert gamma(g, target, 3, 2) == target  # v = 2 is not reached from x = 3
+        assert gamma(g, target, 3, 4) == {3}
+        assert wide_shadow(g, target, 2) == {2}
+        assert wide_shadow(g, target, 4) == {3}
+
+    def test_interval_of_a_vertex_the_path_cannot_reach(self):
+        # Inside the host {0, 1, 2, 4} of the path 0-1-2-3-4, vertex 4 is cut
+        # off from the guarded path 0-1-2: its shadow is the whole path.
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        oracle = PathShadows(g, Path((0, 1, 2)), mask_of([0, 1, 2, 4]))
+        assert oracle.interval(4) == (0, 2)
+        assert oracle.shadow_vertices(4) == (0, 1, 2)
+        whole = PathShadows(Graph(4, [(0, 1), (1, 2)]), Path((0, 1, 2)))
+        assert whole.interval(3) == (0, 2)
+
     def test_non_isometric_path_rejected(self):
         g = cycle(6)
         with pytest.raises(ValueError):

@@ -30,7 +30,6 @@ from pursuit.solver import (
     GameSpec,
     StrategyTable,
     _move_table,
-    _multiset_index,
     cop_number,
     estimate_states,
     is_guardable,
@@ -141,13 +140,14 @@ class TestMoveTable:
 
     @staticmethod
     def _brute_rows(adj, c: int, cap: int) -> list[list[int]]:
-        m = len(adj)
+        multisets = list(itertools.combinations_with_replacement(range(len(adj)), c))
+        index = {cops: i for i, cops in enumerate(multisets)}
         rows = []
-        for cops in itertools.combinations_with_replacement(range(m), c):
+        for cops in multisets:
             reached = set()
             for moved in itertools.product(*[(v, *adj[v]) for v in cops]):
                 if sum(u != v for u, v in zip(moved, cops)) <= cap:
-                    reached.add(_multiset_index(tuple(sorted(moved)), m))
+                    reached.add(index[tuple(sorted(moved))])
             rows.append(sorted(reached))
         return rows
 

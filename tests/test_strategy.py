@@ -699,6 +699,18 @@ class TestValidatorFaults:
         ]
         assert validate_trace(g, synthetic(g, turns, STOPPED)) == findings
 
+    def test_path_vertex_out_of_the_robbers_reach_sets_no_bound(self):
+        # The host leaves out 3, so the robber on 5 or 4 reaches no vertex of
+        # the guarded path inside it, and no cop position on it is too far.
+        g = path(6)
+        note = milestone(guard(0, "shadow", [0, 1, 2], [0, 1, 2, 4, 5]), territory=3)
+        turns = opening() + [
+            rec(2, "cops", (0, 0, 0), 5, STILL, note),
+            rec(3, "robber", (0, 0, 0), 4, STILL),
+            rec(4, "cops", (1, 0, 0), 4, (True, False, False)),
+        ]
+        assert validate_trace(g, synthetic(g, turns, STOPPED)) == []
+
     def test_repeated_robber_and_host_flagged_each_time(self, monkeypatch):
         # The robber stands on 3 at three cops' turns (and on 4 at one) in
         # one host; the cop is outside the wide shadow whenever it is on 0.
