@@ -443,8 +443,6 @@ def cmd_replay(args) -> int:
 class _HumanRobber:
     """Robber controller that asks the terminal for each move."""
 
-    name = "human"
-
     def __init__(self, g: Graph):
         self.graph = g
 

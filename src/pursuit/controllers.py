@@ -312,10 +312,7 @@ class GreedyAdversary:
 class OptimalAdversary:
     """Exact play from a solved strategy table (small instances only)."""
 
-    name = "optimal"
-
     def __init__(self, g: Graph, table):
-        self.graph = g
         self.table = table
 
     def place(self, cops) -> int:

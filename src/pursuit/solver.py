@@ -11,13 +11,16 @@ C[i] marks the states (i, r, COPS) and R[i] the states (i, r, ROBBER) that
 the attacker has won so far.  Each multiset's cop-move successors are
 computed once, as a row: a list of multiset indices in increasing order,
 all drawn from one shared pool of ints, so the kernel reads a row as it is
-and a row costs one pointer per move.  The table is built by index
-arithmetic: a multiset is its smallest cop plus the index of the other
-cops, and inserting a cop's new vertex into that index is a table lookup,
-so no tuple is sorted or hashed per move.  That arithmetic is the only
-place a number is computed; elsewhere a multiset's number is its place in
-the enumeration, which ``StrategyTable`` keeps as a dict from multiset to
-number, and guard mode finds its multisets by filtering the free game's.
+and a row costs one pointer per move.  One stream, ``_move_tables``, the
+only code that reads the move cap, builds the tables one cop count at a
+time, each once per call; ``cop_number`` pulls table c only after c cops
+pass the budget.  A table is built by index arithmetic: a multiset is its
+smallest cop plus the index of the other cops, and inserting a cop's new
+vertex into that index is a table lookup, so no tuple is sorted or hashed
+per move.  That arithmetic is the only place a number is computed;
+elsewhere a multiset's number is its place in the enumeration, which
+``StrategyTable`` keeps as a dict from multiset to number, and guard mode
+finds its multisets by filtering the free game's.
 
 Recurrence.  In the capture game, with N[v] the closed neighbourhood of v:
 
@@ -36,15 +39,16 @@ Hahn & MacGillivray (2006) with each robber position held as one bit.
 some C[j] is full; ``solve`` writes each new bit's layer into the ``rank``
 array, ``2 * (i * n + r) + side`` (COPS = 0, ROBBER = 1), -1 while unranked.
 
-Moves.  A cop state (j, r) of rank k >= 1 moves to the first i along row j
-whose robber state (i, r) has rank k-1: it joined layer k through such an
-i, and no i ranks lower.  Rows are sorted, so this is the least cop
-placement one rank closer to capture.  ``StrategyTable.cop_move`` reads
-it off the ranks on each lookup; nothing is stored.  The robber, placing or
-moving, takes the first of its options (every vertex, or staying and then
-each neighbour) whose cop-to-move state is unranked, which escapes for
-good, else the first of the highest rank, which stalls capture longest; a
-vertex holding a cop ranks 0, so it is taken only when every option holds
+Moves.  Row j lists the placements reachable from multiset j with at most
+active_cap cops stepping.  A cop state (j, r) of rank k >= 1 moves to the
+first i along row j whose robber state (i, r) has rank k-1: it joined layer
+k through such an i, and no i ranks lower.  Rows are sorted, so this is the
+least cop placement one rank closer to capture.  ``StrategyTable.cop_move``
+reads it off the ranks on each lookup; nothing is stored.  The robber,
+placing or moving, takes the first of its options (every vertex, or staying
+and then each neighbour) whose cop-to-move state is unranked, which escapes
+for good, else the first of the highest rank, which stalls capture longest;
+a vertex holding a cop ranks 0, so it is taken only when every option holds
 a cop.
 
 Memory.  A solve keeps the 4-byte rank of every state, two masks per
@@ -76,7 +80,7 @@ from array import array
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations_with_replacement, count, islice
 from math import comb
 from operator import and_, or_
 
@@ -130,30 +134,32 @@ class GameSpec:
             raise ValueError("active_cap must be in 1..cops")
 
 
-def _move_table(adj: list, c: int, cap: int) -> list[list[int]]:
-    """Cop-move successors of every c-multiset over the m = len(adj) vertices.
+def _move_tables(adj: list, cap: int | None = None) -> Iterator[list[list[int]]]:
+    """Cop-move successors of every k-multiset over the m = len(adj)
+    vertices, one table per k = 1, 2, ...; the only code that reads the cap.
 
-    adj[v] lists the vertices a cop on v may step to.  Row i is a list of
-    the indices, in increasing order, of the multisets reachable from
-    multiset i when at most cap cops step; every index is drawn from one
-    shared pool of ints, so a row holds pointers only.  Built one size k at
-    a time: a k-multiset is its smallest vertex a plus a (k-1)-multiset j
-    of vertices >= a, with index off[a] + j, and ins[v][j] is the index of
-    (k-1)-multiset j with v added.  Its cop a stays or steps to a neighbour
-    while the others move as in row j of the (k-1)-multisets, with one step
-    fewer if a stepped.
+    adj[v] lists the vertices a cop on v may step to.  Row i of table k
+    lists, in increasing order, the indices of the multisets reachable from
+    multiset i when at most q = min(k, cap) cops step (k when cap is None),
+    drawn from one shared pool of ints.  A k-multiset is its smallest vertex
+    a plus a (k-1)-multiset j of vertices >= a, with index off[a] + j, and
+    ins[v][j] is the index of (k-1)-multiset j with v added.  Its cop a
+    stays or steps while the others move as in row j of the (k-1)-table for
+    q, or q - 1 if a stepped; so a finite cap also needs the tables for
+    1 <= q < min(k, cap), which are built after the yield.
     """
     m = len(adj)
-    size = [comb(m + k - 1, k) for k in range(c + 1)]
-    pool = list(range(max(size)))
+    pool: list[int] = []
     first: list[int] = []
     rest: list[int] = []
     ins: list[list[int]] = []
     rows: dict[int, list[list[int]]] = {0: [[0]]}  # by the number of cops allowed to step
-    for k in range(1, c + 1):
+    for k in count(1):
+        size, below_size = comb(m + k - 1, k), comb(m + k - 2, k - 1)
+        pool += range(len(pool), size)
         # the (k-1)-multisets over [a, m) are the last ones in order
         tails = [comb(m - a + k - 2, k - 1) for a in range(m)]
-        off = [size[k] - comb(m - a + k - 1, k) - size[k - 1] + t for a, t in enumerate(tails)]
+        off = [size - comb(m - a + k - 1, k) - below_size + t for a, t in enumerate(tails)]
         if k == 1:
             ins = [[v] for v in pool[:m]]
         else:
@@ -164,21 +170,26 @@ def _move_table(adj: list, c: int, cap: int) -> list[list[int]]:
         get = [row.__getitem__ for row in ins]
         step_get = [[get[u] for u in adj[a]] for a in range(m)]
         first = [a for a, t in enumerate(tails) for _ in range(t)]
-        rest = [j for t in tails for j in range(size[k - 1] - t, size[k - 1])]
+        rest = [j for t in tails for j in range(below_size - t, below_size)]
         below, rows = rows, {}
-        for q in range(min(k, cap) + 1) if k < c else (min(c, cap),):
-            if q == 0:
-                rows[q] = [[i] for i in pool[: size[k]]]
-                continue
-            stay, step = below[min(q, k - 1)], below[q - 1]
-            if q == 1:  # the other cops stand still when a steps: row j of step is [j]
+        top = k if cap is None else min(k, cap)
+        for q in (top,) if cap is None else (top, *range(1, top)):
+            stay = below[min(q, k - 1)]
+            if q == 1:  # the other cops stand still when a steps
                 rows[q] = [sorted({*map(get[a], stay[j]), *[g(j) for g in step_get[a]]}) for a, j in zip(first, rest)]
             else:
+                step = below[q - 1]
                 rows[q] = [
                     sorted({*map(get[a], stay[j]), *chain.from_iterable([map(g, step[j]) for g in step_get[a]])})
                     for a, j in zip(first, rest)
                 ]
-    return rows[min(c, cap)]
+            if q == top:
+                yield rows[q]
+
+
+def _move_table(adj: list, c: int, cap: int | None = None) -> list[list[int]]:
+    """Table c of ``_move_tables(adj, cap)``."""
+    return next(islice(_move_tables(adj, cap), c - 1, None))
 
 
 def _neighbors(g: Graph) -> list[tuple[int, ...]]:
@@ -268,20 +279,6 @@ def _layers(
 def _some_row_full(cop_win: list[int], layers, full: int) -> bool:
     """Run layers until some multiset wins every robber vertex; report whether one does."""
     return full in cop_win or any(cop_win[j] == full for new_c, _ in layers for j in new_c)
-
-
-def _capture(spec: GameSpec, adj: list[tuple[int, ...]], union, budget: int | None):
-    """The capture game's move table, seeded win masks and layers.
-
-    adj and union are the graph's neighbour lists and ``_unions``, which a
-    caller solving several games on one graph builds once.
-    """
-    g, c = spec.graph, spec.cops
-    _check_budget(estimate_states(g.n, c), budget)
-    moves = _move_table(adj, c, spec.active_cap or c)
-    cop_win = _cop_masks(g.n, c)
-    rob_win = cop_win[:]
-    return moves, cop_win, rob_win, _layers(moves, union, (1 << g.n) - 1, cop_win, rob_win, True)
 
 
 class _RankMap(Mapping):
@@ -390,10 +387,13 @@ class StrategyTable:
 
 def solve(spec: GameSpec, budget: int | None = None) -> tuple[bool, StrategyTable]:
     g, c = spec.graph, spec.cops
-    n = g.n
-    moves, cop_win, rob_win, layers = _capture(spec, _neighbors(g), _unions(g), budget)
+    n, full = g.n, (1 << g.n) - 1
+    _check_budget(estimate_states(n, c), budget)
+    moves = _move_table(_neighbors(g), c, spec.active_cap)
+    cop_win = _cop_masks(n, c)
+    rob_win = cop_win[:]
+    layers = _layers(moves, _unions(g), full, cop_win, rob_win, True)
     multisets = list(combinations_with_replacement(range(n), c))
-    full = (1 << n) - 1
     rank = array("i", [-1]) * (2 * n * len(multisets))
     done: list[int] = []
     for k, wins in enumerate(chain([(dict(enumerate(cop_win)), dict(enumerate(rob_win)))], layers)):
@@ -417,11 +417,16 @@ def cop_number(
     g: Graph, max_cops: int, active_cap: int | None = None, budget: int | None = None
 ) -> int | None:
     """Least c <= max_cops winning the game, or None when all of them lose."""
-    adj, union = _neighbors(g), _unions(g)
+    if g.n == 0:
+        raise ValueError("empty graph")
+    if active_cap is not None and active_cap < 1:
+        raise ValueError("active_cap must be in 1..cops")
+    union, full = _unions(g), (1 << g.n) - 1
+    tables = _move_tables(_neighbors(g), active_cap)
     for c in range(1, max_cops + 1):
-        cap = None if active_cap is None else min(active_cap, c)
-        _, cop_win, _, layers = _capture(GameSpec(g, c, active_cap=cap), adj, union, budget)
-        if _some_row_full(cop_win, layers, (1 << g.n) - 1):
+        _check_budget(estimate_states(g.n, c), budget)
+        cop_win = _cop_masks(g.n, c)
+        if _some_row_full(cop_win, _layers(next(tables), union, full, cop_win, cop_win[:], True), full):
             return c
     return None
 
@@ -442,7 +447,7 @@ def is_guardable(g: Graph, h: tuple[int, ...], cops: int, budget: int | None = N
     n = g.n
     _check_budget(estimate_states(n, cops) + comb(len(hv) + cops - 1, cops) * (n + 1) * 2, budget)
     local = {v: k for k, v in enumerate(hv)}
-    guard_moves = _move_table([[local[u] for u in g.neighbors(v) if u in local] for v in hv], cops, cops)
+    guard_moves = _move_table([[local[u] for u in g.neighbors(v) if u in local] for v in hv], cops)
     union = _unions(g)
     full, on_h = (1 << n) - 1, mask_of(hv)
     # The free game's multisets inside h, in multiset order: since hv is
@@ -465,6 +470,6 @@ def is_guardable(g: Graph, h: tuple[int, ...], cops: int, budget: int | None = N
     win_c = [0] * len(cop_masks)
     for i, bad in zip(inside, bad_c):
         win_c[i] = full & ~bad
-    free_moves = _move_table(_neighbors(g), cops, cops)
+    free_moves = _move_table(_neighbors(g), cops)
     layers = _layers(free_moves, union, full, win_c, [0] * len(win_c), True)
     return _some_row_full(win_c, layers, full)

@@ -63,6 +63,8 @@ class TestConstruction:
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.m == 1
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
+        # equal graphs hash alike, so they key one dict entry
+        assert len({g: 1, Graph(3, [(1, 0)]): 2}) == 1
 
     def test_degree_and_neighbors(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])

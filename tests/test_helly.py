@@ -215,6 +215,8 @@ class TestGuards:
         assert not is_valid_hole(g, Hole(centers=(0, 1, 3), radii=(1, 1, 1)))
         # Common vertex exists for this family.
         assert not is_valid_hole(g, Hole(centers=(0, 1, 2), radii=(2, 2, 2)))
+        # A centre outside the graph.
+        assert not is_valid_hole(g, Hole(centers=(0, 1, 6), radii=(1, 1, 1)))
 
 
 class TestPinnedAnswers:

@@ -90,6 +90,8 @@ class TestFrozenShadows:
         assert wide_shadow(g, {0, 1, 2}, 3) == {1}
         g5 = cycle(5)
         assert wide_shadow(g5, {0, 1, 2}, 3) == {1, 2}
+        # Empty after the constraints of 0 and 2, before 4's is read.
+        assert wide_shadow(cycle(6), {0, 2, 4}, 1) == frozenset()
 
     def test_disconnected_probe_full_shadow(self):
         g = Graph(5, [(0, 1), (1, 2), (3, 4)])

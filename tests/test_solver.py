@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from pursuit import solver
 from pursuit.constructions import (
     build_guard_adversary,
     build_hole_gadget,
@@ -30,6 +31,7 @@ from pursuit.solver import (
     GameSpec,
     StrategyTable,
     _move_table,
+    _move_tables,
     cop_number,
     estimate_states,
     is_guardable,
@@ -109,6 +111,8 @@ class TestSpecValidation:
             GameSpec(g, 2, active_cap=3)
         with pytest.raises(ValueError):
             GameSpec(g, 2, active_cap=0)
+        with pytest.raises(ValueError, match="^active_cap must be in 1..cops$"):
+            k_move_cop_number(g, 0, 2)
 
     def test_rejects_empty_graph(self):
         for call in (
@@ -160,6 +164,15 @@ class TestMoveTable:
                 assert rows == self._brute_rows(adj, c, cap), (c, cap)
                 assert all(a < b for row in rows for a, b in zip(row, row[1:]))
 
+    @pytest.mark.parametrize("name", sorted(ADJACENCIES))
+    def test_one_stream_yields_every_size(self, name):
+        # One stream per cap; a cap of at least c is the unrestricted game.
+        adj = self.ADJACENCIES[name]
+        for cap in (None, 1, 2, 3):
+            tables = _move_tables(adj, cap)
+            for c in range(1, 4):
+                assert next(tables) == self._brute_rows(adj, c, min(c, cap or c)), (c, cap)
+
 
 class TestBudget:
     def test_refusal_carries_estimate(self):
@@ -174,6 +187,21 @@ class TestBudget:
             assert exc.value.estimate == estimate
             assert exc.value.budget == budget
             assert str(exc.value) == f"estimated {estimate} states exceeds budget {budget}"
+
+    def test_refusal_builds_no_table(self, monkeypatch):
+        # cop_number checks the budget for c before it pulls table c.
+        pulled = []
+        stream = solver._move_tables
+
+        def counted(*args):
+            for table in stream(*args):
+                pulled.append(len(table))
+                yield table
+
+        monkeypatch.setattr(solver, "_move_tables", counted)
+        with pytest.raises(BudgetExceeded):
+            cop_number(petersen(), 3, budget=estimate_states(10, 1))
+        assert pulled == [10]
 
     def test_guard_budget(self):
         with pytest.raises(BudgetExceeded) as exc:
@@ -435,6 +463,22 @@ class TestStrategyReplay:
         assert table.initial is None
         with pytest.raises(ValueError):
             table.cop_move((0,), 2)
+
+    def test_caught_robber_leaves_cops_in_place(self):
+        _, table = solve(GameSpec(cycle(6), 2))
+        assert table.state_rank((3, 0), 3, COPS) == 0
+        assert table.cop_move((3, 0), 3) == (0, 3)
+
+    def test_keys_naming_no_state_are_absent(self):
+        _, table = solve(GameSpec(cycle(6), 2))
+        # unknown cops, a robber off the graph on either side, a bad side
+        for cops, robber, side in (((0, 1, 2), 0, COPS), ((0, 3), 6, COPS), ((0, 3), -1, ROBBER), ((0, 3), 1, 2)):
+            assert table.state_rank(cops, robber, side) is None
+        # and keys of the wrong shape or with unhashable cops
+        for key in (((0, 1, 2), 0, COPS), ((0, 3), 6, COPS), ((0, 3), 1, 2), ((0, 3), 1), ([0, 3], 1, COPS)):
+            assert table.rank.get(key) is None
+            with pytest.raises(KeyError):
+                table.rank[key]
 
     def test_robber_reply_escapes_losing_cop(self):
         _, table = solve(GameSpec(cycle(6), 1))

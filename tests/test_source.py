@@ -60,6 +60,24 @@ def test_referee_imports_only_graphs():
     assert found == []
 
 
+def test_no_module_reads_the_environment():
+    # Budgets and limits are arguments of the call they bound, never
+    # environment variables.
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for module in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os":
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{module.relative_to(SOURCE)}:{node.lineno} os.{name}" for name in names if name in reads]
+    assert found == []
+
+
 def test_benchmark_span_targets_resolve():
     # The benchmark's tracer wraps each TARGETS name through its owner's
     # __dict__, so deleting or moving one breaks a traced run.
