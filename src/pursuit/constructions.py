@@ -127,8 +127,6 @@ def random_planar_triangulation(n: int, seed: int) -> Graph:
         for _ in range(4 * n):
             k = rng.randrange(len(edges))
             u, v = edges[k]
-            if len(opposite[u, v]) != 2:
-                continue
             x, y = opposite[u, v]
             diagonal = (min(x, y), max(x, y))
             if x == y or diagonal in opposite:

@@ -7,7 +7,9 @@ subgraph is isometric and Helly.  On an isometric path the shadow is an
 interval read off the `PathShadows` rows from the path's two ends: the
 path-shadow guard stays pinned to it, and the leisurely guard patrols a bypath-free path and
 certifies a rest at least once in every window of length+1 cop turns
-unless the robber stepped onto the path.
+unless the robber stepped onto the path.  The park guard holds one vertex
+that covers its path and never moves; it steps like the others, so a game
+loop treats every guard alike.
 
 Controllers are single-owner state machines.  Proof-backed invariants are
 re-checked every turn; a violation raises ControllerFault, which game
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Graph, is_isometric_subgraph, shortest_path
+from .graphs import Graph, Path, is_isometric_subgraph, shortest_path
 from .helly import dismantling_order, is_helly
 from .shadows import PathShadows, wide_shadow
 
@@ -150,6 +152,22 @@ def capture_shadow(g: Graph, h, cop_at: int, robber_stream) -> tuple[int, int]:
             anchor = _step_into(g, shadow, anchor)
             if anchor is None:
                 raise ControllerFault("shadow drifted more than one step")
+
+
+class ParkGuard:
+    """Cop parked on a vertex whose closed neighborhood covers path, as the
+    caller checked; it never moves."""
+
+    kind = "park"
+    shadows = None
+
+    def __init__(self, path: Path, cop_at: int):
+        self.path = path
+        self.cop_at = cop_at
+
+    def step(self, robber: int) -> int:
+        """Stay put."""
+        return self.cop_at
 
 
 class PathShadowGuard:

@@ -252,9 +252,8 @@ def find_hole(g: Graph) -> Hole | None:
 
         def rec(i: int, remaining: int):
             if i == k - 1:
+                # level k - 2's lo/hi already put remaining in 1..max_r
                 r = remaining
-                if not 1 <= r <= max_r[centers[i]]:
-                    return
                 if any(
                     rows[centers[i]][centers[j]] > r + picks[j] for j in range(i)
                 ):

@@ -4,21 +4,26 @@ The engine keeps the robber inside a shrinking territory: the component of
 the unguarded part of the graph he occupies.  At most two cops guard at any
 time, each responsible for one path.  A guard is parked (its closed
 neighborhood covers the whole path), pinned to the robber's wide shadow on
-the path, or patrolling leisurely on a bypath-free path.  The remaining cop
-is free and runs one mission at a time: a walk that ends in a park, or in a
-chase that captures the wide shadow of a freshly chosen path.  An arbiter
-grants the mission cop a move only on turns when at most one guard moved,
-which keeps every cops' turn at or below two movers.
+the path, or patrolling leisurely on a bypath-free path; each guard is its
+controller, keyed by cop, and every turn steps them all alike.  The
+remaining cop is free and runs one mission at a time: a walk that ends in
+a park, or in a chase that captures the wide shadow of a freshly chosen
+path.  An arbiter grants the mission cop a move only on turns when at most
+one guard moved, which keeps every cops' turn at or below two movers.
 
-Replanning fires whenever no mission is active.  It recomputes the
-territory, discards guards the territory no longer touches, upgrades
-shadow-pinned guards to leisurely patrols once their paths are bypath-free
-in the shrunken host, and otherwise reads the next mission off the guard
-contact pattern: a path touched on one vertex becomes a parked block or a
-classified fan park, a path touched on two adjacent vertices is bridged
-through the territory, a wider contact span is rerouted through the
-territory and the old guard released, and two single-contact guards are
-bridged contact to contact.  A walk glued through the territory is parked
+Replanning fires whenever no mission is active.  It and every landing
+first settle the guards: recompute the territory, then run the coverage
+sweep, the only way a guard leaves.  Scanning oldest first, with a landed
+guard appended last, the sweep releases each guard whose doors (path
+vertices with territory neighbors) all lie on other guards' paths, one
+without doors included, so of two guards that cover each other the older
+goes.  Settling then upgrades shadow-pinned guards to leisurely patrols once
+their paths are bypath-free in the shrunken host.  Replanning reads the
+next mission off the guard contact pattern: a path touched on one vertex
+becomes a parked block or a classified fan park, a path touched on two
+adjacent vertices is bridged through the territory, a wider contact span is
+rerouted through the territory, and two single-contact guards are bridged
+contact to contact.  A walk glued through the territory is parked
 on when it has at most two edges and chased otherwise.  Milestones annotate
 the trace with the case label, the guard set, and the territory size; sizes
 never increase and strictly decrease whenever the label changes.
@@ -42,6 +47,7 @@ from __future__ import annotations
 from pursuit.controllers import (
     ControllerFault,
     LeisurelyGuard,
+    ParkGuard,
     PathShadowGuard,
     RandomAdversary,
     ScriptedWalk,
@@ -64,25 +70,10 @@ from pursuit.shadows import PathShadows, first_bypath
 
 __all__ = ["check_engine_input", "run_two_move_strategy"]
 
+Guard = ParkGuard | PathShadowGuard  # a LeisurelyGuard is a PathShadowGuard
+
 
 # -- the free cop's missions -----------------------------------------------------
-
-
-class _Guard:
-    """One cop bound to one path, with the controller that keeps it honest."""
-
-    __slots__ = ("cop", "path", "ctl", "rows")
-
-    def __init__(self, cop: int, path: Path, ctl=None):
-        self.cop = cop
-        self.path = path
-        self.ctl = ctl  # a pinned or leisurely guard's host is ctl.shadows.within
-        self.rows: PathShadows | None = None  # the path's rows last built in another host
-
-    @property
-    def kind(self) -> str:
-        """Milestone kind: "park" without a controller, else the controller's."""
-        return "park" if self.ctl is None else self.ctl.kind
 
 
 class _Mission:
@@ -96,14 +87,13 @@ class _Mission:
     its granted turns interleave with robber moves: the interval must cross
     the cop's position to get past it, and the crossing is observed.
 
-    release lists guards to drop once the mission lands; any further guard
-    whose doors end up covered is released by the coverage sweep then.
+    A mission only adds a guard; the coverage sweep that follows its landing
+    releases every guard the new one made redundant.
     """
 
-    def __init__(self, g: Graph, cop: int, route, release, park_path=None, shadows=None):
+    def __init__(self, g: Graph, cop: int, route, park_path=None, shadows=None):
         self.cop = cop
         self.walk = ScriptedWalk(g, route)
-        self.release = tuple(release)
         self.park_path = park_path
         self.shadows = shadows
         if shadows is not None:
@@ -144,7 +134,7 @@ class _Engine:
         self.turn_cap = turn_cap
         self.cops: list[int] = []
         self.robber: int | None = None
-        self.guards: list[_Guard] = []
+        self.guards: dict[int, Guard] = {}  # cop index to controller, oldest first
         self.last_territory: int | None = None
         self.last_case: str | None = None
         self.turns: list[dict] = []
@@ -175,78 +165,71 @@ class _Engine:
 
     def _territory(self) -> int:
         blocked = 0
-        for gd in self.guards:
+        for gd in self.guards.values():
             blocked |= gd.path.mask()
         if blocked >> self.robber & 1:
             raise PlanarityFault("robber on a guarded path survived the pounce")
         return self.g.component_of(self.robber, self.g.vertex_mask() & ~blocked)
 
-    def _contacts(self, gd: _Guard, ymask: int) -> list[int]:
+    def _contacts(self, gd: Guard, ymask: int) -> list[int]:
         return [
             i
             for i, v in enumerate(gd.path.vertices)
             if self.g.adj_mask(v) & ymask
         ]
 
-    def _release_covered(self, ymask: int, keep: "_Guard | None" = None) -> bool:
+    def _release_covered(self, ymask: int) -> bool:
         """Release guards whose doors the remaining paths still cover.
 
-        A guard's doors are its vertices with territory neighbors; when every
-        door lies on another active path, removing the guard leaves all exits
-        blocked, so the territory is unchanged.  Each drop is re-evaluated
-        against the surviving set, keeping chains of releases sound.
+        The only way a guard leaves.  A guard's doors are its vertices with
+        territory neighbors; when every door lies on another active path,
+        removing the guard leaves all exits blocked, so the territory is
+        unchanged, and a guard without doors is covered.  The scan runs
+        oldest first and restarts after each drop, so each drop is
+        re-evaluated against the surviving set and, of two guards that
+        cover each other, the older goes.  The last guard stays: in a
+        connected graph the territory touches some path.
         """
         changed = False
         while len(self.guards) > 1:
-            for gd in self.guards:
-                if gd is keep:
-                    continue
+            for cop, gd in self.guards.items():
                 others = 0
-                for og in self.guards:
+                for og in self.guards.values():
                     if og is not gd:
                         others |= og.path.mask()
                 verts = gd.path.vertices
                 if all(others >> verts[k] & 1 for k in self._contacts(gd, ymask)):
-                    self.guards.remove(gd)
+                    del self.guards[cop]
                     changed = True
                     break
             else:
                 return changed
         return changed
 
-    def _prune(self, ymask: int) -> bool:
-        alive = [gd for gd in self.guards if self._contacts(gd, ymask)]
-        changed = len(alive) != len(self.guards)
-        self.guards = alive
-        return changed
-
     def _convert(self, ymask: int) -> bool:
         """Upgrade pinned guards to leisurely patrols where that is sound."""
         changed = False
-        for gd in self.guards:
+        for cop, gd in self.guards.items():
             if gd.kind != "shadow":
                 continue
             shadows = self._rows_in(gd, ymask)
             if not shadows.is_bypath_free():
                 continue
-            gd.ctl = LeisurelyGuard(shadows, self.cops[gd.cop])
+            self.guards[cop] = LeisurelyGuard(shadows, self.cops[cop])
             changed = True
         return changed
 
-    def _rows_in(self, gd: _Guard, ymask: int) -> PathShadows:
-        """gd's path rows in territory plus path: the guard's own rows, or the
-        set last built for it, while that host is unchanged, else a fresh set."""
+    def _rows_in(self, gd: PathShadowGuard, ymask: int) -> PathShadows:
+        """The pinned guard's path rows in territory plus path: its own rows
+        while that host is unchanged, else a fresh set."""
         host = ymask | gd.path.mask()
-        for shadows in (gd.ctl.shadows, gd.rows):
-            if shadows is not None and shadows.within == host:
-                return shadows
-        gd.rows = PathShadows(self.g, gd.path, host)
-        return gd.rows
+        if gd.shadows.within == host:
+            return gd.shadows
+        return PathShadows(self.g, gd.path, host)
 
     def _free_cop(self) -> int:
-        used = {gd.cop for gd in self.guards}
         for c in range(3):
-            if c not in used:
+            if c not in self.guards:
                 return c
         raise PlanarityFault("all three cops are guarding")
 
@@ -258,7 +241,7 @@ class _Engine:
             raise PlanarityFault("robber territory grew")
         if self.last_territory is None or size < self.last_territory:
             # fresh label only on strict progress; stalls keep the old label
-            if all(gd.kind == "park" for gd in self.guards):
+            if all(gd.kind == "park" for gd in self.guards.values()):
                 self.last_case = "c"
             elif len(self.guards) == 1:
                 self.last_case = "a"
@@ -269,26 +252,26 @@ class _Engine:
             "case": self.last_case,
             "guards": [
                 {
-                    "cop": gd.cop,
+                    "cop": cop,
                     "kind": gd.kind,
                     "path": list(gd.path.vertices),
-                    "host": None if gd.ctl is None else sorted(bits(gd.ctl.shadows.within)),
+                    "host": None if gd.shadows is None else sorted(bits(gd.shadows.within)),
                 }
-                for gd in self.guards
+                for cop, gd in self.guards.items()
             ],
             "territory": size,
         }
 
     # -- mission builders ---------------------------------------------------
 
-    def _park(self, target: int, covered: Path, release) -> _Mission:
+    def _park(self, target: int, covered: Path) -> _Mission:
         cop = self._free_cop()
         route = shortest_path(self.g, self.cops[cop], target)
         if route is None:
             raise PlanarityFault("park target unreachable by the free cop")
-        return _Mission(self.g, cop, route.vertices, release, park_path=covered)
+        return _Mission(self.g, cop, route.vertices, park_path=covered)
 
-    def _attach(self, path: Path, host: int, release) -> _Mission:
+    def _attach(self, path: Path, host: int) -> _Mission:
         """Chase the robber's shadow on path, entering it at the vertex
         nearest the free cop, the lowest position among ties."""
         cop = self._free_cop()
@@ -299,19 +282,19 @@ class _Engine:
         if dist[path.vertices[entry]] == self.g.n:
             raise PlanarityFault("chase target unreachable by the free cop")
         route = shortest_path(self.g, at, path.vertices[entry])
-        return _Mission(self.g, cop, route.vertices, release, shadows=shadows)
+        return _Mission(self.g, cop, route.vertices, shadows=shadows)
 
-    def _guard_walk(self, walk: Path, ymask: int, release) -> _Mission:
+    def _guard_walk(self, walk: Path, ymask: int) -> _Mission:
         """Guard a walk glued through the territory: park on its middle
         vertex when it has at most two edges, else chase it in territory
         plus walk."""
         if not walk.is_path_in(self.g):
             raise PlanarityFault("glued guard walk is not a path")
         if walk.length <= 2:
-            return self._park(walk.vertices[len(walk.vertices) // 2], walk, release)
-        return self._attach(walk, ymask | walk.mask(), release)
+            return self._park(walk.vertices[len(walk.vertices) // 2], walk)
+        return self._attach(walk, ymask | walk.mask())
 
-    def _movepath(self, gd: _Guard, ymask: int) -> _Mission:
+    def _movepath(self, gd: PathShadowGuard, ymask: int) -> _Mission:
         """Replace gd's span between a bypath's ends, i < j, by the bypath.
 
         The tails outside the span have no territory neighbors, so the glued
@@ -326,9 +309,9 @@ class _Engine:
         walk = Path(verts[: i + 1] + detour.vertices[1:-1] + verts[j:])
         if not walk.is_path_in(self.g):
             raise PlanarityFault("glued guard walk is not a path")
-        return self._attach(walk, ymask | walk.mask(), ())
+        return self._attach(walk, ymask | walk.mask())
 
-    def _span_flow(self, gd: _Guard, ymask: int, i: int, j: int) -> _Mission:
+    def _span_flow(self, gd: Guard, ymask: int, i: int, j: int) -> _Mission:
         """Cut the territory away from gd's contact span [i..j].
 
         Without an edge joining the span ends, the span can be traded for a
@@ -341,17 +324,17 @@ class _Engine:
         vi, vj = verts[i], verts[j]
         inner = self._inner_bridge(ymask, vi, vj)
         if not self.g.has_edge(vi, vj):
-            return self._guard_walk(Path(verts[: i + 1] + inner.vertices + verts[j:]), ymask, ())
+            return self._guard_walk(Path(verts[: i + 1] + inner.vertices + verts[j:]), ymask)
         if j == i + 1:
             # consecutive doors; only the bridge itself needs covering
             if inner.length == 0:
                 y = inner.vertices[0]
-                return self._park(y, Path((vi, y, vj)), (gd,))
-            return self._attach(inner, ymask, ())
+                return self._park(y, Path((vi, y, vj)))
+            return self._attach(inner, ymask)
         # the chord keeps the span; wall the territory off behind it
         if inner.length == 0:
-            return self._park(inner.vertices[0], Path(inner.vertices[:1]), ())
-        return self._attach(inner, ymask, ())
+            return self._park(inner.vertices[0], Path(inner.vertices[:1]))
+        return self._attach(inner, ymask)
 
     def _inner_bridge(self, ymask: int, vi: int, vj: int) -> Path:
         """Shortest territory route between neighborhoods of two contacts."""
@@ -361,43 +344,43 @@ class _Engine:
             raise PlanarityFault("no territory bridge between adjacent contacts")
         return bridge
 
-    def _classified(self, gd: _Guard, w: int, ymask: int) -> _Mission:
+    def _classified(self, w: int, ymask: int) -> _Mission:
         emb = self.e.restrict(tuple(bits(ymask)) + (w,))
         cls = classify_vertex(emb, w, self.robber)
         if cls.case == "dominating":
             # every territory vertex is one step from w; park there and pounce
-            return self._park(w, Path((w,)), ())
+            return self._park(w, Path((w,)))
         p = cls.path if cls.case == "path" else cls.p1
-        return self._park(p.vertices[1], p, (gd,))
+        return self._park(p.vertices[1], p)
 
     # -- replanning ---------------------------------------------------------
 
-    def _plan_single(self, gd: _Guard, ymask: int) -> _Mission:
+    def _plan_single(self, gd: Guard, ymask: int) -> _Mission:
         cont = self._contacts(gd, ymask)
         verts = gd.path.vertices
         if len(cont) == 1:
             w = verts[cont[0]]
             if gd.kind != "park":
                 # the whole guarded path funnels into one vertex: block it
-                return self._park(w, Path((w,)), (gd,))
-            return self._classified(gd, w, ymask)
+                return self._park(w, Path((w,)))
+            return self._classified(w, ymask)
         return self._span_flow(gd, ymask, cont[0], cont[-1])
 
     def _plan_pair(self, ymask: int) -> _Mission:
-        first, second = self.guards
+        first, second = self.guards.values()
         attach = 0
-        for gd in self.guards:
+        for gd in (first, second):
             for v in gd.path.vertices:
                 attach |= self.g.adj_mask(v)
         points = list(bits(attach & ymask))
         if len(points) == 1:
             # the territory hangs on a cut vertex
-            return self._park(points[0], Path((points[0],)), (first, second))
+            return self._park(points[0], Path((points[0],)))
         if len(points) == 2:
             s = shortest_path(self.g, points[0], points[1], ymask)
             if s is None:
                 raise PlanarityFault("territory attachments are separated")
-            return self._guard_walk(s, ymask, (first, second))
+            return self._guard_walk(s, ymask)
         for gd, other in ((first, second), (second, first)):
             # a guard with one door of its own folds into a walk joining
             # that door to a far partner door; its other doors stay covered
@@ -409,18 +392,18 @@ class _Engine:
                 if b != own[0] and not self.g.has_edge(b, own[0]):
                     return self._cross(ymask, b, own[0])
         deck = set()
-        for gd in self.guards:
+        for gd in (first, second):
             deck.update(gd.path.vertices[k] for k in self._contacts(gd, ymask))
         doors = sorted(deck)
         if len(doors) == 2 and self.g.has_edge(doors[0], doors[1]):
             # each guard owns one door; a far pair was crossed above
-            return self._park(doors[0], Path(tuple(doors)), (first, second))
+            return self._park(doors[0], Path(tuple(doors)))
         if len(doors) == 3:
             # huddled doors fold under one park, freeing the second cop
             for c in doors:
                 rest = [v for v in doors if v != c]
                 if all(self.g.has_edge(c, v) for v in rest):
-                    return self._park(c, Path((rest[0], c, rest[1])), (first, second))
+                    return self._park(c, Path((rest[0], c, rest[1])))
         mission = self._lobe_cross(ymask, first, second)
         if mission is not None:
             return mission
@@ -432,7 +415,7 @@ class _Engine:
                 return self._plan_single(gd, ymask)
         raise PlanarityFault("no isometric cut between two spread guards")
 
-    def _lobe_cross(self, ymask: int, first: _Guard, second: _Guard) -> _Mission | None:
+    def _lobe_cross(self, ymask: int, first: Guard, second: Guard) -> _Mission | None:
         """Cross-walk between one door of each guard, vetted to split well.
 
         The bridge carves the territory into lobes; a candidate door pair is
@@ -464,10 +447,10 @@ class _Engine:
                         good = False
                         break
                 if good:
-                    return self._guard_walk(Path((a,) + inner.vertices + (b,)), ymask, ())
+                    return self._guard_walk(Path((a,) + inner.vertices + (b,)), ymask)
         return None
 
-    def _own_doors(self, gd: _Guard, other: _Guard, ymask: int) -> list[int]:
+    def _own_doors(self, gd: Guard, other: Guard, ymask: int) -> list[int]:
         """gd's doors that do not lie on the other guard's path."""
         omask = other.path.mask()
         verts = gd.path.vertices
@@ -476,28 +459,25 @@ class _Engine:
     def _cross(self, ymask: int, a: int, b: int) -> _Mission:
         """Guard a door-to-door route bridged through the territory."""
         inner = self._inner_bridge(ymask, a, b)
-        return self._guard_walk(Path((a,) + inner.vertices + (b,)), ymask, ())
+        return self._guard_walk(Path((a,) + inner.vertices + (b,)), ymask)
 
-    def _settle(self, keep: "_Guard | None" = None) -> tuple[int, bool]:
-        """Recompute the territory and re-settle the guard set on it: drop
-        guards it no longer touches, release covered ones, upgrade pinned
-        ones.  Returns the territory and whether the guard set changed."""
+    def _settle(self) -> tuple[int, bool]:
+        """Recompute the territory and re-settle the guard set on it: release
+        covered guards, upgrade pinned ones.  Returns the territory and
+        whether the guard set changed."""
         ymask = self._territory()
-        changed = self._prune(ymask)
-        if not self.guards:
-            raise PlanarityFault("guard set emptied while the robber is free")
-        changed |= self._release_covered(ymask, keep)
+        changed = self._release_covered(ymask)
         changed |= self._convert(ymask)
         return ymask, changed
 
     def _replan(self) -> tuple[_Mission, dict | None]:
         ymask, changed = self._settle()
         note = self._note(ymask) if changed or self.last_territory is None else None
-        pinned = [gd for gd in self.guards if gd.kind == "shadow"]
+        pinned = [gd for gd in self.guards.values() if gd.kind == "shadow"]
         if pinned:
             mission = self._movepath(pinned[0], ymask)
         elif len(self.guards) == 1:
-            mission = self._plan_single(self.guards[0], ymask)
+            mission = self._plan_single(*self.guards.values(), ymask)
         else:
             mission = self._plan_pair(ymask)
         return mission, note
@@ -510,14 +490,10 @@ class _Engine:
             for v in m.park_path.vertices:
                 if v != pos and not self.g.has_edge(pos, v):
                     raise PlanarityFault("parked cop does not cover its path")
-            new = _Guard(m.cop, m.park_path)
+            self.guards[m.cop] = ParkGuard(m.park_path, pos)
         else:
-            ctl = PathShadowGuard(m.shadows, pos, self.robber)
-            new = _Guard(m.cop, ctl.path, ctl)
-        self.guards.append(new)
-        dead = {id(gd) for gd in m.release}
-        self.guards = [gd for gd in self.guards if id(gd) not in dead]
-        ymask, _ = self._settle(keep=new)
+            self.guards[m.cop] = PathShadowGuard(m.shadows, pos, self.robber)
+        ymask, _ = self._settle()
         return self._note(ymask)
 
     # -- the game loop ------------------------------------------------------
@@ -526,7 +502,7 @@ class _Engine:
         g = self.g
         v0 = self._start_vertex()
         self.cops = [v0, v0, v0]
-        self.guards = [_Guard(0, Path((v0,)))]
+        self.guards = {0: ParkGuard(Path((v0,)), v0)}
         self._record(0, "place-cops", (True, True, True), {"start": v0})
         r = self.adversary.place(tuple(self.cops))
         if not 0 <= r < g.n:
@@ -550,13 +526,10 @@ class _Engine:
             if mission is None:
                 mission, note = self._replan()
             movers = 0
-            for gd in self.guards:
-                if gd.ctl is None:
-                    continue  # parks hold still
-                gd.ctl.step(self.robber)
-                pos = gd.ctl.cop_at
-                if pos != self.cops[gd.cop]:
-                    self.cops[gd.cop] = pos
+            for cop, gd in self.guards.items():
+                gd.step(self.robber)
+                if gd.cop_at != self.cops[cop]:
+                    self.cops[cop] = gd.cop_at
                     movers += 1
             if movers <= 1 and not mission.done(self.robber):
                 self.cops[mission.cop] = mission.step(self.robber)

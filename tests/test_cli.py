@@ -148,7 +148,9 @@ class TestExactValues:
         assert all(r["active"] == 1 for r in recs)
         assert recs[0]["cop_number"] == 2
 
-    @pytest.mark.parametrize("argv", [["copnumber", "--max", "2"], ["kmove", "--max", "2", "--active", "1"]])
+    @pytest.mark.parametrize(
+        "argv", [["copnumber", "--max", "2"], ["kmove", "--max", "2", "--active", "1"], ["simulate"]]
+    )
     def test_empty_graph_is_refused(self, capsys, tmp_path, argv):
         f = tmp_path / "empty.g6"
         f.write_text("?\n")

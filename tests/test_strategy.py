@@ -8,6 +8,7 @@ import pytest
 
 from pursuit.constructions import (
     complete,
+    connected_graphs,
     cycle,
     grid,
     path,
@@ -21,7 +22,7 @@ from pursuit.controllers import (
     PathShadowGuard,
     RandomAdversary,
 )
-from pursuit.graphs import Graph, from_graph6, to_graph6
+from pursuit.graphs import Graph, from_graph6, mask_of, to_graph6
 from pursuit.planar import PlanarityFault, embed
 from pursuit.referee import Trace, validate_trace
 from pursuit.solver import GameSpec, solve
@@ -49,6 +50,20 @@ def sparse_planar(n, seed):
             kept.discard(e)
             drop -= 1
     return Graph(n, sorted(kept))
+
+
+@pytest.fixture(scope="module")
+def small_planar_games():
+    """(graph, trace) for every connected planar graph with n <= 6, played
+    against the random robber (seed 0) and then the greedy robber."""
+    games = []
+    for n in range(1, 7):
+        for g in connected_graphs(n):
+            if embed(g) is None:
+                continue
+            for adversary in (RandomAdversary(g, seed=0), GreedyAdversary(g)):
+                games.append((g, run_two_move_strategy(g, adversary=adversary)))
+    return games
 
 
 def assert_clean_capture(g, adversary, turn_cap=None):
@@ -164,6 +179,18 @@ class TestPinnedTraces:
             "6b3d9e82e6f2ca0256a269837de71ee0ced39c5cee22237de3b96e28cc3452ec"
         )
 
+    def test_small_planar_corpus_is_pinned(self, small_planar_games):
+        # Every small planar graph, exhaustively; recorded from the engine
+        # that released guards three ways: a per-mission list, a pass for
+        # guards without contacts, and the coverage sweep.
+        h = hashlib.sha256()
+        for _, tr in small_planar_games:
+            h.update(tr.to_json().encode())
+        assert (len(small_planar_games), h.hexdigest()) == (
+            258,
+            "45fdee566e9595786cf9fdc01a561d8442e9cc763c3b750f89db59b08919e309",
+        )
+
 
 class TestTraceSerialization:
     def test_json_round_trip(self):
@@ -214,6 +241,33 @@ class TestMilestones:
             note = rec.get("note")
             if isinstance(note, dict) and "case" in note:
                 assert 1 <= len(note["guards"]) <= 2
+
+    def test_every_guard_keeps_a_door_of_its_own(self, small_planar_games):
+        # The coverage sweep's post-condition, read off the trace alone:
+        # each listed guard has a vertex with a territory neighbor that lies
+        # on no other listed guard's path, so none could be released.
+        seen = 0
+        for g, tr in small_planar_games:
+            for rec in tr.turns:
+                note = rec["note"]
+                if not (isinstance(note, dict) and "case" in note):
+                    continue
+                paths = [mask_of(gd["path"]) for gd in note["guards"]]
+                blocked = 0
+                for p in paths:
+                    blocked |= p
+                territory = g.component_of(rec["robber"], g.vertex_mask() & ~blocked)
+                assert bin(territory).count("1") == note["territory"]
+                for i, gd in enumerate(note["guards"]):
+                    others = 0
+                    for k, p in enumerate(paths):
+                        if k != i:
+                            others |= p
+                    assert any(
+                        g.adj_mask(v) & territory and not others >> v & 1 for v in gd["path"]
+                    ), (to_graph6(g), rec["t"], gd)
+                seen += 1
+        assert seen
 
 
 class TestAbortAndInput:
