@@ -8,13 +8,18 @@ Mask layout.  A cop position is a sorted multiset, numbered by its place i
 in ``combinations_with_replacement`` order over the vertices the cops may
 use.  Each multiset holds two Python ints with one bit per robber vertex:
 C[i] marks the states (i, r, COPS) and R[i] the states (i, r, ROBBER) that
-the attacker has won so far.  Each multiset's cop-move successors are
-computed once, as a row: a list of multiset indices in increasing order,
-all drawn from one shared pool of ints, so the kernel reads a row as it is
-and a row costs one pointer per move.  One stream, ``_move_tables``, the
-only code that reads the move cap, builds the tables one cop count at a
-time, each once per call; ``cop_number`` pulls table c only after c cops
-pass the budget.  A table is built by index arithmetic: a multiset is its
+the attacker has won so far.  Ranks take the same shape, as bit planes:
+bit r of planes[b][2 * i + side] (COPS = 0, ROBBER = 1) is bit b of the
+rank of state (i, r, side), and the final C and R say which states are
+ranked.  Each multiset's cop-move successors are computed once, as a row:
+a list of multiset indices in increasing order, all drawn from one shared
+pool of ints, so the kernel reads a row as it is and a row costs one
+pointer per move.  One stream, ``_move_tables``, the only code that
+applies the move cap, builds the tables one cop count at a time, each once
+per call.  A cap of at least the most cops a call asks for restricts no
+move, so ``_move_stream`` hands it to the stream as None, and no capped
+row is built; ``cop_number`` pulls table c only after c cops pass the
+budget.  A table is built by index arithmetic: a multiset is its
 smallest cop plus the index of the other cops, and inserting a cop's new
 vertex into that index is a table lookup, so no tuple is sorted or hashed
 per move.  That arithmetic is the only place a number is computed;
@@ -31,13 +36,15 @@ Recurrence.  In the capture game, with N[v] the closed neighbourhood of v:
 A robber state is lost once every step leads into C, and a cop state is won
 once some move leads into R.  Stay-or-step moves are symmetric, so the
 rows are also the predecessor rows, and a worklist recomputes only the
-multisets whose inputs changed in the previous layer.  A state's rank is
-the layer in which it joins, which is its exact optimal distance to
-capture.  This is the iterative scheme of Berarducci & Intrigila (1993) and
-Hahn & MacGillivray (2006) with each robber position held as one bit.
+multisets whose inputs changed in the previous layer; a row whose cop
+states are all won already is skipped unread.  A state's rank is the layer
+in which it joins, which is its exact optimal distance to capture.  This
+is the iterative scheme of Berarducci & Intrigila (1993) and Hahn &
+MacGillivray (2006) with each robber position held as one bit.
 ``cop_number`` reads only the verdict and stops at the first layer in which
-some C[j] is full; ``solve`` writes each new bit's layer into the ``rank``
-array, ``2 * (i * n + r) + side`` (COPS = 0, ROBBER = 1), -1 while unranked.
+some C[j] is full; ``solve`` ORs each mask that grows in layer k into the
+plane of every set bit of k, so a rank costs one OR per grown mask and set
+bit, not one store per state.
 
 Moves.  Row j lists the placements reachable from multiset j with at most
 active_cap cops stepping.  A cop state (j, r) of rank k >= 1 moves to the
@@ -51,10 +58,12 @@ for good, else the first of the highest rank, which stalls capture longest;
 a vertex holding a cop ranks 0, so it is taken only when every option holds
 a cop.
 
-Memory.  A solve keeps the 4-byte rank of every state, two masks per
-multiset and the move rows (about 9 bytes per state); its tracemalloc peak
-is about 29 bytes per state on the 4x5 grid with three cops, two moving,
-while the layers run.
+Memory.  A solve keeps two masks per multiset, one plane entry per
+multiset, side and bit of the deepest rank, and the move rows.  Measured
+by tracemalloc over all 2 * n * multisets states: the 4x5 grid with three
+cops, two moving, peaks at 22.8 bytes per state while the layers run and
+its table keeps 20.8; the 5x5 grid likewise 18.8 and 18.0; a 60-vertex
+triangulation with two cops 9.0 and 7.7.
 
 Guard mode answers whether c cops can permanently protect an isometric
 subgraph h: a greatest fixed point over cops-on-h states (robber on h at the
@@ -76,7 +85,6 @@ with ``BudgetExceeded`` rather than thrash.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import reduce
@@ -87,7 +95,7 @@ from operator import and_, or_
 from .graphs import Graph, is_isometric_subgraph, mask_of
 
 DEFAULT_STATE_BUDGET = 50_000_000
-# States are array('i') indices.
+# The largest budget a caller may pass; a larger one is capped here.
 MAX_STATES = 2**31 - 1
 
 COPS, ROBBER = 0, 1
@@ -187,9 +195,16 @@ def _move_tables(adj: list, cap: int | None = None) -> Iterator[list[list[int]]]
                 yield rows[q]
 
 
+def _move_stream(adj: list, cap: int | None, most: int) -> Iterator[list[list[int]]]:
+    """``_move_tables(adj, cap)`` for a caller that pulls at most `most`
+    tables.  A cap of at least `most` lets every cop step in each of them,
+    so it is passed as None, and no capped row set is built."""
+    return _move_tables(adj, None if cap is None or cap >= most else cap)
+
+
 def _move_table(adj: list, c: int, cap: int | None = None) -> list[list[int]]:
-    """Table c of ``_move_tables(adj, cap)``."""
-    return next(islice(_move_tables(adj, cap), c - 1, None))
+    """Table c of ``_move_stream(adj, cap, c)``."""
+    return next(islice(_move_stream(adj, cap, c), c - 1, None))
 
 
 def _neighbors(g: Graph) -> list[tuple[int, ...]]:
@@ -259,6 +274,8 @@ def _layers(
             rows.update(moves[i])
         grown_c = {}
         for j in rows:
+            if not keep & ~cop_win[j]:
+                continue  # settled: every state the row could add is won
             m = reduce(op, map(rob_win.__getitem__, moves[j])) & keep & ~cop_win[j]
             if m:
                 grown_c[j] = m
@@ -285,9 +302,9 @@ class _RankMap(Mapping):
     """Read-only view of a table's ranks, keyed by (cops, robber, side); an
     unranked state is absent."""
 
-    def __init__(self, table: StrategyTable, size: int):
+    def __init__(self, table: StrategyTable):
         self._table = table
-        self._len = size
+        self._len = sum(m.bit_count() for m in table._won)
 
     def __getitem__(self, key):
         k = self._table._rank_of(key)
@@ -297,9 +314,14 @@ class _RankMap(Mapping):
 
     def __iter__(self):
         table = self._table
-        for s, k in enumerate(table._rank):
-            if k >= 0:
-                yield table._key(s)
+        won, multisets = table._won, table._multisets
+        for i, cops in enumerate(multisets):
+            won_c, won_r = won[2 * i], won[2 * i + 1]
+            for robber in range(table.n):
+                if won_c >> robber & 1:
+                    yield cops, robber, COPS
+                if won_r >> robber & 1:
+                    yield cops, robber, ROBBER
 
     def __len__(self) -> int:
         return self._len
@@ -309,7 +331,10 @@ class StrategyTable:
     """Exact winning strategy: ranks, cop moves, and the robber's best replies.
 
     ``rank`` is a read-only mapping keyed by (sorted cops, robber, side),
-    iterated in state order, ``2 * (i * n + r) + side``.
+    iterated in state order, ``2 * (i * n + r) + side``.  Ranks are held as
+    bit planes: ``won[2 * i + side]`` marks the robber vertices r whose
+    state is ranked, and bit r of ``planes[b][2 * i + side]`` is bit b of
+    that state's rank.
     """
 
     def __init__(
@@ -317,8 +342,8 @@ class StrategyTable:
         graph: Graph,
         cops: int,
         multisets: list[tuple[int, ...]],
-        rank: array,
-        ranked: int,
+        won: list[int],
+        planes: list[list[int]],
         initial: tuple[int, ...] | None,
         moves: list[list[int]],
     ):
@@ -328,9 +353,18 @@ class StrategyTable:
         self.initial = initial
         self._multisets = multisets
         self._index = {cops: i for i, cops in enumerate(multisets)}
-        self._rank = rank
+        self._won = won
+        self._planes = planes
         self._moves = moves
-        self.rank: Mapping = _RankMap(self, ranked)
+        self.rank: Mapping = _RankMap(self)
+
+    def _rank_at(self, s: int, robber: int) -> int:
+        """Rank of the state with this robber in slot s = 2 * i + side, read
+        across the planes; an unranked state reads 0."""
+        k = 0
+        for b, plane in enumerate(self._planes):
+            k |= (plane[s] >> robber & 1) << b
+        return k
 
     def _rank_of(self, key) -> int | None:
         """Rank of a (sorted cops, robber, side) key; None when the state is
@@ -342,12 +376,8 @@ class StrategyTable:
                 return None
         except (TypeError, ValueError):
             return None
-        k = self._rank[2 * (i * self.n + robber) + side]
-        return k if k >= 0 else None
-
-    def _key(self, s: int) -> tuple[tuple[int, ...], int, int]:
-        i, r = divmod(s >> 1, self.n)
-        return self._multisets[i], r, s & 1
+        s = 2 * i + side
+        return self._rank_at(s, robber) if self._won[s] >> robber & 1 else None
 
     def state_rank(self, cops: tuple[int, ...], robber: int, side: int) -> int | None:
         return self._rank_of((tuple(sorted(cops)), robber, side))
@@ -361,8 +391,9 @@ class StrategyTable:
             raise ValueError("no winning move from this state")
         if k == 0:
             return cops
-        rank, n2, r2 = self._rank, 2 * self.n, 2 * robber + 1
-        return self._multisets[next(j for j in self._moves[self._index[cops]] if rank[j * n2 + r2] == k - 1)]
+        won, row = self._won, self._moves[self._index[cops]]
+        nxt = next(j for j in row if won[2 * j + 1] >> robber & 1 and self._rank_at(2 * j + 1, robber) == k - 1)
+        return self._multisets[nxt]
 
     def robber_place(self, cops: tuple[int, ...]) -> int:
         """Where the optimal robber starts against these cops: the rule under
@@ -375,11 +406,13 @@ class StrategyTable:
         return self._best_option(cops, (robber,) + self.graph.neighbors(robber))
 
     def _best_option(self, cops: tuple[int, ...], options) -> int:
+        i = self._index.get(tuple(sorted(cops)))
+        won = 0 if i is None else self._won[2 * i]
         best, best_rank = None, -1
         for r in options:
-            k = self.state_rank(cops, r, COPS)
-            if k is None:
+            if not won >> r & 1:
                 return r
+            k = self._rank_at(2 * i, r)
             if k > best_rank:
                 best, best_rank = r, k
         return best
@@ -394,22 +427,22 @@ def solve(spec: GameSpec, budget: int | None = None) -> tuple[bool, StrategyTabl
     rob_win = cop_win[:]
     layers = _layers(moves, _unions(g), full, cop_win, rob_win, True)
     multisets = list(combinations_with_replacement(range(n), c))
-    rank = array("i", [-1]) * (2 * n * len(multisets))
-    done: list[int] = []
-    for k, wins in enumerate(chain([(dict(enumerate(cop_win)), dict(enumerate(rob_win)))], layers)):
-        for side, grown in enumerate(wins):
-            for i, m in grown.items():
-                base = 2 * i * n + side
-                while m:
-                    low = m & -m
-                    rank[base + 2 * low.bit_length() - 2] = k
-                    m ^= low
+    planes: list[list[int]] = []
+    done = [j for j, m in enumerate(cop_win) if m == full]
+    for k, (grown_c, grown_r) in enumerate(layers, 1):
+        if k.bit_length() > len(planes):
+            planes.append([0] * (2 * len(multisets)))
+        for plane in (p for b, p in enumerate(planes) if k >> b & 1):
+            for i, m in grown_c.items():
+                plane[2 * i] |= m
+            for i, m in grown_r.items():
+                plane[2 * i + 1] |= m
         if not done:
-            done = [j for j in wins[COPS] if cop_win[j] == full]
+            done = [j for j in grown_c if cop_win[j] == full]
     # The first multiset to win every robber vertex wins soonest against the best one.
     initial = multisets[min(done)] if done else None
-    ranked = sum(m.bit_count() for m in chain(cop_win, rob_win))
-    table = StrategyTable(g, c, multisets, rank, ranked, initial, moves)
+    won = [m for pair in zip(cop_win, rob_win) for m in pair]
+    table = StrategyTable(g, c, multisets, won, planes, initial, moves)
     return initial is not None, table
 
 
@@ -422,7 +455,7 @@ def cop_number(
     if active_cap is not None and active_cap < 1:
         raise ValueError("active_cap must be in 1..cops")
     union, full = _unions(g), (1 << g.n) - 1
-    tables = _move_tables(_neighbors(g), active_cap)
+    tables = _move_stream(_neighbors(g), active_cap, max_cops)
     for c in range(1, max_cops + 1):
         _check_budget(estimate_states(g.n, c), budget)
         cop_win = _cop_masks(g.n, c)

@@ -31,9 +31,12 @@ never increase and strictly decrease whenever the label changes.
 A guarded path has one `PathShadows` in its host, the BFS rows from the
 path's two ends, from chase to release: the shadow chase builds it, the
 pinned guard steps by its intervals, and the leisurely upgrade and the
-bypath reroute reuse it while the host is unchanged.  A chase reads its entry off the free cop's
-whole-graph BFS row and walks the route `shortest_path` gives to it.  A
-territory bridge is one `shortest_path_between` call.
+bypath reroute reuse it while the host is unchanged.  Once the territory
+shrinks, a settle builds the pinned guard's rows in the new host once and
+keeps them; the next settle reuses them while that host stands, and the
+reroute reads the ones its replan's settle kept.  A chase reads its entry
+off the free cop's whole-graph BFS row and walks the route `shortest_path`
+gives to it.  A territory bridge is one `shortest_path_between` call.
 
 `check_engine_input` owns the input contract; `run_two_move_strategy` and
 the command line's `simulate` both call it, the latter before any solve.
@@ -135,6 +138,8 @@ class _Engine:
         self.cops: list[int] = []
         self.robber: int | None = None
         self.guards: dict[int, Guard] = {}  # cop index to controller, oldest first
+        # rows in territory plus path of the guards the last settle left pinned
+        self.pinned: list[PathShadows] = []
         self.last_territory: int | None = None
         self.last_case: str | None = None
         self.turns: list[dict] = []
@@ -207,25 +212,26 @@ class _Engine:
         return changed
 
     def _convert(self, ymask: int) -> bool:
-        """Upgrade pinned guards to leisurely patrols where that is sound."""
-        changed = False
+        """Upgrade pinned guards to leisurely patrols where that is sound,
+        and keep the rows of the guards left pinned in ``pinned``.
+
+        A guard's rows are taken in territory plus path: its own rows, or
+        the ones the last settle kept, while that host is unchanged, else a
+        fresh set."""
+        changed, kept, self.pinned = False, self.pinned, []
         for cop, gd in self.guards.items():
             if gd.kind != "shadow":
                 continue
-            shadows = self._rows_in(gd, ymask)
+            host = ymask | gd.path.mask()
+            shadows = next((s for s in (gd.shadows, *kept) if s.path is gd.path and s.within == host), None)
+            if shadows is None:
+                shadows = PathShadows(self.g, gd.path, host)
             if not shadows.is_bypath_free():
+                self.pinned.append(shadows)
                 continue
             self.guards[cop] = LeisurelyGuard(shadows, self.cops[cop])
             changed = True
         return changed
-
-    def _rows_in(self, gd: PathShadowGuard, ymask: int) -> PathShadows:
-        """The pinned guard's path rows in territory plus path: its own rows
-        while that host is unchanged, else a fresh set."""
-        host = ymask | gd.path.mask()
-        if gd.shadows.within == host:
-            return gd.shadows
-        return PathShadows(self.g, gd.path, host)
 
     def _free_cop(self) -> int:
         for c in range(3):
@@ -294,19 +300,20 @@ class _Engine:
             return self._park(walk.vertices[len(walk.vertices) // 2], walk)
         return self._attach(walk, ymask | walk.mask())
 
-    def _movepath(self, gd: PathShadowGuard, ymask: int) -> _Mission:
-        """Replace gd's span between a bypath's ends, i < j, by the bypath.
+    def _movepath(self, shadows: PathShadows, ymask: int) -> _Mission:
+        """Replace a pinned guard's span between a bypath's ends, i < j, by
+        the bypath; shadows holds the guard's rows in territory plus path.
 
         The tails outside the span have no territory neighbors, so the glued
         walk is isometric in territory plus walk and chaseable there.
         """
-        detour = first_bypath(self._rows_in(gd, ymask))
+        detour = first_bypath(shadows)
         if detour is None:
             raise PlanarityFault("pinned guard has no bypath to reroute")
-        verts = gd.path.vertices
-        i = gd.path.index_of(detour.vertices[0])
-        j = gd.path.index_of(detour.vertices[-1])
-        walk = Path(verts[: i + 1] + detour.vertices[1:-1] + verts[j:])
+        path = shadows.path
+        i = path.index_of(detour.vertices[0])
+        j = path.index_of(detour.vertices[-1])
+        walk = Path(path.vertices[: i + 1] + detour.vertices[1:-1] + path.vertices[j:])
         if not walk.is_path_in(self.g):
             raise PlanarityFault("glued guard walk is not a path")
         return self._attach(walk, ymask | walk.mask())
@@ -473,9 +480,8 @@ class _Engine:
     def _replan(self) -> tuple[_Mission, dict | None]:
         ymask, changed = self._settle()
         note = self._note(ymask) if changed or self.last_territory is None else None
-        pinned = [gd for gd in self.guards.values() if gd.kind == "shadow"]
-        if pinned:
-            mission = self._movepath(pinned[0], ymask)
+        if self.pinned:
+            mission = self._movepath(self.pinned[0], ymask)
         elif len(self.guards) == 1:
             mission = self._plan_single(*self.guards.values(), ymask)
         else:

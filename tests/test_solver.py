@@ -203,6 +203,26 @@ class TestBudget:
             cop_number(petersen(), 3, budget=estimate_states(10, 1))
         assert pulled == [10]
 
+    def test_non_restricting_cap_builds_no_capped_rows(self, monkeypatch):
+        # A cap of at least the most cops a call asks for restricts no move,
+        # so the stream receives None and builds only the free rows.
+        caps = []
+        stream = solver._move_tables
+
+        def spied(adj, cap=None):
+            caps.append(cap)
+            return stream(adj, cap)
+
+        monkeypatch.setattr(solver, "_move_tables", spied)
+        g = grid(4, 5)
+        won, table = solve(GameSpec(g, 3, active_cap=3))
+        won_free, free = solve(GameSpec(g, 3))
+        assert (won, table.initial, dict(table.rank)) == (won_free, free.initial, dict(free.rank))
+        assert cop_number(petersen(), 3, active_cap=3) == cop_number(petersen(), 3) == 3
+        assert cop_number(petersen(), 3, active_cap=2) == 3
+        solve(GameSpec(g, 3, active_cap=2))
+        assert caps == [None, None, None, None, 2, 2]
+
     def test_guard_budget(self):
         with pytest.raises(BudgetExceeded) as exc:
             is_guardable(cycle(6), (0, 1, 2), 1, budget=10)
@@ -437,6 +457,58 @@ def _replay(g: Graph, table: StrategyTable) -> int:
         plies += 1
     assert rank == 0
     return plies
+
+
+def _cop_successors(g: Graph, cops: tuple[int, ...], cap: int | None) -> set[tuple[int, ...]]:
+    """Every placement the cops reach in one turn, each staying or stepping,
+    with at most cap of them stepping."""
+    return {
+        tuple(sorted(moved))
+        for moved in itertools.product(*[(v, *g.neighbors(v)) for v in cops])
+        if cap is None or sum(u != v for u, v in zip(moved, cops)) <= cap
+    }
+
+
+class TestRankRecurrence:
+    """Every rank against the game's rules, read off the graph with no kernel
+    code: the cops-win half of a certificate for the solver's answer."""
+
+    @staticmethod
+    def _games():
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                for c in (1, 2):
+                    for cap in (None, 1):
+                        yield g, c, cap
+        yield grid(3, 3), 2, None
+        yield grid(3, 3), 3, None
+
+    def test_ranks_obey_the_recurrence(self):
+        games = 0
+        for g, c, cap in self._games():
+            games += 1
+            table = solve(GameSpec(g, c, active_cap=cap))[1]
+            rank = dict(table.rank.items())
+            assert len(table.rank) == len(rank) == sum(1 for _ in table.rank)
+            for cops in itertools.combinations_with_replacement(range(g.n), c):
+                nexts = _cop_successors(g, cops, cap)
+                for r in range(g.n):
+                    where = (g, c, cap, cops, r)
+                    k, kr = rank.get((cops, r, COPS)), rank.get((cops, r, ROBBER))
+                    # rank 0 holds exactly where the robber stands on a cop
+                    assert (k == 0) == (kr == 0) == (r in cops), where
+                    after = [rank.get((nxt, r, ROBBER)) for nxt in nexts]
+                    ranked = [x for x in after if x is not None]
+                    if k is None:
+                        assert not ranked, where
+                    elif k >= 1:
+                        assert min(ranked) == k - 1, where
+                    options = [rank.get((cops, x, COPS)) for x in (r, *g.neighbors(r))]
+                    if kr is None:
+                        assert None in options, where
+                    elif kr >= 1:
+                        assert None not in options and max(options) == kr - 1, where
+        assert games == 2 * 2 * sum(len(connected_graphs(n)) for n in range(1, 6)) + 2
 
 
 class TestStrategyReplay:

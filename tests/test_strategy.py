@@ -25,6 +25,7 @@ from pursuit.controllers import (
 from pursuit.graphs import Graph, from_graph6, mask_of, to_graph6
 from pursuit.planar import PlanarityFault, embed
 from pursuit.referee import Trace, validate_trace
+from pursuit.shadows import PathShadows
 from pursuit.solver import GameSpec, solve
 from pursuit import strategy
 from pursuit.strategy import _Engine, _Mission, run_two_move_strategy
@@ -190,6 +191,29 @@ class TestPinnedTraces:
             258,
             "45fdee566e9595786cf9fdc01a561d8442e9cc763c3b750f89db59b08919e309",
         )
+
+
+class TestShadowRows:
+    def test_no_rows_built_twice_in_one_game(self, monkeypatch):
+        # A settle keeps the rows of the guards it leaves pinned; the next
+        # settle and the replan's reroute reuse them while their host stands.
+        built = []
+        init = PathShadows.__init__
+
+        def counted(self, g, path, within=None):
+            built.append((path.vertices, within))
+            init(self, g, path, within)
+
+        monkeypatch.setattr(PathShadows, "__init__", counted)
+        total = 0
+        for seed in (0, 1):
+            g = random_planar_triangulation(200, seed)
+            for adv in (RandomAdversary(g, seed=0), GreedyAdversary(g)):
+                built.clear()
+                run_two_move_strategy(g, adversary=adv)
+                assert len(built) == len(set(built))
+                total += len(built)
+        assert total == 39
 
 
 class TestTraceSerialization:
