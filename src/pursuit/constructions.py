@@ -31,6 +31,7 @@ from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
+from typing import Iterator, Sequence
 
 from .graphs import Graph, bits, distance_matrix, is_isometric_subgraph
 from .helly import Hole, is_dismantlable, is_valid_hole
@@ -155,48 +156,96 @@ def random_planar_triangulation(n: int, seed: int) -> Graph:
 _CONNECTED_CACHE: dict[int, list[Graph]] = {}
 
 
-def _vertex_labels(g: Graph) -> list[tuple]:
-    """Each vertex's neighbours' degrees and distances to all vertices, both
-    sorted; the distance row counts the vertex's own degree in its ones."""
-    degs = [g.degree(v) for v in range(g.n)]
-    return [
-        (tuple(sorted(degs[u] for u in g.neighbors(v))), tuple(sorted(g.bfs_levels(v))))
-        for v in range(g.n)
-    ]
+def _labels(adj: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each vertex's label, read off the adjacency masks: its neighbours'
+    degrees, sorted, and its sphere sizes |S(v, d)| for d = 0, 1, ... up to
+    its eccentricity, each sphere the OR of the last one's neighbourhoods
+    outside the ball.  For graphs of one order, the sphere sizes say what
+    the vertex's sorted BFS row says."""
+    deg = [m.bit_count() for m in adj]
+    full = (1 << len(adj)) - 1
+    out = []
+    for v, mask in enumerate(adj):
+        ball = mask | 1 << v
+        sphere = mask
+        sizes = [1]
+        near = []
+        while mask:
+            low = mask & -mask
+            near.append(deg[low.bit_length() - 1])
+            mask ^= low
+        near.sort()
+        while sphere:
+            sizes.append(sphere.bit_count())
+            if ball == full:
+                break
+            nxt = 0
+            while sphere:
+                low = sphere & -sphere
+                nxt |= adj[low.bit_length() - 1]
+                sphere ^= low
+            sphere = nxt & ~ball
+            ball |= sphere
+        out.append((tuple(near), tuple(sizes)))
+    return out
 
 
-def _match(a: Graph, la: list[tuple], b: Graph, lb: list[tuple]) -> bool:
-    """Backtracking search for an isomorphism from a to b that maps each
-    vertex to one with the same label; the sorted labels must agree."""
-    n = a.n
-    cand = [[w for w in range(n) if lb[w] == la[v]] for v in range(n)]
+def _isomorphisms(
+    a: Sequence[int], la: list[tuple], b: Sequence[int], lb: list[tuple]
+) -> Iterator[tuple[int, ...]]:
+    """Every isomorphism from a to b, two graphs given as adjacency masks,
+    that maps each vertex to one with the same label, as the tuple of images.
+
+    The sorted labels must agree.  Backtracking places a's vertices in order
+    of fewest candidates; a candidate w for vertex v fits when w's neighbours
+    among the images so far are exactly the images of v's placed neighbours,
+    one mask comparison."""
+    n = len(a)
+    where: dict[tuple, list[int]] = {}
+    for w, label in enumerate(lb):
+        where.setdefault(label, []).append(w)
+    cand = [where.get(label, []) for label in la]
     order = sorted(range(n), key=lambda v: (len(cand[v]), v))
-    mapping = [-1] * n
+    placed = 0
+    back = []  # back[i]: the neighbours of order[i] placed before it
+    for v in order:
+        back.append(tuple(bits(a[v] & placed)))
+        placed |= 1 << v
+    image = [0] * n
 
-    def assign(i: int, used: int) -> bool:
+    def extend(i: int, used: int) -> Iterator[tuple[int, ...]]:
         if i == n:
-            return True
+            yield tuple(image)
+            return
         v = order[i]
+        want = 0
+        for u in back[i]:
+            want |= 1 << image[u]
         for w in cand[v]:
-            if used >> w & 1:
-                continue
-            ok = True
-            for u in order[:i]:
-                if a.has_edge(v, u) != b.has_edge(w, mapping[u]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                if assign(i + 1, used | (1 << w)):
-                    return True
-        return False
+            if b[w] & used == want and not used >> w & 1:
+                image[v] = w
+                yield from extend(i + 1, used | 1 << w)
 
-    return assign(0, 0)
+    return extend(0, 0)
+
+
+def _isomorphic(a: Sequence[int], la: list[tuple], b: Sequence[int], lb: list[tuple]) -> bool:
+    return next(_isomorphisms(a, la, b, lb), None) is not None
+
+
+def _automorphisms(adj: Sequence[int]) -> list[tuple[int, ...]]:
+    """Aut of the graph with these adjacency masks, each as its image tuple."""
+    labels = _labels(adj)
+    return list(_isomorphisms(adj, labels, adj, labels))
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:
-    la, lb = _vertex_labels(a), _vertex_labels(b)
-    return sorted(la) == sorted(lb) and _match(a, la, b, lb)
+    if a.n != b.n:
+        return False
+    ma = [a.adj_mask(v) for v in range(a.n)]
+    mb = [b.adj_mask(v) for v in range(b.n)]
+    la, lb = _labels(ma), _labels(mb)
+    return sorted(la) == sorted(lb) and _isomorphic(ma, la, mb, lb)
 
 
 def connected_graphs(n: int) -> list[Graph]:
@@ -204,10 +253,18 @@ def connected_graphs(n: int) -> list[Graph]:
 
     Built by attaching vertex n-1 to every nonempty neighborhood subset of
     every connected (n-1)-vertex graph; every connected graph arises this
-    way because some vertex is never a cut vertex.  A candidate's vertex
-    labels are computed once: sorted, they key its bucket, and they restrict
-    its match against each representative in that bucket; it joins the list
-    unless one matches.  Results are cached per n.
+    way because some vertex is never a cut vertex.
+
+    Orbit pruning: subsets are walked in increasing order, and one that is
+    the image of a smaller subset under an automorphism of the parent is
+    skipped, since the two children are isomorphic and the smaller came
+    first (McKay, J. Algorithms 1998, without the canonical form, so the
+    representatives stay the first of their class in this order).  Each
+    remaining candidate stays a list of adjacency masks: its vertex labels
+    (`_labels`) are computed once; sorted, they key its bucket, and they
+    restrict its match against each representative in that bucket; it joins
+    the list, built into a `Graph`, unless one matches.  Results are cached
+    per n.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -216,18 +273,26 @@ def connected_graphs(n: int) -> list[Graph]:
     if n == 1:
         reps = [Graph(1, [])]
     else:
-        parents = connected_graphs(n - 1)
+        last = 1 << (n - 1)  # the bit of the new vertex n-1
         reps = []
-        buckets: dict[tuple, list[tuple[Graph, list[tuple]]]] = {}
-        for parent in parents:
-            base = parent.edges()
-            for sub in range(1, 1 << (n - 1)):
-                g = Graph(n, base + [(v, n - 1) for v in bits(sub)])
-                labels = _vertex_labels(g)
+        buckets: dict[tuple, list[tuple[list[int], list[tuple]]]] = {}
+        for parent in connected_graphs(n - 1):
+            base = [parent.adj_mask(v) for v in range(n - 1)]
+            auts = _automorphisms(base)
+            skip: set[int] = set()
+            for sub in range(1, last):
+                if sub in skip:
+                    continue
+                if len(auts) > 1:
+                    for perm in auts:
+                        skip.add(sum(1 << perm[v] for v in bits(sub)))
+                adj = [m | last if sub >> v & 1 else m for v, m in enumerate(base)]
+                adj.append(sub)
+                labels = _labels(adj)
                 bucket = buckets.setdefault(tuple(sorted(labels)), [])
-                if not any(_match(g, labels, h, lh) for h, lh in bucket):
-                    bucket.append((g, labels))
-                    reps.append(g)
+                if not any(_isomorphic(adj, labels, h, lh) for h, lh in bucket):
+                    bucket.append((adj, labels))
+                    reps.append(Graph(n, parent.edges() + [(v, n - 1) for v in bits(sub)]))
     _CONNECTED_CACHE[n] = reps
     return reps
 

@@ -13,8 +13,8 @@ infinity, so a metric check on a disconnected graph fails loudly.
 A graph answers each whole-graph distance question once.  `bfs_levels` keeps
 a row per source for BFS over the whole graph (no mask, or the full vertex
 mask), filled on first use, so distance matrices, balls, shadows, Helly ball
-tables, isometry rows and corpus labels all read the same rows; a graph that
-is never asked allocates nothing.  Each caller gets its own copy of the row.
+tables and isometry rows all read the same rows; a graph that is never asked
+allocates nothing.  Each caller gets its own copy of the row.
 A BFS restricted to a smaller mask (the validator's, or the two rows from a
 guarded path's ends in a `PathShadows`) is almost always a fresh (source,
 mask) pair, so it runs uncached; its loops walk the lowest set bit inline.

@@ -2,11 +2,15 @@
 
 import hashlib
 import random
+from itertools import permutations
 
 import networkx as nx
 import pytest
 
+from pursuit import constructions
 from pursuit.constructions import (
+    _automorphisms,
+    _labels,
     build_guard_adversary,
     build_hole_gadget,
     build_hts,
@@ -165,6 +169,59 @@ class TestCorpus:
             assert is_isomorphic(a, b) == want, (to_graph6(a), to_graph6(b))
             agree.add(want)
         assert agree == {True, False}
+
+    def test_automorphisms_match_brute_force(self):
+        # Aut from the backtracking, against all n! permutations, on every
+        # connected graph with n <= 6: the same set, and no repeats.
+        for n in range(1, 7):
+            for g in connected_graphs(n):
+                adj = [g.adj_mask(v) for v in range(n)]
+                found = _automorphisms(adj)
+                brute = {p for p in permutations(range(n)) if all(g.has_edge(p[u], p[v]) for u, v in g.edges())}
+                assert len(found) == len(set(found)), to_graph6(g)
+                assert set(found) == brute, to_graph6(g)
+
+    def test_label_equal_pairs_are_refuted(self):
+        # Both pairs are regular with every vertex carrying one label, so
+        # only the backtracking can tell them apart.
+        k33 = Graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
+        prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+        rook = Graph(16, [(a, b) for a in range(16) for b in range(a + 1, 16) if a // 4 == b // 4 or a % 4 == b % 4])
+        steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+        shrikhande = Graph(
+            16,
+            [(a, b) for a in range(16) for b in range(a + 1, 16) if ((b // 4 - a // 4) % 4, (b % 4 - a % 4) % 4) in steps],
+        )
+        for a, b, label in ((k33, prism, ((3, 3, 3), (1, 3, 2))), (rook, shrikhande, ((6,) * 6, (1, 6, 9)))):
+            for g in (a, b):
+                assert _labels([g.adj_mask(v) for v in range(g.n)]) == [label] * g.n
+                assert is_isomorphic(g, g)
+            assert not is_isomorphic(a, b) and not is_isomorphic(b, a)
+
+    def test_orders_differ_never_isomorphic(self):
+        assert not is_isomorphic(Graph(0), Graph(1))
+        assert not is_isomorphic(Graph(3), Graph(4))
+        assert not is_isomorphic(path(3), path(4))
+        assert not is_isomorphic(complete(4), Graph(5, complete(4).edges()))
+
+    def test_orbit_pruning_candidate_count(self, monkeypatch):
+        # A fresh n = 7 build labels each candidate once; orbit pruning under
+        # Aut(parent) leaves 3,771 of the 112 * 63 = 7,056 neighbourhood
+        # subsets.  The cache is swapped for one holding n <= 6 only, and
+        # monkeypatch puts the full one back.
+        parents = {n: connected_graphs(n) for n in range(1, 7)}
+        orders = []
+
+        def spy(adj):
+            orders.append(len(adj))
+            return _labels(adj)
+
+        monkeypatch.setattr(constructions, "_CONNECTED_CACHE", parents)
+        monkeypatch.setattr(constructions, "_labels", spy)
+        fresh = connected_graphs(7)
+        assert len(parents[6]) == 112 and orders.count(7) == 3771
+        monkeypatch.undo()
+        assert fresh == connected_graphs(7)
 
 
 class TestHts:
