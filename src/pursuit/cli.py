@@ -12,11 +12,11 @@ or trace command gives ``_per_item`` its items and an ``answer(i, item)``
 that returns one record and its verdict; the driver adds each record's
 ``index``, writes the records once, reports a library ``ValueError`` as
 exit 1 on ``graph i``, and exits 1 when any verdict is negative.  The
-count flags --active, --cops, --turn-cap, --state-cap and --max-bypaths
-must be at least 1.  The solvers'
-budget is --state-cap alone, 50 million states by default; `bypaths`
-counts the bypaths first and refuses to list more than --max-bypaths,
-10,000 by default.  A refusal exits 3 and says which budget to raise.
+count flags --active, --cops, --max, --turn-cap, --state-cap and
+--max-bypaths must be at least 1.  The solvers' budget is --state-cap
+alone, 50 million states by default; `bypaths` counts the bypaths first
+and refuses to list more than --max-bypaths, 10,000 by default.  A
+refusal exits 3 and says which budget to raise.
 
 `validate` and `replay` read traces with `referee.Trace` and check them with
 `referee.validate_trace`, which shares no code with the engine.  The
@@ -70,7 +70,15 @@ NEGATIVE = 1
 USAGE = 2
 BUDGET = 3
 
-COUNT_FLAGS = ("active", "cops", "turn_cap", "state_cap", "max_bypaths")
+# Each count flag by its dest; --max stores to max_cops.
+COUNT_FLAGS = {
+    "active": "--active",
+    "cops": "--cops",
+    "turn_cap": "--turn-cap",
+    "state_cap": "--state-cap",
+    "max_bypaths": "--max-bypaths",
+    "max_cops": "--max",
+}
 
 
 class CliError(Exception):
@@ -563,10 +571,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        for flag in COUNT_FLAGS:
-            value = getattr(args, flag, None)
+        for dest, flag in COUNT_FLAGS.items():
+            value = getattr(args, dest, None)
             if value is not None and value < 1:
-                raise CliError(USAGE, f"--{flag.replace('_', '-')} must be at least 1")
+                raise CliError(USAGE, f"{flag} must be at least 1")
         return args.run(args)
     except CliError as e:
         return _error(args, e.code, str(e))

@@ -12,9 +12,13 @@ infinity, so a metric check on a disconnected graph fails loudly.
 
 A graph answers each whole-graph distance question once.  `bfs_levels` keeps
 a row per source for BFS over the whole graph (no mask, or the full vertex
-mask), filled on first use, so distance matrices, balls, shadows, Helly ball
-tables and isometry rows all read the same rows; a graph that is never asked
-allocates nothing.  Each caller gets its own copy of the row.
+mask), filled on first use, so distance matrices, shadows, Helly tests and
+isometry rows all read the same rows; a graph that is never asked allocates
+nothing.  Each caller gets its own copy of the row.  Beside each row the
+graph keeps, once asked by `ball_masks`, that source's cumulative ball
+masks: entry r is the vertex mask of B(src, r).  `ball` and the Helly test
+and hole search read them, so a graph builds its ball table once however
+many of them ask; the tuple is shared, as nothing can change it.
 A BFS restricted to a smaller mask (the validator's, or the two rows from a
 guarded path's ends in a `PathShadows`) is almost always a fresh (source,
 mask) pair, so it runs uncached; its loops walk the lowest set bit inline.
@@ -51,7 +55,7 @@ def mask_of(vertices: Iterable[int]) -> int:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_adj", "_neigh", "_rows")
+    __slots__ = ("n", "_adj", "_neigh", "_rows", "_balls")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -68,6 +72,7 @@ class Graph:
         self._adj = tuple(adj)
         self._neigh: tuple[tuple[int, ...], ...] | None = None
         self._rows: list[list[int] | None] | None = None
+        self._balls: list[tuple[int, ...] | None] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -121,13 +126,37 @@ class Graph:
         """
         if within is not None and within != (1 << self.n) - 1:
             return self._bfs(src, within)
+        return self._row(src)[:]
+
+    def _row(self, src: int) -> list[int]:
+        """The kept whole-graph row of src, filled on first use; not a copy."""
         rows = self._rows
         if rows is None:
             rows = self._rows = [None] * self.n
         row = rows[src]
         if row is None:
             row = rows[src] = self._bfs(src, (1 << self.n) - 1)
-        return row[:]
+        return row
+
+    def ball_masks(self, src: int) -> tuple[int, ...]:
+        """Cumulative ball masks of src: entry r is the mask of B(src, r) for
+        r in 0..ecc(src), so the last entry is src's component and any
+        radius of at least ecc(src) reads it.  Built from src's kept row on
+        first use and kept beside it."""
+        balls = self._balls
+        if balls is None:
+            balls = self._balls = [None] * self.n
+        masks = balls[src]
+        if masks is None:
+            n, row = self.n, self._row(src)
+            levels = [0] * (max(d for d in row if d < n) + 1)
+            for v, d in enumerate(row):
+                if d < n:
+                    levels[d] |= 1 << v
+            for r in range(1, len(levels)):
+                levels[r] |= levels[r - 1]
+            masks = balls[src] = tuple(levels)
+        return masks
 
     def _bfs(self, src: int, allowed: int) -> list[int]:
         adj = self._adj
@@ -340,9 +369,8 @@ def ball(g: Graph, center: int, radius: int) -> frozenset[int]:
     """Closed ball: all vertices within the given distance of center."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    lev = g.bfs_levels(center)
-    reach = min(radius, g.n - 1)  # an unreachable vertex reads n
-    return frozenset(v for v in range(g.n) if lev[v] <= reach)
+    masks = g.ball_masks(center)
+    return frozenset(bits(masks[min(radius, len(masks) - 1)]))
 
 
 def is_isometric_subgraph(g: Graph, vertices: Iterable[int]) -> bool:

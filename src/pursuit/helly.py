@@ -6,8 +6,11 @@ every pairwise-intersecting collection of balls has a common vertex.  A
 with positive radii whose balls pairwise intersect yet share no vertex.
 
 Recognition and the hole search share one table: the BFS distance rows and
-the nested ball masks B(u, r) of every center u.  A row reads n where its
-center does not reach, so radius tests and `max` rank that vertex farthest.
+the nested ball masks B(u, r) of every center u, both kept by the graph
+beside each other (``Graph.bfs_levels``, ``Graph.ball_masks``), so
+``is_helly`` and then ``find_hole`` on one graph build them once.  A row
+reads n where its center does not reach, so radius tests and `max` rank
+that vertex farthest.
 
 * ``is_helly`` runs the triple test of Berge and Duchet: a hypergraph is
   Helly exactly when, for each vertex triple, the edges holding at least
@@ -18,7 +21,7 @@ center does not reach, so radius tests and `max` rank that vertex farthest.
   every center u.
 * ``find_hole`` decides with the same triple test and returns ``None`` on
   Helly graphs; only a non-Helly graph reaches the exponential search for
-  the canonical smallest witness.
+  the canonical smallest witness, which tries minimal radii only.
 * ``is_helly_oracle`` is the independent route: it searches exhaustively
   for a pairwise-intersecting ball family with empty intersection.
   Exponential, guarded to small n, and sharing only the distance rows
@@ -78,28 +81,18 @@ def is_dismantlable(g: Graph) -> bool:
     return dismantling_order(g) is not None
 
 
-def _ball_table(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
+def _ball_table(g: Graph) -> tuple[list[list[int]], list[tuple[int, ...]]]:
     """Distance rows and cumulative ball masks of every vertex.
 
     rows[u][v] is d(u, v), or n when v is unreachable from u.  balls[u][r]
-    is the mask of B(u, r) for r in 0..ecc(u); the last entry is u's
-    component, so any finite radius of at least ecc(u) reads it.
+    is the mask of B(u, r) for r in 0..ecc(u), read from the masks the
+    graph keeps (``Graph.ball_masks``); the last entry is u's component, so
+    any finite radius of at least ecc(u) reads it.
     """
-    n = g.n
-    rows = [g.bfs_levels(v) for v in range(n)]
-    balls = []
-    for row in rows:
-        masks = [0] * (max(d for d in row if d < n) + 1)
-        for v, d in enumerate(row):
-            if d < n:
-                masks[d] |= 1 << v
-        for r in range(1, len(masks)):
-            masks[r] |= masks[r - 1]
-        balls.append(masks)
-    return rows, balls
+    return [g.bfs_levels(v) for v in range(g.n)], [g.ball_masks(v) for v in range(g.n)]
 
 
-def _triple_test(rows: list[list[int]], balls: list[list[int]]) -> bool:
+def _triple_test(rows: list[list[int]], balls: list[tuple[int, ...]]) -> bool:
     """Whether every vertex triple passes the Berge-Duchet test.
 
     The pair mask P(x,y) intersects B(u, max(d(u,x), d(u,y))) over every
@@ -231,62 +224,60 @@ def find_hole(g: Graph) -> Hole | None:
     """Canonical minimal hole, or ``None`` for Helly graphs.
 
     The triple test decides first, so a Helly graph costs one polynomial
-    pass.  Otherwise the search runs in minimality order: fewest centers,
-    then smallest radius sum, then lexicographically least (centers,
-    radii).  Radii are searched in 1..ecc(center)-1, which suffices: larger
-    radii never constrain and a radius-0 ball cannot appear in a violating
-    family.
+    pass.  Otherwise the answer is the least hole in minimality order:
+    fewest centers, then smallest radius sum, then lexicographically least
+    (centers, radii).  Radii range over 1..ecc(center)-1, which suffices:
+    larger radii never constrain and a radius-0 ball cannot appear in a
+    violating family.
+
+    Only minimal radii are tried.  Lowering a radius of a hole shrinks the
+    common intersection, so if the balls still meet pairwise and the radius
+    stays positive, the result is a hole with a smaller sum.  So in every
+    hole of least sum, each radius is the least whose ball meets the other
+    balls; in particular the last is max(1, max_j d(c_last, c_j) - r_j).
+    For each k, the search walks the center sets in lexicographic order,
+    runs each earlier radius up from the least that meets the balls before
+    it, sets the last radius to its least value, and keeps a vector only
+    when its sum is below the best found so far, which also cuts every
+    prefix that cannot get below it.  Every hole of least sum is among the
+    vectors tried, which come in lexicographic order of (centers, radii),
+    so the first of them kept is the canonical hole.
     """
-    n = g.n
     rows, balls = _ball_table(g)
     if _triple_test(rows, balls):
         return None
     max_r = [len(masks) - 2 for masks in balls]
-    eligible = [v for v in range(n) if max_r[v] >= 1]
+    eligible = [v for v in range(g.n) if max_r[v] >= 1]
+    best: Hole | None = None
+    bound = 0  # the radius sum a vector must stay below to beat best
 
-    def radii_tuples(centers: tuple[int, ...], total: int):
-        # Compositions of `total` honoring per-center bounds and, as a
-        # prefix filter, pairwise ball intersection with earlier picks.
-        k = len(centers)
-        picks = [0] * k
+    def least(v: int, centers: tuple[int, ...], picks: list[int]) -> int:
+        """The least radius at v whose ball meets the balls picked so far."""
+        row = rows[v]
+        return max([1] + [row[u] - q for u, q in zip(centers, picks)])
 
-        def rec(i: int, remaining: int):
-            if i == k - 1:
-                # level k - 2's lo/hi already put remaining in 1..max_r
-                r = remaining
-                if any(
-                    rows[centers[i]][centers[j]] > r + picks[j] for j in range(i)
-                ):
-                    return
-                picks[i] = r
-                yield tuple(picks)
-                return
-            tail_min = k - 1 - i
-            tail_max = sum(max_r[centers[j]] for j in range(i + 1, k))
-            lo = max(1, remaining - tail_max)
-            hi = min(max_r[centers[i]], remaining - tail_min)
-            for r in range(lo, hi + 1):
-                if any(
-                    rows[centers[i]][centers[j]] > r + picks[j] for j in range(i)
-                ):
-                    continue
-                picks[i] = r
-                yield from rec(i + 1, remaining - r)
-
-        yield from rec(0, total)
+    def rec(centers: tuple[int, ...], picks: list[int], total: int, inter: int) -> None:
+        # picks holds the radii of the centers before centers[i]; level
+        # k - 2 sets the last radius to its least value.
+        nonlocal best, bound
+        i, k = len(picks), len(centers)
+        c, last = centers[i], centers[-1]
+        for r in range(least(c, centers, picks), max_r[c] + 1):
+            if total + r + k - 1 - i >= bound:
+                break
+            picks.append(r)
+            if i < k - 2:
+                rec(centers, picks, total + r, inter & balls[c][r])
+            else:
+                s = least(last, centers, picks)
+                if s <= max_r[last] and total + r + s < bound and not inter & balls[c][r] & balls[last][s]:
+                    best, bound = Hole(centers, (*picks, s)), total + r + s
+            picks.pop()
 
     for k in range(3, len(eligible) + 1):
-        top = sum(sorted((max_r[v] for v in eligible), reverse=True)[:k])
-        for total in range(k, top + 1):
-            for centers in combinations(eligible, k):
-                if sum(max_r[v] for v in centers) < total:
-                    continue
-                for radii in radii_tuples(centers, total):
-                    inter = g.vertex_mask()
-                    for v, r in zip(centers, radii):
-                        inter &= balls[v][r]
-                        if inter == 0:
-                            break
-                    if inter == 0:
-                        return Hole(centers, radii)
+        bound = k * g.n  # above any sum of k radii below n
+        for centers in combinations(eligible, k):
+            rec(centers, [], 0, g.vertex_mask())
+        if best is not None:
+            return best
     raise AssertionError("triple test and hole search disagree")

@@ -65,6 +65,18 @@ cops, two moving, peaks at 22.8 bytes per state while the layers run and
 its table keeps 20.8; the 5x5 grid likewise 18.8 and 18.0; a 60-vertex
 triangulation with two cops 9.0 and 7.7.
 
+Memo.  ``cop_number`` keeps the verdicts of the last graph it played on,
+keyed by (c, cap), where a cap of at least c is the free game and reads
+None; so ``cop_number(g, 3)`` followed by ``k_move_cop_number(g, 1, 3)``
+plays the 1-cop game once.  The key is the graph object (``is``), not an
+equal graph: equality would cost a hash of the adjacency per call, and a
+caller that rebuilds an equal graph, as a benchmark round or another test
+does, plays its games again rather than reading answers that a memo
+outliving one graph would hand it.  The memo holds that one graph alive
+and no other.  The budget check runs before the lookup, so a refusal
+stays a refusal.  Only verdicts are kept, never tables, and none is
+inferred from a verdict under another cap.
+
 Guard mode answers whether c cops can permanently protect an isometric
 subgraph h: a greatest fixed point over cops-on-h states (robber on h at the
 cops' turn must be capturable immediately; otherwise some within-h reply
@@ -446,20 +458,42 @@ def solve(spec: GameSpec, budget: int | None = None) -> tuple[bool, StrategyTabl
     return initial is not None, table
 
 
+# The last graph cop_number played on, held by a strong reference, and its
+# verdicts keyed by (cops, cap).
+_memo: tuple[Graph | None, dict[tuple[int, int | None], bool]] = (None, {})
+
+
 def cop_number(
     g: Graph, max_cops: int, active_cap: int | None = None, budget: int | None = None
 ) -> int | None:
-    """Least c <= max_cops winning the game, or None when all of them lose."""
+    """Least c <= max_cops winning the game, or None when all of them lose.
+
+    Verdicts are kept for the last graph only (see Memo in the module
+    docstring), so a call on that graph plays only the games it has not.
+    """
+    global _memo
     if g.n == 0:
         raise ValueError("empty graph")
+    if max_cops < 1:
+        raise ValueError("need at least one cop")
     if active_cap is not None and active_cap < 1:
         raise ValueError("active_cap must be in 1..cops")
-    union, full = _unions(g), (1 << g.n) - 1
-    tables = _move_stream(_neighbors(g), active_cap, max_cops)
+    if _memo[0] is not g:
+        _memo = (g, {})
+    verdicts, tables = _memo[1], None
     for c in range(1, max_cops + 1):
         _check_budget(estimate_states(g.n, c), budget)
-        cop_win = _cop_masks(g.n, c)
-        if _some_row_full(cop_win, _layers(next(tables), union, full, cop_win, cop_win[:], True), full):
+        key = (c, None if active_cap is None or active_cap >= c else active_cap)
+        if tables is None and key in verdicts:
+            won = verdicts[key]
+        else:
+            if tables is None:  # the kept verdicts cover 1..c-1 cops
+                union, full = _unions(g), (1 << g.n) - 1
+                tables = islice(_move_stream(_neighbors(g), active_cap, max_cops), c - 1, None)
+            cop_win = _cop_masks(g.n, c)
+            layers = _layers(next(tables), union, full, cop_win, cop_win[:], True)
+            won = verdicts[key] = _some_row_full(cop_win, layers, full)
+        if won:
             return c
     return None
 
@@ -472,6 +506,8 @@ def k_move_cop_number(
 
 def is_guardable(g: Graph, h: tuple[int, ...], cops: int, budget: int | None = None) -> bool:
     """Can `cops` cops permanently guard the isometric subgraph on h?"""
+    if cops < 1:
+        raise ValueError("need at least one cop")
     hv = tuple(sorted(set(h)))
     if not hv:
         raise ValueError("guard target must be nonempty")

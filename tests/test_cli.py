@@ -189,8 +189,10 @@ class TestExactValues:
             ["simulate", "CORPUS", "--turn-cap", "0"],
             ["play", "CORPUS", "--turn-cap", "0"],
             ["copnumber", "CORPUS", "--max", "3", "--state-cap", "-5"],
+            ["copnumber", "CORPUS", "--max", "-1"],
+            ["kmove", "CORPUS", "--active", "1", "--max", "0"],
         ],
-        ids=["active", "cops", "turn-cap", "play-turn-cap", "state-cap"],
+        ids=["active", "cops", "turn-cap", "play-turn-cap", "state-cap", "max", "kmove-max"],
     )
     def test_count_flag_below_one_is_usage_error(self, capsys, corpus, argv):
         code, out, err = run(capsys, [corpus if a == "CORPUS" else a for a in argv])

@@ -235,3 +235,40 @@ class TestPinnedAnswers:
             996,
             "314536f19eade55401de9d72b02d77ea1368b2f61d35a81cb40715c889b936c5",
         )
+
+    def test_holes_on_eight_vertices_are_pinned(self):
+        # sha256 of repr of (edges, find_hole) over every connected graph on
+        # 8 vertices, in corpus order; recorded from the search that tried
+        # every radius composition of each sum in turn.
+        h = hashlib.sha256()
+        holes = []
+        for g in connected_graphs(8):
+            hole = find_hole(g)
+            holes.append(hole)
+            h.update(repr((g.edges(), hole)).encode())
+        found = [hole for hole in holes if hole is not None]
+        assert (len(holes), len(found), sum(len(hole.centers) == 4 for hole in found)) == (11117, 8542, 1442)
+        assert h.hexdigest() == "3272477224a70805f4dc0fb79acb74f31a0e9839914bcb28e3fb97552e916573"
+
+
+class TestMinimalRadii:
+    def test_no_radius_of_a_hole_can_be_lowered(self):
+        # Lowering a radius of the canonical hole either reaches 0 or
+        # breaks the pairwise intersection, else a smaller hole would exist.
+        holes = 0
+        for n in range(3, 8):
+            for g in connected_graphs(n):
+                hole = find_hole(g)
+                if hole is None:
+                    continue
+                holes += 1
+                rows = [g.bfs_levels(v) for v in hole.centers]
+                for i, r in enumerate(hole.radii):
+                    lowered = hole.radii[:i] + (r - 1,) + hole.radii[i + 1 :]
+                    meets = all(
+                        rows[a][hole.centers[b]] <= lowered[a] + lowered[b]
+                        for a in range(len(lowered))
+                        for b in range(a + 1, len(lowered))
+                    )
+                    assert r - 1 == 0 or not meets, (g.edges(), hole, i)
+        assert holes == 556

@@ -113,6 +113,14 @@ class TestSpecValidation:
             GameSpec(g, 2, active_cap=0)
         with pytest.raises(ValueError, match="^active_cap must be in 1..cops$"):
             k_move_cop_number(g, 0, 2)
+        for call in (
+            lambda: GameSpec(g, 0),
+            lambda: cop_number(g, 0),
+            lambda: k_move_cop_number(g, 1, -1),
+            lambda: is_guardable(g, (0, 1), 0),
+        ):
+            with pytest.raises(ValueError, match="^need at least one cop$"):
+                call()
 
     def test_rejects_empty_graph(self):
         for call in (
@@ -123,6 +131,68 @@ class TestSpecValidation:
         ):
             with pytest.raises(ValueError, match="^empty graph$"):
                 call()
+
+
+class TestMemo:
+    """cop_number keeps the last graph's verdicts, keyed by (cops, cap)."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> list[int]:
+        pulled = []
+        stream = solver._move_tables
+
+        def counted(*args):
+            for table in stream(*args):
+                pulled.append(len(table))
+                yield table
+
+        monkeypatch.setattr(solver, "_move_tables", counted)
+        return pulled
+
+    def test_repeated_call_gives_the_same_answer(self):
+        for g in (path(5), cycle(6), petersen(), grid(3, 3)):
+            first = [cop_number(g, 3), k_move_cop_number(g, 1, 3), cop_number(g, 3, active_cap=2)]
+            again = [cop_number(g, 3), k_move_cop_number(g, 1, 3), cop_number(g, 3, active_cap=2)]
+            assert first == again
+
+    def test_one_move_game_after_free_game_pulls_no_table(self, monkeypatch):
+        # A cap of at least c is the free game, so the 1-cop verdict is read.
+        pulled = self._spy(monkeypatch)
+        p = path(6)
+        assert cop_number(p, 3) == 1
+        assert pulled == [6]
+        assert k_move_cop_number(p, 1, 3) == 1
+        assert pulled == [6]
+
+    def test_only_unplayed_games_are_played(self, monkeypatch):
+        pulled = self._spy(monkeypatch)
+        g = petersen()
+        assert cop_number(g, 3) == 3
+        assert pulled == [10, 55, 220]
+        del pulled[:]
+        # Two cops, one moving, is a new game; one cop is read; table 1 is
+        # still pulled, since table 2 is built from it.
+        assert k_move_cop_number(g, 1, 3) == 3
+        assert pulled == [10, 55, 220]
+        del pulled[:]
+        assert k_move_cop_number(g, 1, 3) == 3
+        assert cop_number(g, 3) == 3
+        assert pulled == []
+
+    def test_equal_but_distinct_graph_plays_again(self, monkeypatch):
+        pulled = self._spy(monkeypatch)
+        assert cop_number(cycle(5), 2) == 2
+        assert pulled == [5, 15]
+        assert cop_number(cycle(5), 2) == 2
+        assert pulled == [5, 15, 5, 15]
+
+    def test_only_the_last_graph_is_kept(self, monkeypatch):
+        pulled = self._spy(monkeypatch)
+        g, h = cycle(5), path(4)
+        cop_number(g, 2)
+        cop_number(h, 2)
+        cop_number(g, 2)
+        assert pulled == [5, 15, 4, 5, 15]
 
 
 def _restricted_adjacency(g: Graph, hv: tuple[int, ...]) -> list[list[int]]:
@@ -222,6 +292,14 @@ class TestBudget:
         assert cop_number(petersen(), 3, active_cap=2) == 3
         solve(GameSpec(g, 3, active_cap=2))
         assert caps == [None, None, None, None, 2, 2]
+
+    def test_refusal_stands_after_a_cached_answer(self):
+        # The budget check comes before the memo's lookup.
+        g = petersen()
+        assert cop_number(g, 3) == 3
+        with pytest.raises(BudgetExceeded):
+            cop_number(g, 3, budget=estimate_states(10, 1))
+        assert cop_number(g, 3) == 3
 
     def test_guard_budget(self):
         with pytest.raises(BudgetExceeded) as exc:
