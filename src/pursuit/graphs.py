@@ -10,18 +10,21 @@ tests rank an unreachable vertex farthest and the row stays all ints.  The
 metric API (`distances_from`, `distance_matrix`) maps n to UNREACHABLE, IEEE
 infinity, so a metric check on a disconnected graph fails loudly.
 
+One BFS kernel, `_levels`, yields level masks: a row fills from them, a
+component ORs them, a ball table accumulates them, a geodesic walks them.
+
 A graph answers each whole-graph distance question once.  `bfs_levels` keeps
 a row per source for BFS over the whole graph (no mask, or the full vertex
 mask), filled on first use, so distance matrices, shadows, Helly tests and
 isometry rows all read the same rows; a graph that is never asked allocates
 nothing.  Each caller gets its own copy of the row.  Beside each row the
 graph keeps, once asked by `ball_masks`, that source's cumulative ball
-masks: entry r is the vertex mask of B(src, r).  `ball` and the Helly test
-and hole search read them, so a graph builds its ball table once however
-many of them ask; the tuple is shared, as nothing can change it.
-A BFS restricted to a smaller mask (the validator's, or the two rows from a
+masks: entry r is the vertex mask of B(src, r).  `ball`, `wide_shadow`, the
+Helly test and hole search read them, so a graph builds its ball table once
+however many of them ask; the tuple is shared, as nothing can change it.  A
+BFS restricted to a smaller mask (the validator's, or the two rows from a
 guarded path's ends in a `PathShadows`) is almost always a fresh (source,
-mask) pair, so it runs uncached; its loops walk the lowest set bit inline.
+mask) pair, so it runs uncached.
 
 The graph6 codec handles the bit stream as text: the encoder writes it column
 by column and maps it six bits at a time, and the decoder reads the set bits
@@ -32,6 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 UNREACHABLE: float = math.inf
@@ -50,6 +56,24 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def _levels(adj: Sequence[int], sources: int, allowed: int) -> Iterator[int]:
+    """BFS level masks: sources as given, then each nonempty mask of the
+    allowed vertices first reached from the level before.  A source outside
+    allowed still expands into it.  Stops once every allowed vertex is seen."""
+    frontier, rest = sources, allowed & ~sources
+    while frontier:
+        yield frontier
+        if not rest:
+            return
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & rest
+        rest ^= frontier
 
 
 class Graph:
@@ -119,10 +143,11 @@ class Graph:
     def bfs_levels(self, src: int, within: int | None = None) -> list[int]:
         """Distances from src as a list the caller owns, n for unreachable.
 
-        within restricts the search to the given vertex bitmask; src must be
-        inside it.  A whole-graph row (within None or the full vertex mask)
-        is computed once per source and kept; a masked call runs its own
-        BFS and never touches those rows.
+        within restricts the search to the given vertex bitmask; a src
+        outside it still reads 0 and expands into it.  A whole-graph row
+        (within None or the full vertex mask) is computed once per source
+        and kept; a masked call runs its own BFS and never touches those
+        rows.
         """
         if within is not None and within != (1 << self.n) - 1:
             return self._bfs(src, within)
@@ -141,43 +166,24 @@ class Graph:
     def ball_masks(self, src: int) -> tuple[int, ...]:
         """Cumulative ball masks of src: entry r is the mask of B(src, r) for
         r in 0..ecc(src), so the last entry is src's component and any
-        radius of at least ecc(src) reads it.  Built from src's kept row on
-        first use and kept beside it."""
+        radius of at least ecc(src) reads it.  Accumulated from src's BFS
+        levels on first use and kept."""
         balls = self._balls
         if balls is None:
             balls = self._balls = [None] * self.n
         masks = balls[src]
         if masks is None:
-            n, row = self.n, self._row(src)
-            levels = [0] * (max(d for d in row if d < n) + 1)
-            for v, d in enumerate(row):
-                if d < n:
-                    levels[d] |= 1 << v
-            for r in range(1, len(levels)):
-                levels[r] |= levels[r - 1]
-            masks = balls[src] = tuple(levels)
+            levels = _levels(self._adj, 1 << src, (1 << self.n) - 1)
+            masks = balls[src] = tuple(accumulate(levels, or_))
         return masks
 
     def _bfs(self, src: int, allowed: int) -> list[int]:
-        adj = self._adj
         dist = [self.n] * self.n
-        dist[src] = 0
-        seen = frontier = 1 << src
-        d = 0
-        while frontier:
-            d += 1
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= adj[low.bit_length() - 1]
-                frontier ^= low
-            nxt &= allowed & ~seen
-            seen |= nxt
-            frontier = nxt
-            while nxt:
-                low = nxt & -nxt
+        for d, level in enumerate(_levels(self._adj, 1 << src, allowed)):
+            while level:
+                low = level & -level
                 dist[low.bit_length() - 1] = d
-                nxt ^= low
+                level ^= low
         return dist
 
     def distances_from(self, src: int) -> list[float]:
@@ -199,18 +205,7 @@ class Graph:
     def component_of(self, v: int, within: int | None = None) -> int:
         """Bitmask of the component of v inside the given vertex mask."""
         allowed = self.vertex_mask() if within is None else within
-        adj = self._adj
-        comp = frontier = 1 << v
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= adj[low.bit_length() - 1]
-                frontier ^= low
-            nxt &= allowed & ~comp
-            comp |= nxt
-            frontier = nxt
-        return comp
+        return reduce(or_, _levels(self._adj, 1 << v, allowed))
 
     # -- derived graphs ----------------------------------------------------
 
@@ -476,23 +471,17 @@ def shortest_path_between(
     """
     allowed = g.vertex_mask() if within is None else within
     sources &= allowed
-    frontier = targets & allowed
-    if not (sources and frontier):
+    targets &= allowed
+    if not (sources and targets):
         return None
     adj = g._adj
-    levels = [frontier]
-    seen = frontier
-    while not frontier & sources:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & allowed & ~seen
-        if not frontier:
-            return None
-        seen |= frontier
-        levels.append(frontier)
+    levels = []
+    for level in _levels(adj, targets, allowed):
+        levels.append(level)
+        if level & sources:
+            break
+    else:
+        return None
     seq: list[int] = []
     pick = sources
     for level in reversed(levels):

@@ -5,12 +5,12 @@ every pairwise-intersecting collection of balls has a common vertex.  A
 *hole* is a minimal witness against that property: at least three centers
 with positive radii whose balls pairwise intersect yet share no vertex.
 
-Recognition and the hole search share one table: the BFS distance rows and
-the nested ball masks B(u, r) of every center u, both kept by the graph
-beside each other (``Graph.bfs_levels``, ``Graph.ball_masks``), so
-``is_helly`` and then ``find_hole`` on one graph build them once.  A row
-reads n where its center does not reach, so radius tests and `max` rank
-that vertex farthest.
+Recognition, the hole search and ``shadows.wide_shadow`` (an AND of balls)
+share one table: the BFS distance rows and the nested ball masks B(u, r) of
+every center u, kept by the graph beside each other (``Graph.bfs_levels``,
+``Graph.ball_masks``), so ``is_helly`` and then ``find_hole`` on one graph
+build them once.  A row reads n where its center does not reach, so radius
+tests and `max` rank that vertex farthest.
 
 * ``is_helly`` runs the triple test of Berge and Duchet: a hypergraph is
   Helly exactly when, for each vertex triple, the edges holding at least

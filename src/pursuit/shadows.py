@@ -7,6 +7,10 @@ is what makes shadow-tracking cop play work. Bypaths are the exact obstruction
 to slack: an off-path vertex has a one-point shadow precisely when it sits
 inside an equally long detour of the path.
 
+`wide_shadow` is an AND of balls, H with B(x, d(x, v)) for each x in H, read
+off the graph's ball tables; `gamma`, one such ball as a set filter, is its
+reference.
+
 Everything about one path in one host comes from two BFS rows, from the
 path's first and last vertex, which `PathShadows` keeps.  The first row
 checks isometry (`Path.geodesic_row`), a shadow interval is read off both
@@ -20,11 +24,14 @@ object per guarded path and host, from the chase that attaches the path's
 guard to the guard's release.
 
 Bypaths can be exponentially many, so `bypaths` counts them over the detour
-levels first and refuses a count over its budget; `first_bypath`,
-`bypath_vertices` and both bypath-free tests stay polynomial.
+levels first and refuses a count over its budget before the one walker,
+`_walks`, lists them; `first_bypath` (its first walk), `bypath_vertices`
+and both bypath-free tests stay polynomial.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from pursuit.graphs import Graph, Path, bits, mask_of
 
@@ -51,13 +58,17 @@ def gamma(g: Graph, target: frozenset[int] | set[int], x: int, v: int) -> frozen
 
 
 def wide_shadow(g: Graph, target, v: int) -> frozenset[int]:
-    """Intersection of gamma over all target vertices."""
-    result = frozenset(target)
-    for x in sorted(result):
-        result = gamma(g, result, x, v)
-        if not result:
-            break
-    return result
+    """Intersection of gamma over all target vertices: the target ANDed with
+    B(x, d(x, v)) for each x in it that reaches v (a finite d(x, v) is at
+    most x's eccentricity), with d(x, v) read off v's row."""
+    n, row = g.n, g.bfs_levels(v)
+    result = tmask = mask_of(target)
+    for x in bits(tmask):
+        if row[x] < n:
+            result &= g.ball_masks(x)[row[x]]
+            if not result:
+                break
+    return frozenset(bits(result))
 
 
 class PathShadows:
@@ -167,14 +178,22 @@ def find_bypath(g: Graph, path: Path, within: int | None = None) -> Path | None:
 
 def first_bypath(shadows: PathShadows) -> Path | None:
     """`find_bypath` on rows already built for the path and host."""
-    g, path = shadows.g, shadows.path
-    for i, j, levels in _detours(shadows):
-        seq = [path.vertices[i]]
-        for lvl in levels:
-            seq.append(min(w for w in lvl if g.has_edge(seq[-1], w)))
-        seq.append(path.vertices[j])
-        return Path(tuple(seq))
-    return None
+    return next(_walks(shadows.g, shadows.path, _detours(shadows)), None)
+
+
+def _walks(g: Graph, path: Path, detours) -> Iterator[Path]:
+    """Every bypath of the given detours, lazily: each span's walks from v_i
+    through one vertex of each level to v_j, in lexicographic order."""
+    for i, j, levels in detours:
+        levels = levels + [[path.vertices[j]]]
+        stack = [(path.vertices[i],)]
+        while stack:
+            seq = stack.pop()
+            if len(seq) > len(levels):
+                yield Path(seq)
+            else:
+                step = levels[len(seq) - 1]
+                stack.extend(seq + (w,) for w in reversed(step) if g.has_edge(seq[-1], w))
 
 
 DEFAULT_BYPATH_BUDGET = 10_000
@@ -216,22 +235,7 @@ def bypaths(
     count = sum(_walk_count(g, path.vertices[i], path.vertices[j], lv) for i, j, lv in detours)
     if count > budget:
         raise TooManyBypaths(count, budget)
-    out: list[Path] = []
-    for i, j, levels in detours:
-        vj = path.vertices[j]
-        stack: list[list[int]] = [[path.vertices[i]]]
-        while stack:
-            seq = stack.pop()
-            k = len(seq) - 1
-            if k == len(levels):
-                if g.has_edge(seq[-1], vj):
-                    out.append(Path(tuple(seq) + (vj,)))
-                continue
-            for nxt in sorted(
-                (x for x in levels[k] if g.has_edge(seq[-1], x)), reverse=True
-            ):
-                stack.append(seq + [nxt])
-    return out
+    return list(_walks(g, path, detours))
 
 
 def bypath_vertices(g: Graph, path: Path, within: int | None = None) -> frozenset[int]:

@@ -25,6 +25,7 @@ from pursuit.constructions import (
     random_planar_triangulation,
 )
 from pursuit.graphs import Graph, is_dominating, is_isometric_subgraph, to_graph6
+from pursuit.graphs import _levels
 from pursuit.helly import Hole, find_hole, is_helly
 
 
@@ -197,6 +198,19 @@ class TestCorpus:
                 assert _labels([g.adj_mask(v) for v in range(g.n)]) == [label] * g.n
                 assert is_isomorphic(g, g)
             assert not is_isomorphic(a, b) and not is_isomorphic(b, a)
+
+    def test_label_spheres_are_the_bfs_levels(self):
+        # _labels keeps its own sphere loop; its sizes must be the level
+        # popcounts of the graph layer's BFS kernel.
+        graphs = 0
+        for n in range(1, 8):
+            for g in connected_graphs(n):
+                adj = [g.adj_mask(v) for v in range(n)]
+                for v, (_, sizes) in enumerate(_labels(adj)):
+                    levels = _levels(adj, 1 << v, g.vertex_mask())
+                    assert sizes == tuple(m.bit_count() for m in levels), (g.edges(), v)
+                graphs += 1
+        assert graphs == 1 + 1 + 2 + 6 + 21 + 112 + 853
 
     def test_orders_differ_never_isomorphic(self):
         assert not is_isomorphic(Graph(0), Graph(1))

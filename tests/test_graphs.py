@@ -280,6 +280,47 @@ class TestRowCache:
         assert g.bfs_levels(0) == [-5] * 6
 
 
+def _reference_bfs(g: Graph, src: int, allowed: int) -> list[int]:
+    """Queue BFS over neighbour lists: src reads 0 wherever it is, and the
+    search enters only vertices of allowed; n marks the unreached."""
+    dist = [g.n] * g.n
+    dist[src] = 0
+    queue = [src]
+    for u in queue:
+        for w in g.neighbors(u):
+            if allowed >> w & 1 and dist[w] == g.n:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+class TestTraversalsAgainstReference:
+    def test_rows_components_and_balls(self):
+        cases = 0
+        for seed in range(150):
+            rng = random.Random(seed)
+            n = rng.randint(1, 18)
+            g = random_graph(rng, n, rng.choice((0.05, 0.15, 0.3, 0.6)))
+            full = g.vertex_mask()
+            for _ in range(3):
+                within = rng.getrandbits(n) | rng.getrandbits(n)
+                for src in range(n):  # sources inside and outside within
+                    want = _reference_bfs(g, src, within)
+                    assert g.bfs_levels(src, within) == want, (g.edges(), src, within)
+                    reached = mask_of(v for v in range(n) if want[v] < n)
+                    assert g.component_of(src, within) == reached
+                    cases += 1
+            for src in range(n):
+                want = _reference_bfs(g, src, full)
+                assert g.bfs_levels(src) == want
+                assert g.component_of(src) == mask_of(v for v in range(n) if want[v] < n)
+                ecc = max(d for d in want if d < n)
+                assert g.ball_masks(src) == tuple(
+                    mask_of(v for v in range(n) if want[v] <= r) for r in range(ecc + 1)
+                )
+        assert cases > 3000
+
+
 class TestIsometry:
     def test_path_in_cycle(self):
         # In C6 an arc of 4 vertices spans distance 3 > floor(6/2)? No:

@@ -143,6 +143,35 @@ class TestFrozenShadows:
             oracle.interval(5)
 
 
+def _gamma_fold(g: Graph, target, v: int) -> frozenset[int]:
+    """The wide shadow by its definition: filter the target through gamma
+    once per target vertex, with no early stop."""
+    result = frozenset(target)
+    for x in sorted(result):
+        result = gamma(g, result, x, v)
+    return result
+
+
+class TestWideShadowByBalls:
+    def test_matches_the_gamma_fold(self):
+        triples = 0
+        graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+        for seed in range(40):  # disconnected ones, isolated vertices included
+            rng = random.Random(seed)
+            n = rng.randint(2, 10)
+            graphs.append(Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.15]))
+        for index, g in enumerate(graphs):
+            rng = random.Random(index)
+            targets = [range(g.n)] + [
+                [x for x in range(g.n) if rng.random() < 0.5] or [rng.randrange(g.n)] for _ in range(30)
+            ]
+            for target in targets:
+                for v in range(g.n):
+                    assert wide_shadow(g, target, v) == _gamma_fold(g, target, v), (g.edges(), target, v)
+                    triples += 1
+        assert triples > 30000
+
+
 class TestFrozenBypaths:
     def test_c4_has_bypath(self):
         g = cycle(4)
