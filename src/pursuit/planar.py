@@ -2,14 +2,14 @@
 vertex classification and bypath selection the capture strategy leans on.
 
 An embedding is a rotation system: every present vertex carries a cyclic
-order of its present neighbors.  Faces come from dart tracing, the Euler
-count is validated at construction, and all topology below (regions,
-fan quadrants, strips) comes from one split: a single flood of the faces,
-from seed faces and never across a two-path cycle, puts each off-cycle
-vertex on one side of that cycle; no coordinates exist anywhere.
-Embeddings can be masked to a connected sub-host while keeping the
-original vertex labels, which is how the strategy engine scopes its
-shrinking worlds.
+order of its present neighbors.  Faces are traced in one loop over one
+dart map, the Euler count is validated at construction, and all topology
+below (regions, fan quadrants, strips) comes from one split: a single
+flood of the faces, from seed faces and never across a two-path cycle,
+puts each off-cycle vertex on one side of that cycle; no coordinates
+exist anywhere.  Embeddings can be masked to a connected sub-host while
+keeping the original vertex labels, which is how the strategy engine
+scopes its shrinking worlds.
 
 ``embed`` finds a connected graph's rotation system with the module's own
 left-right planarity test, an int-indexed port of networkx's that returns
@@ -48,32 +48,25 @@ class PlanarEmbedding:
                 raise ValueError(f"rotation at {v} misses neighbors")
             rot[v] = row
         self.rotation = rot
-        self._faces = self._trace_faces()
-        self._face_of = {d: i for i, face in enumerate(self._faces) for d in face}
+        # the dart after (u, v) is (v, w), w following u in v's rotation;
+        # each face is traced from its first unseen dart
+        after = {
+            (u, v): (v, row[(i + 1) % len(row)]) for v, row in rot.items() for i, u in enumerate(row)
+        }
+        faces: list[tuple[tuple[int, int], ...]] = []
+        self._face_of: dict[tuple[int, int], int] = {}
+        for dart in ((u, w) for u, row in rot.items() for w in row):
+            face = []
+            while dart not in self._face_of:
+                self._face_of[dart] = len(faces)
+                face.append(dart)
+                dart = after[dart]
+            if face:
+                faces.append(tuple(face))
+        self._faces = tuple(faces)
         self._check_euler()
 
     # -- faces -------------------------------------------------------------
-
-    def _next_dart(self, u: int, v: int) -> tuple[int, int]:
-        row = self.rotation[v]
-        i = row.index(u)
-        return v, row[(i + 1) % len(row)]
-
-    def _trace_faces(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        seen: set[tuple[int, int]] = set()
-        out = []
-        for u in sorted(self.rotation):
-            for w in self.rotation[u]:
-                if (u, w) in seen:
-                    continue
-                face = []
-                dart = (u, w)
-                while dart not in seen:
-                    seen.add(dart)
-                    face.append(dart)
-                    dart = self._next_dart(*dart)
-                out.append(tuple(face))
-        return tuple(out)
 
     def faces(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         return self._faces

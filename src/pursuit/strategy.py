@@ -13,20 +13,24 @@ one guard moved, which keeps every cops' turn at or below two movers.
 
 Replanning fires whenever no mission is active.  It and every landing
 first settle the guards: recompute the territory, then run the coverage
-sweep, the only way a guard leaves.  Scanning oldest first, with a landed
-guard appended last, the sweep releases each guard whose doors (path
+sweep, the only way a guard leaves.  In one pass, oldest first, with a
+landed guard appended last, the sweep releases each guard whose doors (path
 vertices with territory neighbors) all lie on other guards' paths, one
 without doors included, so of two guards that cover each other the older
-goes.  Settling then upgrades shadow-pinned guards to leisurely patrols once
-their paths are bypath-free in the shrunken host.  Replanning reads the
-next mission off the guard contact pattern: a path touched on one vertex
-becomes a parked block or a classified fan park, a path touched on two
-adjacent vertices is bridged through the territory, a wider contact span is
-rerouted through the territory, and two single-contact guards are bridged
-contact to contact.  A walk glued through the territory is parked
-on when it has at most two edges and chased otherwise.  Milestones annotate
-the trace with the case label, the guard set, and the territory size; sizes
-never increase and strictly decrease whenever the label changes.
+goes.  One pass suffices because the territory, and with it every guard's
+doors, stays fixed while covered guards leave, and a drop only shrinks the
+cover left for the rest.  Settling then upgrades shadow-pinned guards to
+leisurely patrols once their paths are bypath-free in the shrunken host.
+Replanning reads the next mission off the guards' doors: a path with one
+door becomes a parked block or a classified fan park, a path with two
+adjacent doors is bridged through the territory, a wider door span is
+spliced out for a bridge through the territory, and two guards with one
+door each are bridged door to door.  Every bridge is one door-to-door walk
+through the territory, and every glued walk one splice of a path.  A walk
+through the territory is parked on when it has at most two edges and
+chased otherwise.  Milestones annotate the trace with the case label, the
+guard set, and the territory size; sizes never increase and strictly
+decrease whenever the label changes.
 
 A guarded path has one `PathShadows` in its host, the BFS rows from the
 path's two ends, from chase to release: the shadow chase builds it, the
@@ -176,39 +180,34 @@ class _Engine:
             raise PlanarityFault("robber on a guarded path survived the pounce")
         return self.g.component_of(self.robber, self.g.vertex_mask() & ~blocked)
 
-    def _contacts(self, gd: Guard, ymask: int) -> list[int]:
-        return [
-            i
-            for i, v in enumerate(gd.path.vertices)
-            if self.g.adj_mask(v) & ymask
-        ]
+    def _doors(self, gd: Guard, ymask: int) -> list[int]:
+        """gd's path vertices with territory neighbors, in path order."""
+        return [v for v in gd.path.vertices if self.g.adj_mask(v) & ymask]
 
     def _release_covered(self, ymask: int) -> bool:
         """Release guards whose doors the remaining paths still cover.
 
-        The only way a guard leaves.  A guard's doors are its vertices with
-        territory neighbors; when every door lies on another active path,
-        removing the guard leaves all exits blocked, so the territory is
-        unchanged, and a guard without doors is covered.  The scan runs
-        oldest first and restarts after each drop, so each drop is
-        re-evaluated against the surviving set and, of two guards that
-        cover each other, the older goes.  The last guard stays: in a
+        The only way a guard leaves.  When every door of a guard lies on
+        another active path, removing the guard leaves all exits blocked, so
+        the territory is unchanged, and a guard without doors is covered.
+        One pass, oldest first, suffices: the territory, and so every
+        guard's doors, stays fixed while covered guards leave, and a drop
+        only shrinks the cover the others give, so a guard kept earlier in
+        the pass is never released by a later drop.  Of two guards that
+        cover each other the older goes.  The last guard stays: in a
         connected graph the territory touches some path.
         """
         changed = False
-        while len(self.guards) > 1:
-            for cop, gd in self.guards.items():
-                others = 0
-                for og in self.guards.values():
-                    if og is not gd:
-                        others |= og.path.mask()
-                verts = gd.path.vertices
-                if all(others >> verts[k] & 1 for k in self._contacts(gd, ymask)):
-                    del self.guards[cop]
-                    changed = True
-                    break
-            else:
-                return changed
+        for cop, gd in list(self.guards.items()):
+            if len(self.guards) == 1:
+                break
+            others = 0
+            for og in self.guards.values():
+                if og is not gd:
+                    others |= og.path.mask()
+            if all(others >> v & 1 for v in self._doors(gd, ymask)):
+                del self.guards[cop]
+                changed = True
         return changed
 
     def _convert(self, ymask: int) -> bool:
@@ -291,11 +290,9 @@ class _Engine:
         return _Mission(self.g, cop, route.vertices, shadows=shadows)
 
     def _guard_walk(self, walk: Path, ymask: int) -> _Mission:
-        """Guard a walk glued through the territory: park on its middle
-        vertex when it has at most two edges, else chase it in territory
-        plus walk."""
-        if not walk.is_path_in(self.g):
-            raise PlanarityFault("glued guard walk is not a path")
+        """Guard a walk through the territory: park on its middle vertex
+        when it has at most two edges, else chase it in territory plus
+        walk."""
         if walk.length <= 2:
             return self._park(walk.vertices[len(walk.vertices) // 2], walk)
         return self._attach(walk, ymask | walk.mask())
@@ -310,46 +307,47 @@ class _Engine:
         detour = first_bypath(shadows)
         if detour is None:
             raise PlanarityFault("pinned guard has no bypath to reroute")
-        path = shadows.path
-        i = path.index_of(detour.vertices[0])
-        j = path.index_of(detour.vertices[-1])
-        walk = Path(path.vertices[: i + 1] + detour.vertices[1:-1] + path.vertices[j:])
-        if not walk.is_path_in(self.g):
-            raise PlanarityFault("glued guard walk is not a path")
+        ends = detour.vertices
+        walk = self._splice(shadows.path, ends[0], ends[-1], ends[1:-1])
         return self._attach(walk, ymask | walk.mask())
 
-    def _span_flow(self, gd: Guard, ymask: int, i: int, j: int) -> _Mission:
-        """Cut the territory away from gd's contact span [i..j].
+    def _span_flow(self, path: Path, ymask: int, a: int, b: int) -> _Mission:
+        """Cut the territory away from the span of path between its end
+        doors a and b, a first.
 
-        Without an edge joining the span ends, the span can be traded for a
-        bridge through the territory and the glued walk chased; the bridge is
-        shortest over all pairs of end-neighborhoods, so the walk has no
+        Without an edge joining a and b, the span can be traded for a
+        bridge through the territory and the glued walk guarded; the bridge
+        is shortest over all pairs of end-neighborhoods, so the walk has no
         shortcuts.  With such an edge no glued walk is isometric, so the
-        bridge is guarded on its own while gd stays in place.
+        bridge's inner part is guarded on its own while path stays guarded.
         """
-        verts = gd.path.vertices
-        vi, vj = verts[i], verts[j]
-        inner = self._inner_bridge(ymask, vi, vj)
-        if not self.g.has_edge(vi, vj):
-            return self._guard_walk(Path(verts[: i + 1] + inner.vertices + verts[j:]), ymask)
-        if j == i + 1:
-            # consecutive doors; only the bridge itself needs covering
-            if inner.length == 0:
-                y = inner.vertices[0]
-                return self._park(y, Path((vi, y, vj)))
-            return self._attach(inner, ymask)
-        # the chord keeps the span; wall the territory off behind it
-        if inner.length == 0:
-            return self._park(inner.vertices[0], Path(inner.vertices[:1]))
-        return self._attach(inner, ymask)
+        bridge = self._bridge(ymask, a, b)
+        inner = bridge.vertices[1:-1]
+        if not self.g.has_edge(a, b):
+            return self._guard_walk(self._splice(path, a, b, inner), ymask)
+        if len(inner) > 1:
+            return self._attach(Path(inner), ymask)
+        # consecutive doors: the park covers the bridge; a chord keeps the
+        # span, so the park walls the territory off behind it
+        consecutive = path.index_of(b) == path.index_of(a) + 1
+        return self._park(inner[0], bridge if consecutive else Path(inner))
 
-    def _inner_bridge(self, ymask: int, vi: int, vj: int) -> Path:
-        """Shortest territory route between neighborhoods of two contacts."""
+    def _splice(self, path: Path, a: int, b: int, middle: tuple[int, ...]) -> Path:
+        """path with its span from a to b, a first, replaced by a .. middle .. b."""
+        verts = path.vertices
+        walk = Path(verts[: path.index_of(a) + 1] + middle + verts[path.index_of(b) :])
+        if not walk.is_path_in(self.g):
+            raise PlanarityFault("glued guard walk is not a path")
+        return walk
+
+    def _bridge(self, ymask: int, a: int, b: int) -> Path:
+        """Door-to-door walk from a to b through the territory, shortest
+        between the doors' territory neighborhoods."""
         adj = self.g.adj_mask
-        bridge = shortest_path_between(self.g, adj(vi) & ymask, adj(vj) & ymask, ymask)
-        if bridge is None:
+        inner = shortest_path_between(self.g, adj(a) & ymask, adj(b) & ymask, ymask)
+        if inner is None:
             raise PlanarityFault("no territory bridge between adjacent contacts")
-        return bridge
+        return Path((a,) + inner.vertices + (b,))
 
     def _classified(self, w: int, ymask: int) -> _Mission:
         emb = self.e.restrict(tuple(bits(ymask)) + (w,))
@@ -363,15 +361,14 @@ class _Engine:
     # -- replanning ---------------------------------------------------------
 
     def _plan_single(self, gd: Guard, ymask: int) -> _Mission:
-        cont = self._contacts(gd, ymask)
-        verts = gd.path.vertices
-        if len(cont) == 1:
-            w = verts[cont[0]]
+        doors = self._doors(gd, ymask)
+        if len(doors) == 1:
+            w = doors[0]
             if gd.kind != "park":
                 # the whole guarded path funnels into one vertex: block it
                 return self._park(w, Path((w,)))
             return self._classified(w, ymask)
-        return self._span_flow(gd, ymask, cont[0], cont[-1])
+        return self._span_flow(gd.path, ymask, doors[0], doors[-1])
 
     def _plan_pair(self, ymask: int) -> _Mission:
         first, second = self.guards.values()
@@ -394,14 +391,10 @@ class _Engine:
             own = self._own_doors(gd, other, ymask)
             if len(own) != 1:
                 continue
-            for k in self._contacts(other, ymask):
-                b = other.path.vertices[k]
+            for b in self._doors(other, ymask):
                 if b != own[0] and not self.g.has_edge(b, own[0]):
-                    return self._cross(ymask, b, own[0])
-        deck = set()
-        for gd in (first, second):
-            deck.update(gd.path.vertices[k] for k in self._contacts(gd, ymask))
-        doors = sorted(deck)
+                    return self._guard_walk(self._bridge(ymask, b, own[0]), ymask)
+        doors = sorted({*self._doors(first, ymask), *self._doors(second, ymask)})
         if len(doors) == 2 and self.g.has_edge(doors[0], doors[1]):
             # each guard owns one door; a far pair was crossed above
             return self._park(doors[0], Path(tuple(doors)))
@@ -411,62 +404,51 @@ class _Engine:
                 rest = [v for v in doors if v != c]
                 if all(self.g.has_edge(c, v) for v in rest):
                     return self._park(c, Path((rest[0], c, rest[1])))
-        mission = self._lobe_cross(ymask, first, second)
-        if mission is not None:
-            return mission
+        walk = self._lobe_cross(ymask, first, second)
+        if walk is not None:
+            return self._guard_walk(walk, ymask)
         for gd in (first, second):
-            # _plan_single blocks or classifies a lone contact and cuts a chordless span
-            cont = self._contacts(gd, ymask)
-            verts = gd.path.vertices
-            if len(cont) == 1 or not self.g.has_edge(verts[cont[0]], verts[cont[-1]]):
+            # _plan_single blocks or classifies a lone door and cuts a chordless span
+            doors = self._doors(gd, ymask)
+            if len(doors) == 1 or not self.g.has_edge(doors[0], doors[-1]):
                 return self._plan_single(gd, ymask)
         raise PlanarityFault("no isometric cut between two spread guards")
 
-    def _lobe_cross(self, ymask: int, first: Guard, second: Guard) -> _Mission | None:
-        """Cross-walk between one door of each guard, vetted to split well.
+    def _lobe_cross(self, ymask: int, first: Guard, second: Guard) -> Path | None:
+        """Bridge between one door of each guard, vetted to split well.
 
         The bridge carves the territory into lobes; a candidate door pair is
         usable only when no lobe touches uncovered doors of both guards, so
         wherever the robber ends up one guard loses all its exits and is
         released.  The vetting runs on the components of the cut territory
-        before any cop commits to the walk.
+        before any cop commits to the walk; the end doors lie outside the
+        territory, so cutting the whole walk cuts just its inner part.
         """
         owns = (self._own_doors(first, second, ymask), self._own_doors(second, first, ymask))
         for a in owns[0]:
             for b in owns[1]:
                 if self.g.has_edge(a, b):
                     continue
-                inner = self._inner_bridge(ymask, a, b)
+                walk = self._bridge(ymask, a, b)
                 live = (
                     [d for d in owns[0] if d != a],
                     [d for d in owns[1] if d != b],
                 )
-                left = ymask & ~inner.mask()
-                good = True
+                left = ymask & ~walk.mask()
                 while left:
                     v = (left & -left).bit_length() - 1
                     comp = self.g.component_of(v, left)
                     left &= ~comp
-                    if all(
-                        any(self.g.adj_mask(d) & comp for d in side)
-                        for side in live
-                    ):
-                        good = False
+                    if all(any(self.g.adj_mask(d) & comp for d in side) for side in live):
                         break
-                if good:
-                    return self._guard_walk(Path((a,) + inner.vertices + (b,)), ymask)
+                else:
+                    return walk
         return None
 
     def _own_doors(self, gd: Guard, other: Guard, ymask: int) -> list[int]:
         """gd's doors that do not lie on the other guard's path."""
         omask = other.path.mask()
-        verts = gd.path.vertices
-        return [verts[k] for k in self._contacts(gd, ymask) if not omask >> verts[k] & 1]
-
-    def _cross(self, ymask: int, a: int, b: int) -> _Mission:
-        """Guard a door-to-door route bridged through the territory."""
-        inner = self._inner_bridge(ymask, a, b)
-        return self._guard_walk(Path((a,) + inner.vertices + (b,)), ymask)
+        return [v for v in self._doors(gd, ymask) if not omask >> v & 1]
 
     def _settle(self) -> tuple[int, bool]:
         """Recompute the territory and re-settle the guard set on it: release
@@ -540,9 +522,14 @@ class _Engine:
             if movers <= 1 and not mission.done(self.robber):
                 self.cops[mission.cop] = mission.step(self.robber)
             if mission.done(self.robber):
-                # deferred while a pounce is pending: the robber may stand on
-                # a vertex the new park is about to cover
-                if not any(g.has_edge(self.cops[c], self.robber) for c in range(3)):
+                # only a park defers its landing while a pounce is pending:
+                # the robber may stand on a vertex it is about to cover.  A
+                # chase is done only with its cop in the robber's shadow, and
+                # a robber on the path would be its own shadow, a vertex no
+                # cop reaches in the cops' turn because the pounce comes first
+                if mission.shadows is not None or not any(
+                    g.has_edge(self.cops[c], self.robber) for c in range(3)
+                ):
                     note = self._finish(mission)
                     mission = None
             moved = tuple(self.cops[c] != prev[c] for c in range(3))

@@ -96,6 +96,26 @@ class TestEmbedding:
         assert e.outer_face() == e.outer_face()
         assert len(e.faces()[e.outer_face()]) == max(len(f) for f in e.faces())
 
+    def test_faces_are_pinned(self):
+        # sha256 of repr((faces(), outer_face())) for every connected planar
+        # graph with n <= 7 and six random triangulations; recorded from the
+        # embedding that looked up each next dart in the rotation row and
+        # indexed the faces in a second pass.
+        graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+        graphs += [random_planar_triangulation(n, s) for n in (30, 60, 200) for s in (0, 1)]
+        h = hashlib.sha256()
+        count = 0
+        for g in graphs:
+            e = embed(g)
+            if e is None:
+                continue
+            h.update(repr((e.faces(), e.outer_face())).encode() + b"\n")
+            count += 1
+        assert (count, h.hexdigest()) == (
+            781,
+            "a76e4c146e63d5cf22596ad2cd192eef369f79988a4d089e83642e537ccf1d5e",
+        )
+
 
 def _networkx_rows(g: Graph):
     """Rotation rows from networkx's planarity test, or None if non-planar."""

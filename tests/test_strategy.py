@@ -133,12 +133,32 @@ class TestCaptures:
         assert solved
         assert_clean_capture(g, OptimalAdversary(g, table))
 
+    @pytest.mark.parametrize(
+        "n, seed",
+        [
+            (10, 1250), (14, 782), (16, 188), (16, 457), (16, 671), (16, 2247), (24, 3194),
+            (30, 247), (30, 515), (30, 3279), (40, 507), (40, 1237), (40, 1624),
+        ],
+    )
+    def test_chase_lands_beside_the_robber(self, n, seed):
+        # A chase whose cop stands in the robber's shadow lands even with a
+        # cop adjacent to the robber; deferring it let the robber step off
+        # the shadow, and the chase repeated until its turn bound.
+        g = sparse_planar(n, seed)
+        assert_clean_capture(g, GreedyAdversary(g))
+
+    def test_chase_lands_beside_the_exact_robber(self):
+        g = from_graph6("IJIKK_KR?")
+        assert_clean_capture(g, GreedyAdversary(g))
+        solved, table = solve(GameSpec(g, cops=3, active_cap=2))
+        assert solved
+        assert_clean_capture(g, OptimalAdversary(g, table))
+
 
 class TestPinnedTraces:
     def test_traces_are_pinned(self):
-        # sha256 of every Trace.to_json(), recorded from the engine whose
-        # pinned guard rebuilt the path's rows through wide_shadow and whose
-        # territory bridge ran one BFS per pair of contact neighbours.
+        # sha256 of every Trace.to_json(), recorded from the engine that
+        # lands a chase at once, with a cop beside the robber or not.
         graphs = [(grid(r, c), 0) for r, c in ((12, 12), (13, 13), (14, 14), (15, 15), (3, 30))]
         graphs += [(random_planar_triangulation(n, s), s) for n in (30, 60, 120, 200) for s in (0, 1)]
         graphs += [(sparse_planar(4 + i * 35 // 29, seed=i), i) for i in range(30)]
@@ -150,7 +170,7 @@ class TestPinnedTraces:
                 count += 1
         assert (count, h.hexdigest()) == (
             86,
-            "c66192fa078395db6e66115391627e900de9f9d9db42f316d6663be8769fe017",
+            "bdc1eefed3dc5b455f8fb1ef8a9dbeddf48352beedc05de87f491544e71baa0b",
         )
 
     def test_pair_builders_are_pinned(self):
@@ -213,7 +233,7 @@ class TestShadowRows:
                 run_two_move_strategy(g, adversary=adv)
                 assert len(built) == len(set(built))
                 total += len(built)
-        assert total == 39
+        assert total == 40
 
 
 class TestTraceSerialization:
