@@ -349,6 +349,37 @@ class TestPinnedClassification:
             "cb6b6c0f12573bfb580d444770ca2caacfd74eee046cb3d67a7a7b976d1e64d6",
         )
 
+    def test_masked_classifications_are_pinned(self):
+        # sha256 of repr(classify_vertex(...)), or of the exception's class
+        # name, on every connected planar graph with 3 to 6 vertices, every
+        # host mask of at least 3 vertices inducing a connected subgraph,
+        # and every ordered (v, z) in that host; recorded from the
+        # classifier that ran on a separate embedding of each host.
+        h = hashlib.sha256()
+        count = 0
+        for n in range(3, 7):
+            for g in connected_graphs(n):
+                e = embed(g)
+                if e is None:
+                    continue
+                for mask in range(1 << n):
+                    if bin(mask).count("1") < 3:
+                        continue
+                    if g.component_of((mask & -mask).bit_length() - 1, mask) != mask:
+                        continue
+                    for v in bits(mask):
+                        for z in bits(mask):
+                            try:
+                                out = repr(classify_vertex(e.restrict(bits(mask)), v, z))
+                            except Exception as exc:
+                                out = type(exc).__name__
+                            h.update(out.encode() + b"\n")
+                            count += 1
+        assert (count, h.hexdigest()) == (
+            46377,
+            "d1a41f48a84022afb97cb7cb131469556a2c4ff8409a1ee8d9c298b50819aaad",
+        )
+
 
 def _theta_with_two_detours():
     # q runs 0-1-2-3; detours through 4 and 5 nest between the 2-route and
