@@ -7,9 +7,9 @@ dart map, the Euler count is validated at construction, and all topology
 below (regions, fan quadrants, strips) comes from one split: a single
 flood of the faces, from seed faces and never across a two-path cycle,
 puts each off-cycle vertex on one side of that cycle; no coordinates
-exist anywhere.  Embeddings can be masked to a connected sub-host while
-keeping the original vertex labels, which is how the strategy engine
-scopes its shrinking worlds.
+exist anywhere.  There is one embedding per graph: a host, the shrinking
+world the strategy engine classifies in, is a vertex mask passed to the
+classifier, which cuts the full embedding's sides to it.
 
 ``embed`` finds a connected graph's rotation system with the module's own
 left-right planarity test, an int-indexed port of networkx's that returns
@@ -30,21 +30,24 @@ class PlanarityFault(AssertionError):
 
 
 class PlanarEmbedding:
-    """Rotation system over (a masked sub-host of) a graph."""
+    """Rotation system of a whole connected graph.
 
-    def __init__(self, graph: Graph, rotation, mask: int | None = None):
+    A connected sub-host needs no embedding of its own: deleting the
+    vertices outside it from this drawing draws it, so each of its
+    vertices off a cycle lies on the same side of that cycle in both.
+    ``classify_vertex`` takes the sub-host as a vertex mask and cuts the
+    sides found here to it.
+    """
+
+    def __init__(self, graph: Graph, rotation):
         self.graph = graph
-        self.mask = graph.vertex_mask() if mask is None else mask
         rot = {}
-        for v in bits(self.mask):
+        for v in range(graph.n):
             row = tuple(rotation[v])
             allowed = set(graph.neighbors(v))
-            if len(set(row)) != len(row) or any(
-                u not in allowed or not self.mask >> u & 1 for u in row
-            ):
+            if len(set(row)) != len(row) or any(u not in allowed for u in row):
                 raise ValueError(f"rotation at {v} is not its neighbor set")
-            expected = sum(1 for u in graph.neighbors(v) if self.mask >> u & 1)
-            if len(row) != expected:
+            if len(row) != len(allowed):
                 raise ValueError(f"rotation at {v} misses neighbors")
             rot[v] = row
         self.rotation = rot
@@ -79,7 +82,7 @@ class PlanarEmbedding:
         return len(faces) if faces else 1  # a single vertex still bounds one face
 
     def _check_euler(self) -> None:
-        n = bin(self.mask).count("1")
+        n = self.graph.n
         m = sum(len(row) for row in self.rotation.values()) // 2
         if n - m + self.face_count() != 2:
             raise ValueError("rotation system is not a sphere embedding")
@@ -90,20 +93,6 @@ class PlanarEmbedding:
         if not faces:
             return 0
         return min(range(len(faces)), key=lambda i: (-len(faces[i]), sorted(faces[i])))
-
-    def vertex_list(self) -> tuple[int, ...]:
-        return tuple(bits(self.mask))
-
-    # -- restriction -------------------------------------------------------
-
-    def restrict(self, vertices) -> "PlanarEmbedding":
-        """Embedding of the induced sub-host, original labels kept."""
-        keep = mask_of(vertices) & self.mask
-        rot = {
-            v: tuple(u for u in self.rotation[v] if keep >> u & 1)
-            for v in bits(keep)
-        }
-        return PlanarEmbedding(self.graph, rot, keep)
 
 
 def embed(g: Graph) -> PlanarEmbedding | None:
@@ -412,7 +401,7 @@ def _split(e: PlanarEmbedding, p: Path, q: Path, seeds) -> tuple[frozenset[int],
 
 def region(e: PlanarEmbedding, p: Path, q: Path, pivot: int) -> frozenset[int]:
     """Vertices strictly inside the disk bounded by p and q on pivot's side."""
-    if not e.mask >> pivot & 1:
+    if not e.graph.vertex_mask() >> pivot & 1:
         raise ValueError("pivot is outside the embedded host")
     if pivot in p.vertex_set() | q.vertex_set():
         raise ValueError("pivot lies on the boundary cycle")
@@ -437,13 +426,21 @@ class Classification:
     region_vertices: frozenset[int] | None = None
 
 
-def classify_vertex(e: PlanarEmbedding, v: int, z: int) -> Classification:
+def classify_vertex(e: PlanarEmbedding, v: int, z: int, within: int | None = None) -> Classification:
     """One of: v dominates its host; an isometric bypath-free path through
     v exists; or two pole paths bound a quadrant of the common-neighbor fan
     containing z, each bypath-free once the other middle vertex is removed.
+
+    The host is the connected vertex mask within, the whole graph when
+    None.  Each side of a fan quadrant's 4-cycle is split off the full
+    embedding and cut to the host: the host is drawn by deleting the rest,
+    so its off-cycle vertices keep their sides, and the faces a split
+    seeds from (z's, another fan vertex's, or the one left of dart
+    v -> x1) lie on the same side in both drawings.
     """
     g = e.graph
-    mask = e.mask
+    mask = g.vertex_mask() if within is None else within
+    host = frozenset(bits(mask))
     if not (mask >> v & 1 and mask >> z & 1):
         raise ValueError("v and z must lie in the embedded host")
     others = [w for w in bits(mask) if w != v]
@@ -474,12 +471,12 @@ def classify_vertex(e: PlanarEmbedding, v: int, z: int) -> Classification:
         p2 = Path((v, x2, u))
         rest = set(fan) - {x1, x2}
         if z not in (v, u, x1, x2):
-            interior = region(e, p1, p2, z)  # floods from z's faces, so holds z
+            interior = region(e, p1, p2, z) & host  # floods from z's faces, so holds z
         elif rest:  # z on the boundary: take the side away from the other fan vertices
             x = min(rest)
-            _, interior = _split(e, p1, p2, {e.face_of(x, w) for w in e.rotation[x]})
-        else:  # k = 2: the smaller side, ties to the side at dart v -> x1
-            sides = _split(e, p1, p2, {e.face_of(v, x1)})
+            interior = _split(e, p1, p2, {e.face_of(x, w) for w in e.rotation[x]})[1] & host
+        else:  # k = 2: the smaller host side, ties to the side at dart v -> x1
+            sides = (s & host for s in _split(e, p1, p2, {e.face_of(v, x1)}))
             interior = min(sides, key=lambda s: (len(s), sorted(s)))
         if interior & rest:
             continue
@@ -528,7 +525,7 @@ def select_bypath(e: PlanarEmbedding, p: Path, q: Path) -> BypathChoice:
     detour b of q and hand back the composite path with the pocket between
     them, every guarantee the caller relies on re-verified here."""
     g = e.graph
-    mask = e.mask
+    mask = g.vertex_mask()
     _cycle_edges(p, q)  # validates the two-path boundary shape
     try:
         free = PathShadows(g, p, mask).is_bypath_free()

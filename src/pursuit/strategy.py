@@ -168,7 +168,7 @@ class _Engine:
     def _start_vertex(self) -> int:
         faces = self.e.faces()
         if not faces:
-            return min(self.e.vertex_list())
+            return 0  # a single vertex
         boundary = faces[self.e.outer_face()]
         return min(u for u, _ in boundary)
 
@@ -350,8 +350,7 @@ class _Engine:
         return Path((a,) + inner.vertices + (b,))
 
     def _classified(self, w: int, ymask: int) -> _Mission:
-        emb = self.e.restrict(tuple(bits(ymask)) + (w,))
-        cls = classify_vertex(emb, w, self.robber)
+        cls = classify_vertex(self.e, w, self.robber, ymask | 1 << w)
         if cls.case == "dominating":
             # every territory vertex is one step from w; park there and pounce
             return self._park(w, Path((w,)))
@@ -569,7 +568,7 @@ def check_engine_input(g: Graph, e=None, turn_cap=None) -> tuple[PlanarEmbedding
         e = embed(g)
         if e is None:
             raise ValueError("graph is not planar")
-    elif e.graph != g or e.mask != g.vertex_mask():
+    elif e.graph != g:
         raise ValueError("embedding does not cover this graph")
     cap = 10 * g.n * g.n if turn_cap is None else int(turn_cap)
     if cap < 1:
