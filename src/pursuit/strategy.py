@@ -94,6 +94,11 @@ class _Mission:
     its granted turns interleave with robber moves: the interval must cross
     the cop's position to get past it, and the crossing is observed.
 
+    A chase counts its cops' turns, granted a move or not, from the turn it
+    is planned, and aborts past cap = len(route) + (L + 2)(n + 2) on a path
+    of length L: the arbiter may starve a chase cop of moves, and a bound
+    on granted moves alone would then never fire.
+
     A mission only adds a guard; the coverage sweep that follows its landing
     releases every guard the new one made redundant.
     """
@@ -105,7 +110,7 @@ class _Mission:
         self.shadows = shadows
         if shadows is not None:
             self.at = shadows.path.index_of(route[-1])  # path position once walked
-            self.steps = 0
+            self.turns = 0
             self.cap = len(route) + (shadows.path.length + 2) * (g.n + 2)
 
     def done(self, robber: int) -> bool:
@@ -115,12 +120,7 @@ class _Mission:
         return lo <= self.at <= hi
 
     def step(self, robber: int) -> int:
-        if self.shadows is None:
-            return self.walk.step()
-        self.steps += 1
-        if self.steps > self.cap:
-            raise PlanarityFault("shadow chase exceeded its turn bound")
-        if not self.walk.done:
+        if self.shadows is None or not self.walk.done:
             return self.walk.step()
         lo, hi = self.shadows.interval(robber)
         if self.at < lo:
@@ -512,6 +512,10 @@ class _Engine:
                 return self._trace({"outcome": "captured", "turn": t})
             if mission is None:
                 mission, note = self._replan()
+            if mission.shadows is not None:
+                mission.turns += 1
+                if mission.turns > mission.cap:
+                    raise PlanarityFault("shadow chase exceeded its turn bound")
             movers = 0
             for cop, gd in self.guards.items():
                 gd.step(self.robber)

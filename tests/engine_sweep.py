@@ -15,7 +15,8 @@ n in 6, 8, 10, 12, 14, 16, 20, 24, 30, 40, 60 and s < 1000, each against
 game is validated, and its record holds the first 16 hex digits of the
 trace's sha256, the outcome, the capture turn and the validator's finding
 count.  ``--compare`` reports changed traces, aborts on each side, moved
-capture turns and the mean capture turn per robber.
+capture turns and the mean capture turn per robber; it exits 1 when a trace
+changed or the two files play different games, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -86,9 +87,11 @@ def _summary(games: dict) -> str:
     return "\n".join(lines)
 
 
-def compare(old: dict, new: dict) -> str:
+def compare(old: dict, new: dict) -> tuple[str, bool]:
+    """The report on two sweeps, and whether they play the same games with
+    the same traces."""
     if old.keys() != new.keys():
-        return "the two sweeps play different games"
+        return "the two sweeps play different games", False
     changed = [k for k in old if old[k]["hash"] != new[k]["hash"]]
     earlier, later = [], []
     for k in changed:
@@ -103,7 +106,7 @@ def compare(old: dict, new: dict) -> str:
         deltas = [d for _, d in earlier + later]
         lines.append(f"  turn change from {min(deltas)} to {max(deltas)}")
     lines += [f"  later: {k} {d:+d}" for k, d in later]
-    return "\n".join(lines)
+    return "\n".join(lines), not changed
 
 
 def main(argv=None) -> int:
@@ -114,8 +117,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.compare:
         old, new = (json.load(open(p)) for p in args.compare)
-        print(compare(old, new))
-        return 0
+        report, same = compare(old, new)
+        print(report)
+        return 0 if same else 1
     start = time.perf_counter()
     games = sweep(args.optimal)
     text = json.dumps(games, sort_keys=True, indent=0)

@@ -322,6 +322,15 @@ class TestAbortAndInput:
         assert tr.verdict["reason"]
         assert validate_trace(g, tr) == []
 
+    def test_starved_chase_ends_within_its_bound(self):
+        # Two moving guards leave the chasing cop no granted move; its chase
+        # counts cops' turns, so the game ends long before 10 n^2 turns.
+        g = sparse_planar(40, 2079)
+        tr = run_two_move_strategy(g, adversary=GreedyAdversary(g))
+        assert tr.verdict["outcome"] in ("captured", "aborted")
+        assert len(tr.turns) <= 1000
+        assert validate_trace(g, tr) == []
+
     @pytest.mark.parametrize("fault", [PlanarityFault, ControllerFault])
     def test_fault_becomes_aborted_trace(self, monkeypatch, fault):
         replan = _Engine._replan
