@@ -30,14 +30,9 @@ class PlanarityFault(AssertionError):
 
 
 class PlanarEmbedding:
-    """Rotation system of a whole connected graph.
-
-    A connected sub-host needs no embedding of its own: deleting the
-    vertices outside it from this drawing draws it, so each of its
-    vertices off a cycle lies on the same side of that cycle in both.
-    ``classify_vertex`` takes the sub-host as a vertex mask and cuts the
-    sides found here to it.
-    """
+    """Rotation system of a whole connected graph.  A sub-host has no
+    embedding of its own: ``classify_vertex`` takes it as a vertex mask,
+    within, and cuts the sides split off this embedding to it."""
 
     def __init__(self, graph: Graph, rotation):
         self.graph = graph
@@ -45,10 +40,8 @@ class PlanarEmbedding:
         for v in range(graph.n):
             row = tuple(rotation[v])
             allowed = set(graph.neighbors(v))
-            if len(set(row)) != len(row) or any(u not in allowed for u in row):
+            if len(row) != len(allowed) or set(row) != allowed:
                 raise ValueError(f"rotation at {v} is not its neighbor set")
-            if len(row) != len(allowed):
-                raise ValueError(f"rotation at {v} misses neighbors")
             rot[v] = row
         self.rotation = rot
         # the dart after (u, v) is (v, w), w following u in v's rotation;
@@ -432,11 +425,10 @@ def classify_vertex(e: PlanarEmbedding, v: int, z: int, within: int | None = Non
     containing z, each bypath-free once the other middle vertex is removed.
 
     The host is the connected vertex mask within, the whole graph when
-    None.  Each side of a fan quadrant's 4-cycle is split off the full
-    embedding and cut to the host: the host is drawn by deleting the rest,
-    so its off-cycle vertices keep their sides, and the faces a split
-    seeds from (z's, another fan vertex's, or the one left of dart
-    v -> x1) lie on the same side in both drawings.
+    None.  Each side of a fan quadrant's cycle is split off the full
+    embedding and cut to the host.  Deleting the rest draws the host, so
+    its off-cycle vertices keep their sides, as do the seed faces: z's,
+    another fan vertex's, or the one left of dart v -> x1.
     """
     g = e.graph
     mask = g.vertex_mask() if within is None else within

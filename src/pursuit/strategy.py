@@ -94,10 +94,10 @@ class _Mission:
     its granted turns interleave with robber moves: the interval must cross
     the cop's position to get past it, and the crossing is observed.
 
-    A chase counts its cops' turns, granted a move or not, from the turn it
-    is planned, and aborts past cap = len(route) + (L + 2)(n + 2) on a path
-    of length L: the arbiter may starve a chase cop of moves, and a bound
-    on granted moves alone would then never fire.
+    A chase counts its cops' turns, granted a move or not, from the one it
+    is planned in, and aborts past cap = len(route) + (L + 2)(n + 2) on a
+    path of length L: a bound on granted moves never fires for a chase cop
+    the arbiter starves.
 
     A mission only adds a guard; the coverage sweep that follows its landing
     releases every guard the new one made redundant.
@@ -166,11 +166,8 @@ class _Engine:
         return Trace(to_graph6(self.g), tuple(self.turns), verdict)
 
     def _start_vertex(self) -> int:
-        faces = self.e.faces()
-        if not faces:
-            return 0  # a single vertex
-        boundary = faces[self.e.outer_face()]
-        return min(u for u, _ in boundary)
+        faces = self.e.faces()  # none on a single vertex
+        return min(u for u, _ in faces[self.e.outer_face()]) if faces else 0
 
     def _territory(self) -> int:
         blocked = 0
