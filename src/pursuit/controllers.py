@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Graph, Path, is_isometric_subgraph, shortest_path
+from .graphs import Graph, Path, is_isometric_subgraph, mask_of, shortest_path
 from .helly import dismantling_order, is_helly
 from .shadows import PathShadows, wide_shadow
 
@@ -309,16 +309,21 @@ class GreedyAdversary:
     def _farthest(self, cops, options) -> int:
         """The option whose nearest cop is farthest, ties to the lowest.
 
-        Reads one whole-graph row per cop.  A vertex that no cop reaches
-        scores n, above every distance; with no cops every option ties.
+        One BFS from all cops at once, stopped at the level that reaches
+        the last option: the options on it are the farthest.  An option no
+        cop reaches scores n, above every distance, so the lowest such
+        option wins; with no cops every option ties.
         """
-        g = self.graph
-        rows = [g.bfs_levels(c) for c in set(cops)]
-
-        def score(v: int) -> int:
-            return min((row[v] for row in rows), default=g.n)
-
-        return max(options, key=lambda v: (score(v), -v))
+        left = mask_of(options)
+        last = 0
+        for level in self.graph.levels(mask_of(cops)):
+            if level & left:
+                last = level & left
+                left ^= last
+                if not left:
+                    break
+        pick = left or last
+        return (pick & -pick).bit_length() - 1
 
     def place(self, cops) -> int:
         return self._farthest(cops, range(self.graph.n))

@@ -12,6 +12,9 @@ infinity, so a metric check on a disconnected graph fails loudly.
 
 One BFS kernel, `_levels`, yields level masks: a row fills from them, a
 component ORs them, a ball table accumulates them, a geodesic walks them.
+`Graph.levels` is its public face, for a caller that stops at the first
+level holding its answer (the greedy robber's farthest option, a chase's
+nearest path vertex) instead of filling a whole row.
 
 A graph answers each whole-graph distance question once.  `bfs_levels` keeps
 a row per source for BFS over the whole graph (no mask, or the full vertex
@@ -28,7 +31,13 @@ mask) pair, so it runs uncached.
 
 The graph6 codec handles the bit stream as text: the encoder writes it column
 by column and maps it six bits at a time, and the decoder reads the set bits
-with `str.find`, both in time linear in the stream.
+with `str.find`, both in time linear in the stream.  A graph keeps its graph6
+body beside its rows: `from_graph6` stores the body it validated (exactly
+one body per graph is accepted, so it is the canonical one) and `to_graph6`
+stores the one it first writes, so a graph is encoded at most once however
+often a digest, a trace or the validator asks.  The size field is never
+kept; it is written from n, so an input with a non-canonical `~` size field
+still encodes canonically.
 """
 
 from __future__ import annotations
@@ -79,7 +88,7 @@ def _levels(adj: Sequence[int], sources: int, allowed: int) -> Iterator[int]:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_adj", "_neigh", "_rows", "_balls")
+    __slots__ = ("n", "_adj", "_neigh", "_rows", "_balls", "_g6")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -97,6 +106,7 @@ class Graph:
         self._neigh: tuple[tuple[int, ...], ...] | None = None
         self._rows: list[list[int] | None] | None = None
         self._balls: list[tuple[int, ...] | None] | None = None
+        self._g6: str | None = None  # graph6 body, without the size field
 
     # -- basic accessors ---------------------------------------------------
 
@@ -152,6 +162,13 @@ class Graph:
         if within is not None and within != (1 << self.n) - 1:
             return self._bfs(src, within)
         return self._row(src)[:]
+
+    def levels(self, sources: int, within: int | None = None) -> Iterator[int]:
+        """BFS level masks from the vertex mask sources inside within (the
+        whole graph when None): level d holds the vertices at distance d
+        from the nearest source.  A caller may stop at any level; nothing
+        is kept on the graph."""
+        return _levels(self._adj, sources, (1 << self.n) - 1 if within is None else within)
 
     def _row(self, src: int) -> list[int]:
         """The kept whole-graph row of src, filled on first use; not a copy."""
@@ -281,10 +298,14 @@ def from_graph6(text: str) -> Graph:
             top += j
         edges.append((k - top + j, j))
         k = stream.find("1", k + 1, nbits)
-    return Graph(n, edges)
+    g = Graph(n, edges)
+    g._g6 = body  # the one body accepted for this graph
+    return g
 
 
 def to_graph6(g: Graph) -> str:
+    """graph6 string of g: the size field written from n, then the body,
+    encoded on the first call and kept on the graph."""
     n = g.n
     if n <= 62:
         head = chr(63 + n)
@@ -292,14 +313,16 @@ def to_graph6(g: Graph) -> str:
         head = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
     else:
         raise ValueError("graphs beyond 258047 vertices not supported")
-    # Column j is x_0j .. x_(j-1)j: the binary digits of j's lower
-    # neighbours, least significant first.  The guard bit 1 << j fixes the
-    # digit count; reversing drops it with the "0b" prefix.
-    stream = "".join(
-        [bin(g.adj_mask(j) & ((1 << j) - 1) | 1 << j)[:2:-1] for j in range(1, n)]
-    )
-    stream += "0" * (-len(stream) % 6)
-    return head + "".join([_G6_CHAR[stream[k : k + 6]] for k in range(0, len(stream), 6)])
+    if g._g6 is None:
+        # Column j is x_0j .. x_(j-1)j: the binary digits of j's lower
+        # neighbours, least significant first.  The guard bit 1 << j fixes
+        # the digit count; reversing drops it with the "0b" prefix.
+        stream = "".join(
+            [bin(g.adj_mask(j) & ((1 << j) - 1) | 1 << j)[:2:-1] for j in range(1, n)]
+        )
+        stream += "0" * (-len(stream) % 6)
+        g._g6 = "".join([_G6_CHAR[stream[k : k + 6]] for k in range(0, len(stream), 6)])
+    return head + g._g6
 
 
 # -- edge-list text I/O ------------------------------------------------------

@@ -3,13 +3,16 @@ vertex classification and bypath selection the capture strategy leans on.
 
 An embedding is a rotation system: every present vertex carries a cyclic
 order of its present neighbors.  Faces are traced in one loop over one
-dart map, the Euler count is validated at construction, and all topology
-below (regions, fan quadrants, strips) comes from one split: a single
-flood of the faces, from seed faces and never across a two-path cycle,
-puts each off-cycle vertex on one side of that cycle; no coordinates
-exist anywhere.  There is one embedding per graph: a host, the shrinking
-world the strategy engine classifies in, is a vertex mask passed to the
-classifier, which cuts the full embedding's sides to it.
+dart map, which also keeps each face's vertex mask and its across darts
+(its darts reversed), and the Euler count is validated at construction.
+All topology below (regions, fan quadrants, strips) comes from one split:
+a single flood of the faces, from seed faces and never across a two-path
+cycle, ORs the flooded faces' masks into the near side, and every other
+off-cycle vertex is on the far side, since an off-cycle vertex has all
+its faces on one side.  Regions and strips are vertex masks; no
+coordinates exist anywhere.  There is one embedding per graph: a host,
+the shrinking world the strategy engine classifies in, is a vertex mask
+passed to the classifier, which cuts the full embedding's sides to it.
 
 ``embed`` finds a connected graph's rotation system with the module's own
 left-right planarity test, an int-indexed port of networkx's that returns
@@ -20,6 +23,8 @@ count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .graphs import Graph, Path, bits, mask_of
 from .shadows import PathShadows, find_bypath, is_bypath_free
@@ -44,22 +49,32 @@ class PlanarEmbedding:
                 raise ValueError(f"rotation at {v} is not its neighbor set")
             rot[v] = row
         self.rotation = rot
-        # the dart after (u, v) is (v, w), w following u in v's rotation;
-        # each face is traced from its first unseen dart
+        # the dart after (u, v) is (v, w), w following u in v's rotation
         after = {
             (u, v): (v, row[(i + 1) % len(row)]) for v, row in rot.items() for i, u in enumerate(row)
         }
+        # each face is traced from its first unseen dart, with its vertex
+        # mask and its darts reversed, the darts across its edges
         faces: list[tuple[tuple[int, int], ...]] = []
-        self._face_of: dict[tuple[int, int], int] = {}
+        masks: list[int] = []
+        across: list[tuple[tuple[int, int], ...]] = []
+        face_of: dict[tuple[int, int], int] = {}
         for dart in ((u, w) for u, row in rot.items() for w in row):
-            face = []
-            while dart not in self._face_of:
-                self._face_of[dart] = len(faces)
+            face, mask, back = [], 0, []
+            while dart not in face_of:
+                face_of[dart] = len(faces)
                 face.append(dart)
+                mask |= 1 << dart[0]
+                back.append((dart[1], dart[0]))
                 dart = after[dart]
             if face:
                 faces.append(tuple(face))
+                masks.append(mask)
+                across.append(tuple(back))
+        self._face_of = face_of
         self._faces = tuple(faces)
+        self._face_masks = tuple(masks)
+        self._across = tuple(across)
         self._check_euler()
 
     # -- faces -------------------------------------------------------------
@@ -368,35 +383,37 @@ def _cycle_edges(p: Path, q: Path) -> set[tuple[int, int]]:
     }
 
 
-def _split(e: PlanarEmbedding, p: Path, q: Path, seeds) -> tuple[frozenset[int], frozenset[int]]:
-    """Off-cycle vertices on the seed faces' side of the cycle p ∪ q, and
-    those on the far side: one flood over the faces that never crosses a
-    cycle edge."""
+def _split(e: PlanarEmbedding, p: Path, q: Path, seeds) -> tuple[int, int]:
+    """Vertex masks of the off-cycle vertices on the seed faces' side of the
+    cycle p ∪ q and on the far side: one flood over the faces that never
+    crosses a cycle edge.  An off-cycle vertex has all its faces on one
+    side, so the far side is every vertex neither flooded nor on the cycle."""
     blocked = _cycle_edges(p, q)
-    faces = e.faces()
+    across, face_of = e._across, e._face_of
     seen = set(seeds)
     todo = list(seen)
+    near = 0
     while todo:
-        for u, v in faces[todo.pop()]:
-            if (u, v) in blocked:
+        f = todo.pop()
+        near |= e._face_masks[f]
+        for dart in across[f]:
+            if dart in blocked:
                 continue
-            f = e.face_of(v, u)
-            if f not in seen:
-                seen.add(f)
-                todo.append(f)
-    near: set[int] = set()
-    far: set[int] = set()
-    for f, face in enumerate(faces):
-        (near if f in seen else far).update(u for u, _ in face)
-    boundary = p.vertex_set() | q.vertex_set()
-    return frozenset(near - boundary), frozenset(far - boundary)
+            nxt = face_of[dart]
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    boundary = p.mask() | q.mask()
+    near &= ~boundary
+    return near, e.graph.vertex_mask() & ~near & ~boundary
 
 
-def region(e: PlanarEmbedding, p: Path, q: Path, pivot: int) -> frozenset[int]:
-    """Vertices strictly inside the disk bounded by p and q on pivot's side."""
+def region(e: PlanarEmbedding, p: Path, q: Path, pivot: int) -> int:
+    """Vertex mask of the vertices strictly inside the disk bounded by p and
+    q on pivot's side."""
     if not e.graph.vertex_mask() >> pivot & 1:
         raise ValueError("pivot is outside the embedded host")
-    if pivot in p.vertex_set() | q.vertex_set():
+    if (p.mask() | q.mask()) >> pivot & 1:
         raise ValueError("pivot lies on the boundary cycle")
     if not e.rotation[pivot]:
         raise ValueError("pivot has no incident darts in the host")
@@ -432,16 +449,14 @@ def classify_vertex(e: PlanarEmbedding, v: int, z: int, within: int | None = Non
     """
     g = e.graph
     mask = g.vertex_mask() if within is None else within
-    host = frozenset(bits(mask))
     if not (mask >> v & 1 and mask >> z & 1):
         raise ValueError("v and z must lie in the embedded host")
-    others = [w for w in bits(mask) if w != v]
-    if all(g.has_edge(v, w) for w in others):
+    if not mask & ~(g.adj_mask(v) | 1 << v):
         return Classification("dominating")
-    dist = g.bfs_levels(v, mask)
-    if any(dist[w] == g.n for w in others):
+    levels = list(g.levels(1 << v, mask))
+    if reduce(or_, levels) != mask:
         raise ValueError("host must be connected")
-    u = min(w for w in bits(mask) if dist[w] == 2)
+    u = (levels[2] & -levels[2]).bit_length() - 1
     fan = [
         x
         for x in e.rotation[v]
@@ -461,15 +476,15 @@ def classify_vertex(e: PlanarEmbedding, v: int, z: int, within: int | None = Non
         x2 = fan[(start + t + 1) % k]
         p1 = Path((v, x1, u))
         p2 = Path((v, x2, u))
-        rest = set(fan) - {x1, x2}
+        rest = mask_of(fan) & ~(1 << x1 | 1 << x2)
         if z not in (v, u, x1, x2):
-            interior = region(e, p1, p2, z) & host  # floods from z's faces, so holds z
+            interior = region(e, p1, p2, z) & mask  # floods from z's faces, so holds z
         elif rest:  # z on the boundary: take the side away from the other fan vertices
-            x = min(rest)
-            interior = _split(e, p1, p2, {e.face_of(x, w) for w in e.rotation[x]})[1] & host
+            x = (rest & -rest).bit_length() - 1
+            interior = _split(e, p1, p2, {e.face_of(x, w) for w in e.rotation[x]})[1] & mask
         else:  # k = 2: the smaller host side, ties to the side at dart v -> x1
-            sides = (s & host for s in _split(e, p1, p2, {e.face_of(v, x1)}))
-            interior = min(sides, key=lambda s: (len(s), sorted(s)))
+            sides = (s & mask for s in _split(e, p1, p2, {e.face_of(v, x1)}))
+            interior = min(sides, key=lambda s: (s.bit_count(), list(bits(s))))
         if interior & rest:
             continue
         chosen = (x1, x2, p1, p2, interior)
@@ -477,12 +492,12 @@ def classify_vertex(e: PlanarEmbedding, v: int, z: int, within: int | None = Non
     if chosen is None:
         raise PlanarityFault("no fan quadrant admits z")
     x1, x2, p1, p2, interior = chosen
-    rvs = frozenset(interior) | p1.vertex_set() | p2.vertex_set()
+    rmask = interior | p1.mask() | p2.mask()
     for pa, xb in ((p1, x2), (p2, x1)):
-        if not is_bypath_free(g, pa, mask_of(rvs - {xb})):
+        if not is_bypath_free(g, pa, rmask & ~(1 << xb)):
             raise PlanarityFault("pole path has a bypath inside its region")
     return Classification(
-        "poles", p1=p1, p2=p2, u=u, x1=x1, x2=x2, region_vertices=rvs
+        "poles", p1=p1, p2=p2, u=u, x1=x1, x2=x2, region_vertices=frozenset(bits(rmask))
     )
 
 
@@ -503,10 +518,10 @@ def _composite(q: Path, b: Path) -> Path:
     return Path(q.vertices[:i] + b.vertices + q.vertices[j + 1 :])
 
 
-def _strip_interior(e: PlanarEmbedding, p: Path, q: Path, b: Path) -> frozenset[int]:
-    """Interior of the pocket between q's spanned part and the detour b,
-    identified as the side away from p (p's first edge is never on the
-    pocket cycle, so its face seeds p's side)."""
+def _strip_interior(e: PlanarEmbedding, p: Path, q: Path, b: Path) -> int:
+    """Vertex mask of the interior of the pocket between q's spanned part
+    and the detour b, identified as the side away from p (p's first edge is
+    never on the pocket cycle, so its face seeds p's side)."""
     i = q.index_of(b.vertices[0])
     j = q.index_of(b.vertices[-1])
     return _split(e, q.segment(i, j), b, {e.face_of(p.vertices[0], p.vertices[1])})[1]
@@ -536,8 +551,8 @@ def select_bypath(e: PlanarEmbedding, p: Path, q: Path) -> BypathChoice:
     for _ in range(g.n * g.n + 2):
         qb = _composite(q, b)
         strip = _strip_interior(e, p, q, b)
-        strip_q = mask_of(strip) | q.mask()
-        strip_qb = mask_of(strip) | qb.mask()
+        strip_q = strip | q.mask()
+        strip_qb = strip | qb.mask()
         viol = find_bypath(g, q, strip_q)
         if viol is not None:
             b = viol
@@ -550,7 +565,7 @@ def select_bypath(e: PlanarEmbedding, p: Path, q: Path) -> BypathChoice:
             alt = _composite(qb, viol)
             b = _fresh_divergence(q, alt, qb.vertex_set())
             continue
-        side = (mask & ~mask_of(strip) & ~q.mask()) | qb.mask()
+        side = (mask & ~strip & ~q.mask()) | qb.mask()
         no_p_int = side & ~mask_of(p.vertices[1:-1])
         if not qb.is_isometric_in(g, no_p_int):
             raise PlanarityFault("composite lost isometry")
@@ -560,7 +575,7 @@ def select_bypath(e: PlanarEmbedding, p: Path, q: Path) -> BypathChoice:
             raise PlanarityFault("p lost isometry") from None
         if not free:
             raise PlanarityFault("p gained a bypath")
-        return BypathChoice(False, b, qb, strip)
+        return BypathChoice(False, b, qb, frozenset(bits(strip)))
     raise PlanarityFault("bypath selection failed to reach a fixed point")
 
 

@@ -200,6 +200,7 @@ def validate_trace(g: Graph, trace: Trace) -> list[str]:
     final = len(turns) - 1
     captured = trace.captured
     guards: list[dict] = []
+    masks: list[tuple[int, int | None]] = []  # (path, host) per guard
     park_at: dict[int, int] = {}
     runs: dict[tuple, int] = {}  # (cop, path) -> straight moves of a leisurely guard
     last_terr: int | None = None
@@ -266,6 +267,11 @@ def validate_trace(g: Graph, trace: Trace) -> list[str]:
                 last_case = note.get("case")
             if newguards is not None:
                 guards = newguards
+                # each guard's path and host as masks, once per milestone
+                masks = [
+                    (mask_of(gd["path"]), None if gd["kind"] == "park" else mask_of(gd["host"]))
+                    for gd in guards
+                ]
                 park_at = {
                     gd["cop"]: cops[gd["cop"]]
                     for gd in guards
@@ -279,18 +285,17 @@ def validate_trace(g: Graph, trace: Trace) -> list[str]:
         if mover != "cops" or not guards or (captured and idx == final):
             continue
         # guard discipline between milestones
-        for gd in guards:
+        for gd, (on_path, host) in zip(guards, masks):
             c = gd["cop"]
             p = gd["path"]
-            if gd["kind"] == "park":
+            if host is None:
                 if cops[c] != park_at[c]:
                     out.append(f"park: cop {c} left its post on turn {idx}")
                 continue
-            if cops[c] not in p:
+            if not on_path >> cops[c] & 1:
                 if guards is not newguards:  # else the milestone reported it
                     out.append(f"shadow: cop {c} is off its path on turn {idx}")
                 continue
-            host = mask_of(gd["host"])
             if not host >> robber & 1:
                 out.append(f"shadow: robber outside the host of cop {c} on turn {idx}")
                 continue

@@ -39,8 +39,9 @@ bypath reroute reuse it while the host is unchanged.  Once the territory
 shrinks, a settle builds the pinned guard's rows in the new host once and
 keeps them; the next settle reuses them while that host stands, and the
 reroute reads the ones its replan's settle kept.  A chase reads its entry
-off the free cop's whole-graph BFS row and walks the route `shortest_path`
-gives to it.  A territory bridge is one `shortest_path_between` call.
+off the first BFS level from the free cop that meets the path, and walks
+the route `shortest_path` gives to it.  A territory bridge is one
+`shortest_path_between` call.
 
 `check_engine_input` owns the input contract; `run_two_move_strategy` and
 the command line's `simulate` both call it, the latter before any solve.
@@ -279,11 +280,14 @@ class _Engine:
         cop = self._free_cop()
         shadows = PathShadows(self.g, path, host)  # verifies isometry; kept by the guard
         at = self.cops[cop]
-        dist = self.g.bfs_levels(at)
-        entry = min(range(len(path.vertices)), key=lambda i: (dist[path.vertices[i]], i))
-        if dist[path.vertices[entry]] == self.g.n:
+        on_path = path.mask()
+        for level in self.g.levels(1 << at):
+            if level & on_path:
+                entry = next(v for v in path.vertices if level >> v & 1)
+                break
+        else:
             raise PlanarityFault("chase target unreachable by the free cop")
-        route = shortest_path(self.g, at, path.vertices[entry])
+        route = shortest_path(self.g, at, entry)
         return _Mission(self.g, cop, route.vertices, shadows=shadows)
 
     def _guard_walk(self, walk: Path, ymask: int) -> _Mission:

@@ -2,7 +2,7 @@
 
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -19,6 +19,7 @@ from pursuit.controllers import (
     capture_shadow,
 )
 from pursuit.graphs import Graph, Path, shortest_path
+from pursuit.planar import embed
 from pursuit.shadows import PathShadows, wide_shadow
 from pursuit.solver import GameSpec, solve
 
@@ -365,6 +366,31 @@ class TestAdversaries:
         a = GreedyAdversary(g)
         assert a.place((0, 0, 1)) == 5
         assert a.move((0,), 6) == 5
+
+    def test_greedy_matches_row_scoring(self):
+        # The greedy robber stops one multi-source BFS at its farthest
+        # option; the reference scores every option off one whole-graph row
+        # per cop.  Every connected planar graph with n <= 6, every multiset
+        # of up to three cops, every robber vertex, and a disconnected graph
+        # whose other component no cop reaches.
+        def reference(g, cops, options):
+            rows = [g.bfs_levels(c) for c in set(cops)]
+            return max(options, key=lambda v: (min((row[v] for row in rows), default=g.n), -v))
+
+        graphs = [g for n in range(1, 7) for g in connected_graphs(n) if embed(g) is not None]
+        graphs.append(Graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 4)]))
+        calls = 0
+        for g in graphs:
+            a = GreedyAdversary(g)
+            for k in range(4):
+                for cops in combinations_with_replacement(range(g.n), k):
+                    assert a.place(cops) == reference(g, cops, range(g.n)), (g.edges(), cops)
+                    for r in range(g.n):
+                        want = reference(g, cops, (r,) + g.neighbors(r))
+                        assert a.move(cops, r) == want, (g.edges(), cops, r)
+                    calls += 1 + g.n
+        assert len(graphs) == 1 + 1 + 2 + 6 + 20 + 99 + 1
+        assert calls > 50000
 
     def test_optimal_evades_forever_when_winning(self):
         g = cycle(5)

@@ -157,6 +157,30 @@ class TestGraph6:
         for g in _codec_corpus():
             assert from_graph6(to_graph6(g)) == g
 
+    def test_kept_body_is_the_fresh_encoding(self):
+        # A decoded graph encodes from the body it kept, an encoded one from
+        # the body it wrote first; both must read what a fresh graph with the
+        # same edges encodes to.
+        graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+        graphs += [random_planar_triangulation(n, 0) for n in (30, 200)]
+        for g in graphs:
+            s = to_graph6(Graph(g.n, g.edges()))
+            decoded = from_graph6(s)
+            assert to_graph6(decoded) == s
+            assert to_graph6(decoded) == s  # the second call reads the kept body
+            assert to_graph6(g) == s and to_graph6(g) == s
+        assert len(graphs) == 1 + 1 + 2 + 6 + 21 + 112 + 853 + 2
+
+    def test_long_size_field_encodes_canonically(self):
+        # '~' size fields for n <= 62 decode, but the encoder writes the
+        # one-character size field from n, never the input's.
+        for g in (Graph(3, [(0, 1), (0, 2), (1, 2)]), random_planar_triangulation(30, 1)):
+            s = to_graph6(g)
+            n = g.n
+            long = ">>graph6<<~" + "".join(chr(63 + (n >> k & 63)) for k in (12, 6, 0)) + s[1:]
+            h = from_graph6(long)
+            assert h == g and to_graph6(h) == s
+
 
 def _codec_corpus():
     for n in range(1, 8):

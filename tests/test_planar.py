@@ -20,6 +20,7 @@ from pursuit.planar import (
     BypathChoice,
     PlanarEmbedding,
     _lr_rotation,
+    _strip_interior,
     classify_vertex,
     embed,
     region,
@@ -194,10 +195,10 @@ def _sides_partition(g: Graph, e: PlanarEmbedding, p: Path, q: Path) -> None:
     rest = [v for v in range(g.n) if v not in boundary]
     if not rest:
         return
-    first = region(e, p, q, rest[0])
+    first = frozenset(bits(region(e, p, q, rest[0])))
     other = frozenset(v for v in rest if v not in first)
     for v in rest:
-        got = region(e, p, q, v)
+        got = frozenset(bits(region(e, p, q, v)))
         assert got in (first, other)
         assert v in got
         assert not got & boundary
@@ -206,23 +207,81 @@ def _sides_partition(g: Graph, e: PlanarEmbedding, p: Path, q: Path) -> None:
         assert comp <= first or not comp & first
 
 
+def _set_split(e: PlanarEmbedding, p: Path, q: Path, seeds) -> tuple[frozenset, frozenset]:
+    """Reference split: flood the faces dart by dart through sets, never
+    across a cycle edge, then collect each side's vertices face by face."""
+    blocked = {
+        dart
+        for path in (p, q)
+        for a, b in zip(path.vertices, path.vertices[1:])
+        for dart in ((a, b), (b, a))
+    }
+    faces = e.faces()
+    seen = set(seeds)
+    todo = list(seen)
+    while todo:
+        for u, v in faces[todo.pop()]:
+            if (u, v) not in blocked and e.face_of(v, u) not in seen:
+                seen.add(e.face_of(v, u))
+                todo.append(e.face_of(v, u))
+    near: set[int] = set()
+    far: set[int] = set()
+    for f, face in enumerate(faces):
+        (near if f in seen else far).update(u for u, _ in face)
+    boundary = p.vertex_set() | q.vertex_set()
+    return frozenset(near - boundary), frozenset(far - boundary)
+
+
+def _two_path_cycles(g: Graph):
+    """Every 4-cycle a-x-b-y as the paths (a, x, b) and (a, y, b), x < y."""
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            common = list(bits(g.adj_mask(a) & g.adj_mask(b)))
+            for i, x in enumerate(common):
+                for y in common[i + 1 :]:
+                    yield a, b, x, y
+
+
+class TestSplitMasks:
+    def test_region_and_strip_match_the_set_flood(self):
+        cycles = 0
+        for n in (30, 60):
+            for seed in (0, 1):
+                g = random_planar_triangulation(n, seed)
+                e = embed(g)
+                for a, b, x, y in _two_path_cycles(g):
+                    p, q = Path((a, x, b)), Path((a, y, b))
+                    off = [v for v in range(n) if v not in (a, b, x, y)]
+                    near, far = _set_split(e, p, q, {e.face_of(off[0], w) for w in e.rotation[off[0]]})
+                    assert region(e, p, q, off[0]) == mask_of(near)
+                    if far:
+                        pivot = max(far)
+                        assert region(e, p, q, pivot) == mask_of(_set_split(e, p, q, {e.face_of(pivot, w) for w in e.rotation[pivot]})[0])
+                    # q's span (a, x, b) against the detour (a, y, b), p's
+                    # first edge leaving a off the pocket cycle
+                    w = min(set(g.neighbors(a)) - {x, y})
+                    want = _set_split(e, p, q, {e.face_of(a, w)})[1]
+                    assert _strip_interior(e, Path((a, w)), p, q) == mask_of(want)
+                    cycles += 1
+        assert cycles == 1990
+
 class TestRegion:
     def test_hub_inside_split_cycle(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)])
         e = embed(g)
-        assert region(e, Path((0, 1, 2)), Path((0, 3, 2)), 4) == frozenset({4})
+        assert region(e, Path((0, 1, 2)), Path((0, 3, 2)), 4) == mask_of({4})
 
     def test_grid_center_between_halves(self):
         e = embed(grid(3, 3))
         p = Path((0, 1, 2, 5, 8))
         q = Path((0, 3, 6, 7, 8))
-        assert region(e, p, q, 4) == frozenset({4})
+        assert region(e, p, q, 4) == mask_of({4})
 
     def test_grid_outer_side(self):
         e = embed(grid(3, 3))
         p = Path((0, 1, 2))
         q = Path((0, 3, 4, 5, 2))
-        assert region(e, p, q, 7) == frozenset({6, 7, 8})
+        assert region(e, p, q, 7) == mask_of({6, 7, 8})
 
     def test_pivot_on_boundary_rejected(self):
         e = embed(grid(3, 3))

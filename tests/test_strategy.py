@@ -673,6 +673,17 @@ NON_INTS = {
 
 
 class TestValidatorFaults:
+    def test_long_size_field_graph_flagged(self):
+        # The graph field must be the canonical graph6 of g: the same graph
+        # with a '~' size field is flagged, decoded or not.
+        g = cycle(5)
+        tr = assert_clean_capture(g, RandomAdversary(g, seed=2))
+        long = "~??" + tr.graph
+        assert from_graph6(long) == g
+        bad = Trace(long, tr.turns, tr.verdict)
+        for host in (g, from_graph6(long)):
+            assert validate_trace(host, bad) == ["schema: trace was recorded on a different graph"]
+
     def test_three_movers_flagged(self):
         g = cycle(4)
         tr = synthetic(
