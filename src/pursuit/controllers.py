@@ -5,11 +5,12 @@ Helly isometric subgraph; `capture_shadow` attaches it by chasing the
 shadow through a dismantling of the subgraph; both first check that the
 subgraph is isometric and Helly.  On an isometric path the shadow is an
 interval read off the `PathShadows` rows from the path's two ends: the
-path-shadow guard stays pinned to it, and the leisurely guard patrols a bypath-free path and
-certifies a rest at least once in every window of length+1 cop turns
-unless the robber stepped onto the path.  The park guard holds one vertex
-that covers its path and never moves; it steps like the others, so a game
-loop treats every guard alike.
+path-shadow guard stays pinned to it, and the leisurely guard patrols a
+bypath-free path and rests at least once in every window of length+1 cop
+turns unless the robber stepped onto the path.  The park guard holds one
+vertex that covers its path and never moves.  These three keep one
+contract, so a game loop steps them alike: each checks its own landing,
+and ``step(robber)`` returns the cop's vertex; a rest keeps the vertex.
 
 Controllers are single-owner state machines.  Proof-backed invariants are
 re-checked every turn; a violation raises ControllerFault, which game
@@ -155,13 +156,15 @@ def capture_shadow(g: Graph, h, cop_at: int, robber_stream) -> tuple[int, int]:
 
 
 class ParkGuard:
-    """Cop parked on a vertex whose closed neighborhood covers path, as the
-    caller checked; it never moves."""
+    """Cop parked on a vertex whose closed neighborhood covers path; it
+    never moves.  A cop that does not cover the path is a ControllerFault."""
 
     kind = "park"
     shadows = None
 
-    def __init__(self, path: Path, cop_at: int):
+    def __init__(self, g: Graph, path: Path, cop_at: int):
+        if path.mask() & ~(g.adj_mask(cop_at) | 1 << cop_at):
+            raise ControllerFault("parked cop does not cover its path")
         self.path = path
         self.cop_at = cop_at
 
@@ -213,7 +216,9 @@ class LeisurelyGuard(PathShadowGuard):
 
     ``shadows`` is as for the path-shadow guard, and the caller may already
     have read its bypath-freeness from the same rows.  The cop may start
-    anywhere on the path.
+    anywhere on the path, so it has no landing to check.  A step that keeps
+    the cop's vertex is a rest; one that moves it must come within length
+    turns of the last rest, unless the robber stepped onto the path.
     """
 
     kind = "leisurely"
@@ -230,13 +235,11 @@ class LeisurelyGuard(PathShadowGuard):
         self.cop_at = cop_at
         self.unrested = 0
 
-    def step(self, robber: int) -> tuple[int, bool]:
-        """Return (cop vertex, rested) for one turn against this robber."""
-        entered = robber in self.path.vertex_set()
+    def step(self, robber: int) -> int:
+        """Rest inside the shadow or step toward it; return the cop's vertex."""
         if self._follow(robber):
             self.unrested = 0
-            return self.cop_at, True
-        if entered:
+        elif robber in self.path.vertex_set():
             if self.cop_at != robber:
                 raise ControllerFault("robber on the path escaped capture")
             self.unrested = 0
@@ -244,7 +247,7 @@ class LeisurelyGuard(PathShadowGuard):
             self.unrested += 1
             if self.unrested > self.path.length:
                 raise ControllerFault("rest window exceeded without entry")
-        return self.cop_at, False
+        return self.cop_at
 
 
 class ScriptedWalk:

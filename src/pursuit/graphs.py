@@ -425,10 +425,6 @@ class Path:
     def length(self) -> int:
         return len(self.vertices) - 1
 
-    @property
-    def ends(self) -> tuple[int, int]:
-        return self.vertices[0], self.vertices[-1]
-
     def index_of(self, v: int) -> int:
         return self.vertices.index(v)
 

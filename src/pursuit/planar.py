@@ -442,10 +442,10 @@ def classify_vertex(e: PlanarEmbedding, v: int, z: int, within: int | None = Non
     containing z, each bypath-free once the other middle vertex is removed.
 
     The host is the connected vertex mask within, the whole graph when
-    None.  Each side of a fan quadrant's cycle is split off the full
-    embedding and cut to the host.  Deleting the rest draws the host, so
-    its off-cycle vertices keep their sides, as do the seed faces: z's,
-    another fan vertex's, or the one left of dart v -> x1.
+    None.  A fan quadrant's cycle is split once off the full embedding,
+    from the face at dart v -> x1, and both sides cut to the host, which
+    keeps its off-cycle vertices' sides.  The quadrant takes z's side, else
+    the side without the lowest other fan vertex, else the smaller side.
     """
     g = e.graph
     mask = g.vertex_mask() if within is None else within
@@ -477,14 +477,13 @@ def classify_vertex(e: PlanarEmbedding, v: int, z: int, within: int | None = Non
         p1 = Path((v, x1, u))
         p2 = Path((v, x2, u))
         rest = mask_of(fan) & ~(1 << x1 | 1 << x2)
+        near, far = (s & mask for s in _split(e, p1, p2, {e.face_of(v, x1)}))
         if z not in (v, u, x1, x2):
-            interior = region(e, p1, p2, z) & mask  # floods from z's faces, so holds z
+            interior = near if near >> z & 1 else far
         elif rest:  # z on the boundary: take the side away from the other fan vertices
-            x = (rest & -rest).bit_length() - 1
-            interior = _split(e, p1, p2, {e.face_of(x, w) for w in e.rotation[x]})[1] & mask
+            interior = far if near & (rest & -rest) else near
         else:  # k = 2: the smaller host side, ties to the side at dart v -> x1
-            sides = (s & mask for s in _split(e, p1, p2, {e.face_of(v, x1)}))
-            interior = min(sides, key=lambda s: (s.bit_count(), list(bits(s))))
+            interior = min((near, far), key=lambda s: (s.bit_count(), list(bits(s))))
         if interior & rest:
             continue
         chosen = (x1, x2, p1, p2, interior)

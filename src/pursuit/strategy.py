@@ -5,11 +5,15 @@ the unguarded part of the graph he occupies.  At most two cops guard at any
 time, each responsible for one path.  A guard is parked (its closed
 neighborhood covers the whole path), pinned to the robber's wide shadow on
 the path, or patrolling leisurely on a bypath-free path; each guard is its
-controller, keyed by cop, and every turn steps them all alike.  The
+controller, keyed by cop, checks its own landing, and every turn steps
+them all alike, reading each cop's vertex off its guard's step.  The
 remaining cop is free and runs one mission at a time: a walk that ends in
 a park, or in a chase that captures the wide shadow of a freshly chosen
 path.  An arbiter grants the mission cop a move only on turns when at most
 one guard moved, which keeps every cops' turn at or below two movers.
+Every mission counts its cops' turns, granted a move or not, against one
+bound, len(route) + (L + 2)(n + 2) for a guarded path of length L, and
+past it the game aborts with "mission exceeded its turn bound".
 
 Replanning fires whenever no mission is active.  It and every landing
 first settle the guards: recompute the territory, then run the coverage
@@ -95,10 +99,11 @@ class _Mission:
     its granted turns interleave with robber moves: the interval must cross
     the cop's position to get past it, and the crossing is observed.
 
-    A chase counts its cops' turns, granted a move or not, from the one it
-    is planned in, and aborts past cap = len(route) + (L + 2)(n + 2) on a
-    path of length L: a bound on granted moves never fires for a chase cop
-    the arbiter starves.
+    Every mission, park or chase, counts its cops' turns, granted a move or
+    not, from the one it is planned in, and the game aborts with "mission
+    exceeded its turn bound" past cap = len(route) + (L + 2)(n + 2), where
+    L is the length of the path it will guard: a bound on granted moves
+    never fires for a cop the arbiter starves.
 
     A mission only adds a guard; the coverage sweep that follows its landing
     releases every guard the new one made redundant.
@@ -107,12 +112,12 @@ class _Mission:
     def __init__(self, g: Graph, cop: int, route, park_path=None, shadows=None):
         self.cop = cop
         self.walk = ScriptedWalk(g, route)
-        self.park_path = park_path
         self.shadows = shadows
+        self.path = park_path if shadows is None else shadows.path  # to guard
+        self.turns = 0
+        self.cap = len(route) + (self.path.length + 2) * (g.n + 2)
         if shadows is not None:
-            self.at = shadows.path.index_of(route[-1])  # path position once walked
-            self.turns = 0
-            self.cap = len(route) + (shadows.path.length + 2) * (g.n + 2)
+            self.at = self.path.index_of(route[-1])  # path position once walked
 
     def done(self, robber: int) -> bool:
         if self.shadows is None or not self.walk.done:
@@ -128,7 +133,7 @@ class _Mission:
             self.at += 1
         elif self.at > hi:
             self.at -= 1
-        return self.shadows.path.vertices[self.at]
+        return self.path.vertices[self.at]
 
 
 # -- the engine ------------------------------------------------------------------
@@ -377,11 +382,9 @@ class _Engine:
             for v in gd.path.vertices:
                 attach |= self.g.adj_mask(v)
         points = list(bits(attach & ymask))
-        if len(points) == 1:
-            # the territory hangs on a cut vertex
-            return self._park(points[0], Path((points[0],)))
-        if len(points) == 2:
-            s = shortest_path(self.g, points[0], points[1], ymask)
+        if len(points) <= 2:
+            # one point is a cut vertex the territory hangs on: its walk parks there
+            s = shortest_path(self.g, points[0], points[-1], ymask)
             if s is None:
                 raise PlanarityFault("territory attachments are separated")
             return self._guard_walk(s, ymask)
@@ -475,10 +478,7 @@ class _Engine:
     def _finish(self, m: _Mission) -> dict:
         pos = self.cops[m.cop]
         if m.shadows is None:
-            for v in m.park_path.vertices:
-                if v != pos and not self.g.has_edge(pos, v):
-                    raise PlanarityFault("parked cop does not cover its path")
-            self.guards[m.cop] = ParkGuard(m.park_path, pos)
+            self.guards[m.cop] = ParkGuard(self.g, m.path, pos)
         else:
             self.guards[m.cop] = PathShadowGuard(m.shadows, pos, self.robber)
         ymask, _ = self._settle()
@@ -490,7 +490,7 @@ class _Engine:
         g = self.g
         v0 = self._start_vertex()
         self.cops = [v0, v0, v0]
-        self.guards = {0: ParkGuard(Path((v0,)), v0)}
+        self.guards = {0: ParkGuard(g, Path((v0,)), v0)}
         self._record(0, "place-cops", (True, True, True), {"start": v0})
         r = self.adversary.place(tuple(self.cops))
         if not 0 <= r < g.n:
@@ -513,15 +513,14 @@ class _Engine:
                 return self._trace({"outcome": "captured", "turn": t})
             if mission is None:
                 mission, note = self._replan()
-            if mission.shadows is not None:
-                mission.turns += 1
-                if mission.turns > mission.cap:
-                    raise PlanarityFault("shadow chase exceeded its turn bound")
+            mission.turns += 1
+            if mission.turns > mission.cap:
+                raise PlanarityFault("mission exceeded its turn bound")
             movers = 0
             for cop, gd in self.guards.items():
-                gd.step(self.robber)
-                if gd.cop_at != self.cops[cop]:
-                    self.cops[cop] = gd.cop_at
+                at = gd.step(self.robber)
+                if at != self.cops[cop]:
+                    self.cops[cop] = at
                     movers += 1
             if movers <= 1 and not mission.done(self.robber):
                 self.cops[mission.cop] = mission.step(self.robber)

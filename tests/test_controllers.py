@@ -12,6 +12,7 @@ from pursuit.controllers import (
     GreedyAdversary,
     LeisurelyGuard,
     OptimalAdversary,
+    ParkGuard,
     PathShadowGuard,
     RandomAdversary,
     ScriptedWalk,
@@ -230,6 +231,18 @@ class TestPinnedControllers:
         )
 
 
+class TestParkGuard:
+    def test_covering_cop_stays(self):
+        g = grid(3, 3)
+        guard = ParkGuard(g, Path((1, 4, 7)), 4)
+        assert [guard.step(r) for r in (0, 2, 8)] == [4, 4, 4]
+
+    def test_cop_short_of_its_path_faults(self):
+        # the guard checks its own landing, as the path-shadow guard does
+        with pytest.raises(ControllerFault, match="does not cover its path"):
+            ParkGuard(grid(3, 3), Path((0, 1, 2)), 4)
+
+
 class TestPathShadowGuard:
     def test_moves_as_the_wide_shadow_guard(self):
         # On an isometric path both guards keep the cop in the same shadow
@@ -276,8 +289,7 @@ class TestLeisurelyGuard:
             robber = rng.choice(sorted((robber,) + g.neighbors(robber)))
             if robber in (1, 2, 3):
                 robber = 4  # stay off the path; parking is the point here
-            at, rested = guard.step(robber)
-            assert at == 2 and rested
+            assert guard.step(robber) == 2  # every turn a rest
 
     def test_grid_shuttle_rest_window(self):
         g = grid(2, 6)
@@ -292,8 +304,8 @@ class TestLeisurelyGuard:
                 direction = -direction
                 nxt = robber + direction
             robber = nxt
-            _, rested = guard.step(robber)
-            flags.append(rested)
+            at = guard.cop_at
+            flags.append(guard.step(robber) == at)  # a rest keeps the vertex
         ell = p.length
         for i in range(len(flags) - ell):
             assert any(flags[i : i + ell + 1])
@@ -301,12 +313,10 @@ class TestLeisurelyGuard:
     def test_entry_is_captured(self):
         g = grid(2, 4)
         guard = LeisurelyGuard(PathShadows(g, Path((0, 1, 2, 3))), 1)
-        assert guard.step(5) == (1, True)
-        at, rested = guard.step(1)
-        assert at == 1 and rested  # robber walked onto the resting cop
+        assert guard.step(5) == 1  # a rest
+        assert guard.step(1) == 1  # robber walked onto the resting cop
         guard2 = LeisurelyGuard(PathShadows(g, Path((0, 1, 2, 3))), 1)
-        at, rested = guard2.step(0)
-        assert at == 0 and not rested
+        assert guard2.step(0) == 0  # a step onto the robber, not a rest
 
     def test_far_shadow_faults(self):
         g = path(5)

@@ -331,6 +331,31 @@ class TestAbortAndInput:
         assert len(tr.turns) <= 1000
         assert validate_trace(g, tr) == []
 
+    def test_starved_park_ends_within_the_mission_bound(self, monkeypatch):
+        # A free cop the arbiter never grants a move stays where it is.  Its
+        # park counts cops' turns like a chase, so the game aborts at the
+        # mission bound, not at the 10 n^2 cap.
+        missions = []
+        replan = _Engine._replan
+
+        def recorded(engine):
+            mission, note = replan(engine)
+            missions.append(mission)
+            return mission, note
+
+        monkeypatch.setattr(_Engine, "_replan", recorded)
+        monkeypatch.setattr(_Mission, "step", lambda m, robber: m.walk.cop_at)
+        g = grid(6, 6)
+        tr = run_two_move_strategy(g, adversary=GreedyAdversary(g))
+        (park,) = missions
+        assert park.shadows is None and len(park.walk.route) >= 2
+        assert tr.verdict == {
+            "outcome": "aborted",
+            "reason": "PlanarityFault: mission exceeded its turn bound",
+        }
+        assert len(tr.turns) < g.n * g.n  # a tenth of the cap's cops' turns
+        assert validate_trace(g, tr) == []
+
     @pytest.mark.parametrize("fault", [PlanarityFault, ControllerFault])
     def test_fault_becomes_aborted_trace(self, monkeypatch, fault):
         replan = _Engine._replan
@@ -898,3 +923,25 @@ class TestValidatorFaults:
     def test_empty_trace_flagged(self):
         tr = synthetic(path(3), [], {"outcome": "captured", "turn": 0})
         assert validate_trace(path(3), tr) == ["schema: trace has no turns"]
+
+
+class TestSweepCompare:
+    def test_compare_reports_changed_traces(self, tmp_path, capsys):
+        import engine_sweep  # it imports this module, so not at the top
+
+        rec = {"hash": "0123456789abcdef", "outcome": "captured", "turn": 5, "findings": 0}
+        old = {"sp6s0/random": rec, "sp6s0/greedy": {**rec, "turn": 7}}
+        report, same = engine_sweep.compare(old, dict(old))
+        assert same and "changed traces: 0" in report.splitlines()
+        new = {**old, "sp6s0/greedy": {**rec, "hash": "fedcba9876543210", "turn": 6}}
+        report, same = engine_sweep.compare(old, new)
+        assert not same and "changed traces: 1" in report.splitlines()
+        report, same = engine_sweep.compare(old, {"sp6s0/random": rec})
+        assert (report, same) == ("the two sweeps play different games", False)
+        paths = []
+        for i, games in enumerate((old, new)):
+            paths.append(tmp_path / f"{i}.json")
+            paths[-1].write_text(json.dumps(games))
+        assert engine_sweep.main(["--compare", str(paths[0]), str(paths[0])]) == 0
+        assert engine_sweep.main(["--compare", str(paths[0]), str(paths[1])]) == 1
+        assert "capture turns moved: 1 (1 earlier, 0 later)" in capsys.readouterr().out
